@@ -1,11 +1,14 @@
 """Certified decisions: is P an entropy maximizer, and is a graph symmetric.
 
-Both questions reduce to exact combinatorics, so no floating point enters
-the verdicts. A distribution maximizes the entropy of G exactly when the
-support can be covered uniformly by maximum-weight independent sets; a
-graph is symmetric (uniform distribution maximizes) exactly when its
-fractional chromatic number equals n/alpha. Verdicts carry an integer
-cover-multiset certificate whenever the answer is yes.
+Both questions reduce to one exact LP, so no floating point enters the
+verdicts. With S = supp P and alpha_P the maximum P-weight of an
+independent set, P maximizes the entropy of G exactly when
+chi_f(G[S]) * alpha_P = 1 (p / alpha_P is a fractional clique, so the
+product is never below 1). Then any optimal fractional coloring x of G[S]
+is the certificate: 1 = sum_v p_v <= sum_T x_T P(T) <= alpha_P sum_T x_T = 1
+forces every vertex of S to be covered exactly once, by sets of P-weight
+alpha_P. A graph is symmetric when the uniform distribution maximizes,
+i.e. when chi_f = n / alpha.
 """
 
 from __future__ import annotations
@@ -21,15 +24,12 @@ from .exactlp import (
     FractionalColoring,
     fractional_chromatic_number,
     integralize_cover,
-    uniform_cover_feasible,
 )
 from .graphs import (
     Distribution,
     Graph,
     IndependentSet,
     alpha,
-    enumerate_maximal_independent_sets,
-    enumerate_maximum_weighted_independent_sets,
     max_weighted_independent_set,
 )
 
@@ -60,11 +60,11 @@ class SymmetryVerdict:
 def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> MaximizerVerdict:
     """Decide exactly whether P maximizes the entropy of G.
 
-    Works on the support-induced subgraph: enumerates every independent set
-    attaining the maximum P-weight (sets are canonicalized to live inside
-    the support, where they are automatically maximal), then asks the exact
-    LP whether those sets can cover the support uniformly. Feasibility is
-    the verdict; the witness is scaled to an integer cover multiset.
+    Works on the support-induced subgraph: the verdict is
+    chi_f(G[supp P]) * alpha_P == 1 in exact rationals. On a yes, the
+    optimal fractional coloring covers the support exactly once with sets
+    of P-weight alpha_P (see the module docstring); it is lifted back to G
+    and scaled to an integer cover multiset.
     """
     if not p.exact:
         raise NotRational("exact-rational distribution required for the decision")
@@ -74,11 +74,9 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
     sub, relabel = g.induced(supp)
     back = {new: old for old, new in relabel.items()}
     p_sub = Distribution(p.restricted_to(supp))
-    chi_supp = fractional_chromatic_number(sub, cap)[0]
+    chi_supp, coloring = fractional_chromatic_number(sub, cap)
     alpha_p = Fraction(max_weighted_independent_set(sub, p_sub.weights, cap).value)
-    family = enumerate_maximum_weighted_independent_sets(sub, p_sub, cap)
-    cover = uniform_cover_feasible(sub, family, range(sub.n))
-    if cover is None:
+    if chi_supp * alpha_p != 1:
         return MaximizerVerdict(
             is_maximizer=False,
             chi_f_support=chi_supp,
@@ -89,15 +87,14 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
     lifted = FractionalColoring(
         {
             IndependentSet(g, (back[v] for v in s.members)): w
-            for s, w in cover.weights.items()
+            for s, w in coloring.weights.items()
         }
     )
-    certificate = integralize_cover(lifted)
     return MaximizerVerdict(
         is_maximizer=True,
         chi_f_support=chi_supp,
         alpha_p=alpha_p,
-        certificate=certificate,
+        certificate=integralize_cover(lifted),
         reason=None,
     )
 
@@ -105,26 +102,17 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
 def is_symmetric(g: Graph, cap: int | None = None) -> SymmetryVerdict:
     """Decide exactly whether the uniform distribution maximizes H(G, .).
 
-    Compares chi_f with n/alpha as exact rationals. When they agree, a
-    uniform cover of all vertices by maximum-size independent sets exists
-    and is extracted as the certificate.
+    The uniform case of `is_entropy_maximizer`: symmetric iff chi_f equals
+    n/alpha, and then the optimal fractional coloring covers every vertex
+    exactly once with maximum independent sets, which is the certificate.
     """
     if g.n == 0:
         raise ValueError("symmetry of the empty graph is undefined")
-    chi = fractional_chromatic_number(g, cap)[0]
-    a = alpha(g, cap).value
-    n_over_alpha = Fraction(g.n, a)
+    chi, coloring = fractional_chromatic_number(g, cap)
+    n_over_alpha = Fraction(g.n, alpha(g, cap).value)
     if chi != n_over_alpha:
         return SymmetryVerdict(False, chi, n_over_alpha, None)
-    maximum_sets = [
-        s for s in enumerate_maximal_independent_sets(g, cap) if len(s) == a
-    ]
-    cover = uniform_cover_feasible(g, maximum_sets, range(g.n))
-    if cover is None:
-        raise RuntimeError(
-            "internal error: chi_f = n/alpha but no uniform maximum-set cover"
-        )
-    return SymmetryVerdict(True, chi, n_over_alpha, integralize_cover(cover))
+    return SymmetryVerdict(True, chi, n_over_alpha, integralize_cover(coloring))
 
 
 def entropy_equals_log_chi_f(

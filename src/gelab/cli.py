@@ -7,7 +7,8 @@ with a comment header documenting the label map, so they re-parse
 identically.
 
 Exit codes: 0 success (and "yes" verdicts), 1 "no" verdicts, 2 parse or
-usage errors, 3 solver non-convergence, 4 enumeration cap exceeded. The
+usage errors, 3 solver non-convergence, 4 enumeration cap exceeded, 5
+internal error (a self-check failed, so no answer is given). The
 environment variable GELAB_CAP overrides the default enumeration cap.
 """
 
@@ -21,7 +22,7 @@ from . import __version__
 from .characterize import is_entropy_maximizer, is_symmetric
 from .constructions import GadgetSpec, blow_up, hardness_gadget, substitute, union
 from .entropy import DEFAULT_TOL, entropy
-from .errors import CapExceeded, GelabError, ParseError
+from .errors import CapExceeded, GelabError, InternalError, ParseError
 from .exactlp import fractional_chromatic_number
 from .graphs import Distribution, Graph
 from .io import format_graph, format_rational, parse_distribution, parse_graph
@@ -32,6 +33,7 @@ EXIT_NO = 1
 EXIT_PARSE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 
 def _read(path: str) -> str:
@@ -311,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (GelabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

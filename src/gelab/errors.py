@@ -39,3 +39,7 @@ class InvalidK(GelabError):
 
 class ParseError(GelabError):
     """A graph or distribution file could not be parsed."""
+
+
+class InternalError(GelabError, RuntimeError):
+    """An internal consistency check failed; no answer was produced."""

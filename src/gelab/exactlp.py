@@ -1,14 +1,14 @@
 """Exact rational linear programming over independent-set families.
 
 Fractional chromatic numbers, uniform-cover feasibility, and integer cover
-extraction, all in exact arithmetic. The core engine is a dense-tableau
-simplex with Bland's rule over rationals. For larger instances a float
-tableau run discovers a candidate basis first; the exact layer then either
-certifies that basis (feasibility, nonnegativity, and reduced-cost
-optimality are all re-checked in rational arithmetic against the full
-constraint system) or silently falls back to the cold exact solve. Every
-returned optimum is accompanied by an exactly-verified dual certificate, so
-a bug in the pivoting itself cannot produce a wrong answer unnoticed.
+extraction, all in exact arithmetic. Every LP takes one lane: a float
+dense-tableau simplex proposes a basis, and the exact layer certifies it
+(feasibility, nonnegativity, and reduced-cost optimality are all re-checked
+in rational arithmetic against the full constraint system). Only when that
+certification fails is the LP solved again from scratch by an exact tableau
+simplex with Bland's rule. Every returned optimum is accompanied by an
+exactly-verified dual certificate, so a bug in the pivoting itself cannot
+produce a wrong answer unnoticed.
 
 Rationals are `fractions.Fraction` at every public boundary; internally the
 engine prefers gmpy2's mpq when available (about an order of magnitude
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotUniform
+from .errors import InternalError, NotUniform
 from .graphs import Graph, IndependentSet, enumerate_maximal_independent_sets
 
 try:
@@ -36,10 +36,6 @@ Rational = Fraction
 
 _FLOAT_EPS = 1e-9
 _MAX_PIVOTS = 200_000
-# below these sizes the cold exact solve is already fast and keeps
-# certificates bit-for-bit deterministic across platforms
-_WARM_ROWS = 24
-_WARM_COLS = 96
 
 
 def _frac(x) -> Fraction:
@@ -140,13 +136,13 @@ def _tableau_simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> 
                     ):
                         leave_row, leave_label, ratio = i, basis[i], r_i
             if leave_row < 0:
-                raise RuntimeError("LP unbounded; covering LPs cannot be")
+                raise InternalError("LP unbounded; covering LPs cannot be")
             pivot(leave_row, enter)
             factor = red[enter]
             red = red - T[leave_row] * factor
             red[enter] = zero
             pivots_left -= 1
-        raise RuntimeError("simplex pivot limit exhausted")
+        raise InternalError("simplex pivot limit exhausted")
 
     # phase 1: drive artificials to zero
     cost1 = [zero] * n_struct + [one] * m + [zero]
@@ -299,16 +295,14 @@ def _certify_basis(cols, b, c, basis, kept_rows) -> _LPResult:
 
 
 def _solve_exact(cols, b, c) -> _LPResult:
-    """Exact LP solve; large instances try the float-guided lane first."""
-    m = len(b)
-    if m >= _WARM_ROWS or len(cols) >= _WARM_COLS:
-        guess = _tableau_simplex(cols, b, c, exact=False)
-        if guess.status == "optimal":
-            try:
-                return _certify_basis(cols, b, c, guess.basis, guess.kept_rows)
-            except _WarmStartFailed:
-                pass
-        # float infeasibility is only a hint; the exact pass decides
+    """Exact LP solve: certify the float basis, else solve cold in rationals."""
+    guess = _tableau_simplex(cols, b, c, exact=False)
+    if guess.status == "optimal":
+        try:
+            return _certify_basis(cols, b, c, guess.basis, guess.kept_rows)
+        except _WarmStartFailed:
+            pass
+    # float infeasibility is only a hint; the exact pass decides
     return _tableau_simplex(cols, b, c, exact=True)
 
 
@@ -387,7 +381,7 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
     coloring = FractionalColoring(weights)
     for v in range(g.n):
         if coloring.coverage(v) < 1:
-            raise RuntimeError("internal LP error: vertex left uncovered")
+            raise InternalError("internal LP error: vertex left uncovered")
     return _frac(res.obj), coloring
 
 
@@ -399,40 +393,30 @@ def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> _LPResult:
     c = [1] * k + [0] * n
     res = _solve_exact(cols, b, c)
     if res.status != "optimal":
-        raise RuntimeError("covering LP cannot be infeasible")
+        raise InternalError("covering LP cannot be infeasible")
     # exact dual certificate: y >= 0, packing-feasible, strong duality
     y = res.y
     if any(v < 0 for v in y):
-        raise RuntimeError("internal LP error: negative covering dual")
+        raise InternalError("internal LP error: negative covering dual")
     for s in sets:
         if sum((y[v] for v in s.members), _RAT(0)) > 1:
-            raise RuntimeError("internal LP error: dual violates packing")
+            raise InternalError("internal LP error: dual violates packing")
     if sum(y, _RAT(0)) != res.obj:
-        raise RuntimeError("internal LP error: duality gap")
+        raise InternalError("internal LP error: duality gap")
     return res
 
 
 def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fraction, dict[int, Fraction]]:
     """Optimal fractional clique: max sum(x) with sum over each maximal set <= 1.
 
-    Solved as its own LP (slack basis, pure exact pivoting); by LP duality its
-    value equals the fractional chromatic number, which tests assert.
+    This is the dual solution of the covering LP behind
+    `fractional_chromatic_number`, already verified exactly there
+    (nonnegative, packing-feasible, zero duality gap), so its value is chi_f.
     """
     if g.n == 0:
         return Fraction(0), {}
-    sets = enumerate_maximal_independent_sets(g, cap)
-    k = len(sets)
-    lookup = [s.members for s in sets]
-    cols = [[(i, 1) for i in range(k) if v in lookup[i]] for v in range(g.n)]
-    cols += [[(i, 1)] for i in range(k)]  # slacks
-    b = [1] * k
-    c = [-1] * g.n + [0] * k
-    res = _tableau_simplex(cols, b, c, exact=True)
-    if res.status != "optimal":
-        raise RuntimeError("packing LP with slack start cannot be infeasible")
-    value = -_frac(res.obj)
-    x = {v: _frac(res.x[v]) for v in range(g.n) if res.x[v] != 0}
-    return value, x
+    res = _solve_covering(g, enumerate_maximal_independent_sets(g, cap))
+    return _frac(res.obj), {v: _frac(y) for v, y in enumerate(res.y) if y != 0}
 
 
 def uniform_cover_feasible(
@@ -468,7 +452,7 @@ def uniform_cover_feasible(
     fc = FractionalColoring(weights)
     for v in rows:
         if fc.coverage(v) != 1:
-            raise RuntimeError("internal LP error: cover not exactly uniform")
+            raise InternalError("internal LP error: cover not exactly uniform")
     return fc
 
 
@@ -491,7 +475,7 @@ def integralize_cover(fc: FractionalColoring) -> CoverMultiset:
     common = coverages.pop()
     fold = common * r
     if fold.denominator != 1:
-        raise RuntimeError("lcm scaling must give an integer fold")
+        raise InternalError("lcm scaling must give an integer fold")
     mult = {s: int(w * r) for s, w in fc.weights.items()}
     return CoverMultiset(mult, int(fold), covered)
 
@@ -515,7 +499,7 @@ def b_fold_realization(g: Graph, cap: int | None = None) -> CoverMultiset:
         cov = sum((w for mem, w in weights.items() if v in mem), Fraction(0))
         excess = cov - 1
         if excess < 0:
-            raise RuntimeError("internal error: vertex under-covered")
+            raise InternalError("internal error: vertex under-covered")
         for mem in sorted(k for k in weights if v in k):
             if excess == 0:
                 break
@@ -525,7 +509,7 @@ def b_fold_realization(g: Graph, cap: int | None = None) -> CoverMultiset:
                 continue
             shrunk = tuple(u for u in mem if u != v)
             if not shrunk:
-                raise RuntimeError(
+                raise InternalError(
                     "internal error: tightening emptied a set; coloring was not optimal"
                 )
             weights[mem] = w - take
@@ -537,8 +521,8 @@ def b_fold_realization(g: Graph, cap: int | None = None) -> CoverMultiset:
         {IndependentSet(g, mem): w for mem, w in weights.items()}
     )
     if fc_tight.total != chi:
-        raise RuntimeError("internal error: tightening changed the LP objective")
+        raise InternalError("internal error: tightening changed the LP objective")
     cm = integralize_cover(fc_tight)
     if Fraction(cm.size, cm.fold) != chi:
-        raise RuntimeError("internal error: integer cover does not realize chi_f")
+        raise InternalError("internal error: integer cover does not realize chi_f")
     return cm

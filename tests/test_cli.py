@@ -212,3 +212,16 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_mod, "entropy", tiny_budget)
         assert main(["entropy", files("c5", C5)]) == 3
+
+    def test_internal_error_is_5_not_1(self, files, capsys, monkeypatch):
+        import gelab.exactlp as exactlp
+
+        def negative_dual(cols, b, c):
+            return exactlp._LPResult(
+                status="optimal", x=[0] * len(cols), y=[-1] * len(b), obj=0
+            )
+
+        monkeypatch.setattr(exactlp, "_solve_exact", negative_dual)
+        for command in ("chif", "symmetric"):
+            assert main([command, files("c5", C5)]) == 5
+            assert "internal error" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gelab import exactlp
 from gelab.errors import NotUniform
 from gelab.exactlp import (
     FractionalColoring,
@@ -80,14 +81,56 @@ class TestFractionalChromatic:
 
     def test_dual_objective_matches_exactly(self):
         rng = random.Random(6)
-        for _ in range(15):
-            g = rand_graph(rng, rng.randint(1, 8), rng.random())
+        graphs = [rand_graph(rng, rng.randint(1, 8), rng.random()) for _ in range(15)]
+        graphs.append(rand_graph(random.Random(26), 26, 0.5))
+        for g in graphs:
             chi, _ = fractional_chromatic_number(g)
             dual_value, x = fractional_chromatic_dual(g)
             assert dual_value == chi
             # dual witness is packing-feasible
             for s in enumerate_maximal_independent_sets(g):
                 assert sum((x.get(v, Fraction(0)) for v in s.members), Fraction(0)) <= 1
+
+
+class TestColdExactFallback:
+    """The exact tableau answers whenever the float basis fails certification."""
+
+    @staticmethod
+    def force_fallback(monkeypatch, mode):
+        real = exactlp._tableau_simplex
+        exact_calls = []
+
+        def simplex(cols, b, c, *, exact, **kwargs):
+            res = real(cols, b, c, exact=exact, **kwargs)
+            if exact:
+                exact_calls.append(len(b))
+            elif mode == "wrong-basis":
+                # the surplus columns: their basic solution x = -b is infeasible
+                res.basis = list(range(len(cols) - len(b), len(cols)))
+                res.kept_rows = list(range(len(b)))
+            return res
+
+        def certify_fails(*args):
+            raise exactlp._WarmStartFailed
+
+        monkeypatch.setattr(exactlp, "_tableau_simplex", simplex)
+        if mode == "certify-fails":
+            monkeypatch.setattr(exactlp, "_certify_basis", certify_fails)
+        return exact_calls
+
+    @pytest.mark.parametrize("mode", ["wrong-basis", "certify-fails"])
+    def test_exact_chi_f_and_covering_coloring(self, monkeypatch, mode):
+        rng = random.Random(14)
+        graphs = [cycle_graph(5), petersen()]
+        graphs += [rand_graph(rng, rng.randint(2, 9), rng.random()) for _ in range(10)]
+        expected = [fractional_chromatic_number(g)[0] for g in graphs]
+        assert expected[:2] == [Fraction(5, 2), Fraction(5, 2)]
+        exact_calls = self.force_fallback(monkeypatch, mode)
+        for g, chi_expected in zip(graphs, expected):
+            chi, coloring = fractional_chromatic_number(g)
+            assert chi == chi_expected and coloring.total == chi
+            assert all(coloring.coverage(v) >= 1 for v in range(g.n))
+        assert len(exact_calls) == len(graphs)
 
 
 class TestUniformCoverFeasible:
