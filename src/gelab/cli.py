@@ -8,8 +8,9 @@ identically.
 
 Exit codes: 0 success (and "yes" verdicts), 1 "no" verdicts, 2 parse or
 usage errors, 3 solver non-convergence, 4 enumeration cap exceeded, 5
-internal error (a self-check failed, so no answer is given). The
-environment variable GELAB_CAP overrides the default enumeration cap.
+internal error (a self-check failed or an unexpected exception was raised,
+so no answer is given). The environment variable GELAB_CAP overrides the
+default enumeration cap.
 """
 
 from __future__ import annotations
@@ -319,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GelabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:  # a bug must not exit 1, the "no" verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,39 @@ def hypercube_q3() -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def kneser(m: int, k: int) -> Graph:
+    """K(m,k): the k-subsets of range(m), adjacent when disjoint."""
+    subsets = list(itertools.combinations(range(m), k))
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(subsets)), 2)
+        if not set(subsets[i]) & set(subsets[j])
+    ]
+    return Graph(len(subsets), edges)
+
+
+def circulant(n: int, jumps) -> Graph:
+    """C_n(jumps): vertex i adjacent to i +- j (mod n) for each jump j."""
+    return Graph(n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, [
+        (u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.has_edge(u, v)
+    ])
+
+
+def rand_bipartite(rng: random.Random, n: int, p_edge: float) -> Graph:
+    """Random bipartite graph on a random split of range(n)."""
+    side = [rng.random() < 0.5 for _ in range(n)]
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+        if side[i] != side[j] and rng.random() < p_edge
+    ]
+    return Graph(n, edges)
 
 
 def rand_graph(rng: random.Random, n: int, p_edge: float) -> Graph:

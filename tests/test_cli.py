@@ -225,3 +225,21 @@ class TestExitCodes:
         for command in ("chif", "symmetric"):
             assert main([command, files("c5", C5)]) == 5
             assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, solver",
+        [
+            ("entropy", "entropy"),
+            ("chif", "fractional_chromatic_number"),
+            ("symmetric", "is_symmetric"),
+        ],
+    )
+    def test_no_exception_escapes_main(self, files, capsys, monkeypatch, command, solver):
+        import gelab.cli as cli_mod
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(cli_mod, solver, broken)
+        assert main([command, files("c5", C5)]) == 5
+        assert "internal error: ZeroDivisionError: injected" in capsys.readouterr().err

@@ -4,10 +4,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gelab.constructions import union
-from gelab.entropy import PolytopePoint, entropy, linear_minimization_oracle, objective
+from gelab.entropy import (
+    PolytopePoint,
+    _line_search,
+    entropy,
+    linear_minimization_oracle,
+    objective,
+)
 from gelab.errors import DomainError
 from gelab.exactlp import fractional_chromatic_number
 from gelab.graphs import (
@@ -16,13 +23,19 @@ from gelab.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    enumerate_maximal_independent_sets,
     path_graph,
 )
 from gelab.oracle import brute_entropy
 
 from helpers import (
+    circulant,
+    complement,
     continuity_delta,
+    kneser,
     perturb_within,
+    petersen,
+    rand_bipartite,
     rand_graph,
     rand_rational_distribution,
     rand_spanning_subgraph,
@@ -138,6 +151,126 @@ class TestEntropy:
             ref = brute_entropy(g, p)
             assert res.value - res.gap <= ref + 1e-9
             assert ref <= res.value + 1e-8
+
+
+def pairwise_line_searches(rng: random.Random, count: int):
+    """(q, a, d, gamma_max) from pairwise directions at random packing points.
+
+    a is a random convex combination of maximal independent sets that covers
+    every vertex, and d = M[s] - M[t] with gamma_max the weight of t, as in
+    the solver's pairwise step. Half the cases take the solver's oracle atom
+    s and the lightest active atom t (drop steps occur there); the other half
+    take a random s and a random active t (many do not descend).
+    """
+    out = []
+    while len(out) < count:
+        g = rand_graph(rng, rng.randint(2, 9), rng.random())
+        sets = enumerate_maximal_independent_sets(g)
+        if len(sets) < 2:
+            continue
+        M = np.zeros((len(sets), g.n))
+        for i, s in enumerate(sets):
+            M[i, s.sorted_members()] = 1.0
+        lam = np.array([rng.random() if rng.random() < 0.6 else 0.0 for _ in sets])
+        for v in range(g.n):  # cover every vertex so that a > 0
+            if not (lam @ M)[v]:
+                lam[rng.choice([i for i in range(len(sets)) if M[i, v]])] = rng.random() + 0.01
+        lam /= lam.sum()
+        q = np.array([rng.randint(1, 9) for _ in range(g.n)], dtype=float)
+        q /= q.sum()
+        a = lam @ M
+        solver_like = rng.random() < 0.5
+        s_idx = int(np.argmax(M @ (q / a))) if solver_like else rng.randrange(len(sets))
+        active = [i for i in range(len(sets)) if lam[i] > 0 and i != s_idx]
+        if not active:
+            continue
+        t_idx = min(active, key=lam.__getitem__) if solver_like else rng.choice(active)
+        out.append((q, a, M[s_idx] - M[t_idx], float(lam[t_idx])))
+    return out
+
+
+def along(q, a, d, gammas):
+    """-sum q*ln(a + gamma*d) for each gamma: the objective in nats."""
+    with np.errstate(divide="ignore"):
+        return -(q * np.log(a + np.outer(gammas, d))).sum(axis=1)
+
+
+def slope_at(q, a, d, gamma):
+    return float(-(q * d / (a + gamma * d)).sum())
+
+
+class TestLineSearch:
+    def test_exact_step_on_pairwise_directions(self):
+        cases = {"interior": 0, "drop": 0, "no descent": 0}
+        for q, a, d, gamma_max in pairwise_line_searches(random.Random(12), 300):
+            gamma = _line_search(q, a, d, gamma_max)
+            assert 0.0 <= gamma <= gamma_max
+            if slope_at(q, a, d, 0.0) >= 0.0:
+                cases["no descent"] += 1
+                assert gamma == 0.0
+            elif np.all(a + gamma_max * d > 0) and slope_at(q, a, d, gamma_max) < 0.0:
+                cases["drop"] += 1
+                assert gamma == gamma_max
+            else:
+                cases["interior"] += 1
+                assert 0.0 < gamma < gamma_max
+                scale = float(np.abs(q * d / a).sum())
+                assert abs(slope_at(q, a, d, gamma)) <= 1e-9 * scale
+            grid = along(q, a, d, np.linspace(0.0, gamma_max, 1000)).min()
+            assert along(q, a, d, [gamma])[0] <= grid + 1e-15 * abs(grid)
+        assert min(cases.values()) >= 20, cases
+
+
+class TestBracket:
+    """[value - gap, value] holds the true entropy whether or not it converged."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5, 20])
+    def test_unconverged_runs_keep_both_sides(self, max_iter):
+        rng = random.Random(13)
+        for _ in range(10):
+            g = rand_graph(rng, rng.randint(2, 9), rng.random())
+            p = rand_rational_distribution(rng, g.n, strict=False)
+            res = entropy(g, p, max_iter=max_iter)
+            ref = brute_entropy(g, p)
+            assert res.value - res.gap <= ref + 1e-9
+            assert ref <= res.value + 1e-8
+            assert res.converged == (res.gap <= 1e-9)
+
+    @pytest.mark.parametrize("graph, alpha", [(cycle_graph(5), 2), (petersen(), 4)])
+    def test_tiny_tolerance_returns_a_valid_bracket(self, graph, alpha):
+        res = entropy(graph, Distribution.uniform(graph.n), tol=1e-15, max_iter=2000)
+        exact = math.log2(graph.n / alpha)
+        assert res.value - res.gap <= exact + 1e-12
+        assert exact <= res.value + 1e-12
+        assert res.converged == (res.gap <= 1e-15)
+
+
+class TestClosedForms:
+    """Large-n checks against values that share no code with the solver."""
+
+    @pytest.mark.parametrize(
+        "graph, alpha",
+        [(kneser(6, 2), 5), (kneser(7, 2), 6), (circulant(24, (1, 2)), 8)]
+        + [(cycle_graph(n), (n - 1) // 2) for n in (15, 17, 19, 21)],
+    )
+    def test_vertex_transitive_uniform_is_lg_n_over_alpha(self, graph, alpha):
+        res = entropy(graph, Distribution.uniform(graph.n))
+        exact = math.log2(graph.n / alpha)
+        assert res.converged
+        # 1e-12 absorbs rounding when the solver lands on the optimum exactly
+        assert res.value - res.gap <= exact + 1e-12
+        assert exact <= res.value + 1e-12
+
+    def test_perfect_graph_identity_on_bipartite_graphs(self):
+        rng = random.Random(14)
+        for _ in range(6):
+            n = rng.randint(20, 30)
+            g = rand_bipartite(rng, n, rng.uniform(0.2, 0.5))
+            p = rand_rational_distribution(rng, n, strict=False)
+            h_p = -sum(float(w) * math.log2(float(w)) for w in p.weights if w)
+            res, co = entropy(g, p), entropy(complement(g), p)
+            assert res.converged and co.converged
+            assert abs(res.value + co.value - h_p) <= res.gap + co.gap + 1e-9
 
 
 class TestEntropyLaws:
