@@ -13,11 +13,9 @@ i.e. when chi_f = n / alpha.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .entropy import entropy
 from .errors import NotRational
 from .exactlp import (
     CoverMultiset,
@@ -114,19 +112,3 @@ def is_symmetric(g: Graph, cap: int | None = None) -> SymmetryVerdict:
         return SymmetryVerdict(False, chi, n_over_alpha, None)
     return SymmetryVerdict(True, chi, n_over_alpha, integralize_cover(coloring))
 
-
-def entropy_equals_log_chi_f(
-    g: Graph, p: Distribution, tol: float, cap: int | None = None
-) -> bool:
-    """Numerical cross-check: does H(G,P) equal lg chi_f of the support graph?
-
-    Test-side validation only; the combinatorial verdicts above are the
-    actual decision procedure. True when the solver value is within
-    tol + (solver gap) of the exact logarithm.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    sub, _ = g.induced(p.support)
-    chi = fractional_chromatic_number(sub, cap)[0]
-    res = entropy(g, p, cap=cap)
-    return abs(res.value - math.log2(chi)) <= tol + res.gap

@@ -3,20 +3,23 @@
 Fractional chromatic numbers, uniform-cover feasibility, and integer cover
 extraction, all in exact arithmetic. Every LP takes one lane: a float
 dense-tableau simplex proposes a basis, and the exact layer certifies it
-(feasibility, nonnegativity, and reduced-cost optimality are all re-checked
-in rational arithmetic against the full constraint system). Only when that
-certification fails is the LP solved again from scratch by an exact tableau
-simplex with Bland's rule. Every returned optimum is accompanied by an
-exactly-verified dual certificate, so a bug in the pivoting itself cannot
-produce a wrong answer unnoticed.
+(Applegate, Cook, Dash & Espinoza, ORL 2007). Certification is
+fraction-free integer arithmetic over the common denominator det(B):
+Bareiss elimination gives det(B) x_B and det(B) y as integers, and
+feasibility against the full constraint system, nonnegativity, and
+reduced-cost optimality are all re-checked on those integers. Only when
+that certification fails is the LP solved again from scratch by an exact
+tableau simplex with Bland's rule. Every returned optimum is accompanied by
+an exactly-verified dual certificate, so a bug in the pivoting itself
+cannot produce a wrong answer unnoticed.
 
-Rationals are `fractions.Fraction` at every public boundary; internally the
-engine prefers gmpy2's mpq when available (about an order of magnitude
-faster, identical semantics).
-"""
+Rationals are `fractions.Fraction` at every public boundary; the cold exact
+tableau prefers gmpy2's mpq when available (about an order of magnitude
+faster, identical semantics)."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +50,10 @@ def _frac(x) -> Fraction:
 # ---------------------------------------------------------------------------
 # simplex engine
 # ---------------------------------------------------------------------------
+#
+# An LP is min c.x subject to A x = b, x >= 0, with integer data. `cols` holds
+# A one column per row: cols[j] is column j of A as an int64 vector, so
+# cols.shape == (number of columns, number of constraint rows).
 
 
 @dataclass
@@ -59,129 +66,101 @@ class _LPResult:
     kept_rows: list | None = None
 
 
-def _build_matrix(cols: Sequence[Sequence[tuple[int, int]]], m: int, exact: bool):
-    one = _RAT(1) if exact else 1.0
-    zero = _RAT(0) if exact else 0.0
-    dtype = object if exact else float
-    A = np.full((m, len(cols)), zero, dtype=dtype)
-    for j, col in enumerate(cols):
-        for i, coef in col:
-            A[i, j] = one * coef
-    return A
-
-
 def _tableau_simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> _LPResult:
     """Two-phase dense-tableau simplex for min c.x, A x = b, x >= 0, b >= 0.
 
     Exact mode pivots by Bland's rule (no cycling); float mode uses Dantzig
     pricing and is only ever used to guess a basis for the exact layer.
-    Artificial columns double as an identity block, so the final tableau
-    carries the basis inverse and dual values can be read off directly.
+    Pricing and the ratio test are array operations; a pivot updates the
+    tableau row by row in place, since one outer-product update would
+    allocate a tableau-sized temporary per pivot. Artificial columns double
+    as an identity block, so the final tableau carries the basis inverse
+    and dual values can be read off directly.
     """
     m, n_struct = len(b), len(cols)
-    zero = _RAT(0) if exact else 0.0
-    one = _RAT(1) if exact else 1.0
-    eps = zero if exact else _FLOAT_EPS
-
-    A = _build_matrix(cols, m, exact)
-    art = np.full((m, m), zero, dtype=object if exact else float)
-    for i in range(m):
-        art[i, i] = one
-    T = np.concatenate([A, art, np.reshape([one * v for v in b], (m, 1))], axis=1)
     rhs = n_struct + m
-    basis = list(range(n_struct, n_struct + m))
-    alive = list(range(m))
+    zero = _RAT(0) if exact else 0.0
+    eps = zero if exact else _FLOAT_EPS
+    T = np.zeros((m, rhs + 1), dtype=object if exact else float)
+    T[:, :n_struct] = cols.T
+    T[:, n_struct:rhs] = np.eye(m, dtype=np.int64)
+    T[:, rhs] = b
+    if exact:  # one shared rational object per distinct entry
+        for v in np.unique(T):
+            T[T == v] = _RAT(v)
+    basis = np.arange(n_struct, rhs)
+    live = np.ones(m, dtype=bool)  # rows not dropped as redundant
 
     def pivot(r: int, jcol: int) -> None:
-        piv = T[r, jcol]
-        T[r] = T[r] / piv
-        for i in alive:
-            if i != r and T[i, jcol] != zero:
-                T[i] = T[i] - T[i, jcol] * T[r]
+        T[r] = T[r] / T[r, jcol]
+        for i in np.flatnonzero(live & (T[:, jcol] != zero)):
+            if i != r:
+                T[i] -= T[i, jcol] * T[r]
         basis[r] = jcol
 
-    def run_phase(cost, banned, pivots_left) -> tuple[str, int]:
-        # reduced-cost row maintained separately from T (last entry rides
-        # along over the rhs column and tracks the negated objective)
-        y_like = [cost[basis[i]] for i in alive]
-        red = np.array(
-            [cost[j] - sum(y_like[k] * T[i, j] for k, i in enumerate(alive))
-             for j in range(rhs + 1)],
-            dtype=object if exact else float,
-        )
+    def run_phase(cost, limit, pivots_left) -> int:
+        # reduced-cost row kept beside T; its last entry rides along over
+        # the rhs column and tracks the negated objective. Only the first
+        # `limit` columns may enter. c_B T is summed row by row, in order.
+        cBT = np.zeros(rhs + 1, dtype=T.dtype)
+        for i in np.flatnonzero(live):
+            cBT += cost[basis[i]] * T[i]
+        red = cost - cBT
         while pivots_left > 0:
-            enter = -1
-            if exact:
-                for j in range(rhs):
-                    if j not in banned and red[j] < -eps:
-                        enter = j
-                        break
-            else:
-                bestval = -eps
-                for j in range(rhs):
-                    if j not in banned and red[j] < bestval:
-                        bestval = red[j]
-                        enter = j
-            if enter < 0:
-                return "optimal", pivots_left
-            leave_row, leave_label, ratio = -1, -1, None
-            for i in alive:
-                t = T[i, enter]
-                if t > eps:
-                    r_i = T[i, rhs] / t
-                    if (
-                        ratio is None
-                        or r_i < ratio
-                        or (r_i == ratio and basis[i] < leave_label)
-                    ):
-                        leave_row, leave_label, ratio = i, basis[i], r_i
-            if leave_row < 0:
+            neg = np.flatnonzero(red[:limit] < -eps)
+            if not neg.size:
+                return pivots_left
+            # Bland: the first improving column; Dantzig: the most negative
+            enter = neg[0] if exact else neg[np.argmin(red[neg])]
+            col = T[:, enter]
+            rows = np.flatnonzero(live & (col > eps))
+            if not rows.size:
                 raise InternalError("LP unbounded; covering LPs cannot be")
-            pivot(leave_row, enter)
-            factor = red[enter]
-            red = red - T[leave_row] * factor
+            ratios = T[rows, rhs] / col[rows]
+            tied = rows[ratios == ratios.min()]
+            leave = tied[np.argmin(basis[tied])]  # ties: smallest basis label
+            pivot(leave, enter)
+            red -= red[enter] * T[leave]
             red[enter] = zero
             pivots_left -= 1
         raise InternalError("simplex pivot limit exhausted")
 
+    def costs(struct, art):
+        cost = np.zeros(rhs + 1, dtype=T.dtype)
+        cost[:n_struct] = struct
+        cost[n_struct:rhs] = art
+        return cost
+
     # phase 1: drive artificials to zero
-    cost1 = [zero] * n_struct + [one] * m + [zero]
-    banned1: set[int] = set()
-    _, left = run_phase(cost1, banned1, maxiter)
-    infeas = sum((T[i, rhs] for i in alive if basis[i] >= n_struct), zero)
+    cost1 = costs(0, 1)
+    left = run_phase(cost1, rhs, maxiter)
+    infeas = T[basis >= n_struct, rhs].sum()
     if (exact and infeas != 0) or (not exact and infeas > 1e-7):
         return _LPResult(status="infeasible")
 
     # drive basic artificials out; a row with no structural pivot is redundant
-    for i in list(alive):
-        if basis[i] >= n_struct:
-            target = -1
-            for j in range(n_struct):
-                if (T[i, j] != zero) if exact else (abs(T[i, j]) > 1e-7):
-                    target = j
-                    break
-            if target >= 0:
-                pivot(i, target)
-            else:
-                alive.remove(i)
+    for i in np.flatnonzero(basis >= n_struct):
+        row = T[i, :n_struct]
+        target = np.flatnonzero(row != zero if exact else np.abs(row) > 1e-7)
+        if target.size:
+            pivot(i, target[0])
+        else:
+            live[i] = False
 
     # phase 2 with the real objective; artificials may not re-enter
-    cost2 = list(c) + [zero] * m + [zero]
-    banned2 = set(range(n_struct, n_struct + m))
-    run_phase(cost2, banned2, left)
+    cost2 = costs(c, 0)
+    run_phase(cost2, n_struct, left)
 
+    rows = np.flatnonzero(live)
     x = [zero] * n_struct
-    for i in alive:
+    for i in rows:
         if basis[i] < n_struct:
             x[basis[i]] = T[i, rhs]
-    # duals from the identity block: y = c_B . B^-1, zero on dropped rows
-    y = [zero] * m
-    for col in range(m):
-        y[col] = sum((cost2[basis[i]] * T[i, n_struct + col] for i in alive), zero)
-    obj = sum((cost2[basis[i]] * T[i, rhs] for i in alive), zero)
+    # duals from the identity block: y = c_B . B^-1
+    cB = cost2[basis[rows]]
     return _LPResult(
-        status="optimal", x=x, y=y, obj=obj,
-        basis=[basis[i] for i in alive], kept_rows=list(alive),
+        status="optimal", x=x, y=list(cB @ T[rows, n_struct:rhs]), obj=cB @ T[rows, rhs],
+        basis=basis[rows].tolist(), kept_rows=rows.tolist(),
     )
 
 
@@ -189,108 +168,101 @@ class _WarmStartFailed(Exception):
     pass
 
 
+def _bareiss_solve(M, rhs) -> tuple[int, list[int]]:
+    """Solve M z = rhs over the integers by fraction-free elimination.
+
+    M is a square integer matrix and rhs a sequence of ints. Returns
+    (d, num) with d = |det M| > 0 and z = num / d, every entry a Python int.
+    Bareiss's update a_ij <- (a_kk a_ij - a_ik a_kj) / a_{k-1,k-1} keeps
+    every entry a minor of M, so each division is exact and no entry
+    outgrows Hadamard's bound on det M (Bareiss, Math. Comp. 1968). Pivots
+    are the first nonzero entry at or below the diagonal. Raises
+    _WarmStartFailed when M is singular.
+    """
+    A = [row + [r] for row, r in zip(np.asarray(M).tolist(), rhs)]
+    m = len(A)
+    prev = 1
+    for k in range(m):
+        if A[k][k] == 0:
+            p = next((i for i in range(k + 1, m) if A[i][k] != 0), -1)
+            if p < 0:
+                raise _WarmStartFailed
+            A[k], A[p] = A[p], A[k]
+        piv, pivot_row = A[k][k], A[k][k + 1:]
+        for row in A[k + 1:]:
+            f = row[k]
+            if f:
+                row[k + 1:] = [
+                    (piv * a - f * q) // prev for a, q in zip(row[k + 1:], pivot_row)
+                ]
+            elif piv != prev:  # a zero multiplier still rescales the row
+                row[k + 1:] = [piv * a // prev for a in row[k + 1:]]
+        prev = piv
+    # back substitution on the triangle, scaled by d = prev: d z_i is an
+    # integer (Cramer), so each division below is exact as well
+    num = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = A[i]
+        acc = prev * row[m] - sum(row[j] * num[j] for j in range(i + 1, m))
+        num[i] = acc // row[i]
+    if prev < 0:
+        return -prev, [-v for v in num]
+    return prev, num
+
+
+def _exact_matvec(M, v) -> np.ndarray:
+    """M @ v exactly, for an int64 matrix M and a sequence of Python ints v.
+
+    Runs in int64 when no partial sum can reach 2**63 (max|v| times the
+    largest |M| entry times the row length stays below it), else on
+    Python ints.
+    """
+    bound = max(map(abs, v), default=0) * M.shape[1]
+    bound *= max(int(M.max(initial=0)), -int(M.min(initial=0)))
+    if bound < 2**63:
+        return M @ np.array(v, dtype=np.int64)
+    return M.astype(object) @ np.array(v, dtype=object)
+
+
 def _certify_basis(cols, b, c, basis, kept_rows) -> _LPResult:
     """Exactly solve for a basis found in floats and certify its optimality.
 
-    Raises _WarmStartFailed unless the basic solution is feasible for the
-    *full* system and every reduced cost is nonnegative, so a wrong float
-    answer can never leak through.
+    All arithmetic is on integers over the common denominator det(B), from
+    two Bareiss solves: B x_B = b on the kept rows and B^T y = c_B. Raises
+    _WarmStartFailed unless x is nonnegative and satisfies *every* row
+    (the float pass may have dropped rows it wrongly believed redundant),
+    and every reduced cost c_j - y.a_j is nonnegative and zero on the
+    basis. Then x and y are feasible and complementary, which proves both
+    optimal whatever computed them, so a wrong float answer can never leak
+    through. Rationals are built only for the nonzero outputs.
     """
     m = len(kept_rows)
     if len(basis) != m or any(j >= len(cols) for j in basis):
         raise _WarmStartFailed
-    row_of = {r: i for i, r in enumerate(kept_rows)}
-    B = [[_RAT(0)] * m for _ in range(m)]
-    for jj, j in enumerate(basis):
-        for i, coef in cols[j]:
-            if i in row_of:
-                B[row_of[i]][jj] = _RAT(coef)
-
-    # LU with first-nonzero pivoting, exact
-    perm = list(range(m))
-    lu = [row[:] for row in B]
-    for k in range(m):
-        p = next((r for r in range(k, m) if lu[r][k] != 0), -1)
-        if p < 0:
-            raise _WarmStartFailed
-        if p != k:
-            lu[p], lu[k] = lu[k], lu[p]
-            perm[p], perm[k] = perm[k], perm[p]
-        inv = 1 / lu[k][k]
-        for r in range(k + 1, m):
-            if lu[r][k] != 0:
-                f = lu[r][k] * inv
-                lu[r][k] = f
-                row, prow = lu[r], lu[k]
-                for t in range(k + 1, m):
-                    if prow[t] != 0:
-                        row[t] = row[t] - f * prow[t]
-
-    def solve(rhs_vec):
-        z = [rhs_vec[perm[r]] for r in range(m)]
-        for k in range(m):
-            zk = z[k]
-            if zk != 0:
-                col = [lu[r][k] for r in range(k + 1, m)]
-                for off, lv in enumerate(col):
-                    if lv != 0:
-                        z[k + 1 + off] = z[k + 1 + off] - lv * zk
-        for k in range(m - 1, -1, -1):
-            acc = z[k]
-            row = lu[k]
-            for t in range(k + 1, m):
-                if row[t] != 0:
-                    acc = acc - row[t] * z[t]
-            z[k] = acc / row[k]
-        return z
-
-    xb = solve([_RAT(b[r]) for r in kept_rows])
-    if any(v < 0 for v in xb):
+    B = cols[basis][:, kept_rows].T
+    det, x_num = _bareiss_solve(B, [b[r] for r in kept_rows])
+    if any(v < 0 for v in x_num):
         raise _WarmStartFailed
-    x = [_RAT(0)] * len(cols)
-    for jj, j in enumerate(basis):
-        x[j] = xb[jj]
-    # full-system feasibility (the float pass may have dropped rows it
-    # wrongly believed redundant, so every original equation is re-checked)
-    m_full = len(b)
-    lhs = [_RAT(0)] * m_full
-    for j, xv in enumerate(x):
-        if xv != 0:
-            for i, coef in cols[j]:
-                lhs[i] = lhs[i] + coef * xv
-    if any(lhs[i] != b[i] for i in range(m_full)):
+    if _exact_matvec(cols[basis].T, x_num).tolist() != [det * v for v in b]:
         raise _WarmStartFailed
 
-    # duals: solve B^T y = c_B via the same LU (B = P^-1 L U gives
-    # B^T = U^T L^T P, so forward-solve U^T, back-solve L^T, then unpermute)
-    cB = [_RAT(c[j]) for j in basis]
-    z = cB[:]
-    for k in range(m):
-        z[k] = z[k] / lu[k][k]
-        zk = z[k]
-        if zk != 0:
-            for r in range(k + 1, m):
-                if lu[k][r] != 0:
-                    z[r] = z[r] - lu[k][r] * zk
-    for k in range(m - 1, -1, -1):
-        acc = z[k]
-        for r in range(k + 1, m):
-            if lu[r][k] != 0:
-                acc = acc - lu[r][k] * z[r]
-        z[k] = acc
-    yk = [None] * m
-    for r in range(m):
-        yk[perm[r]] = z[r]
-    y_full = [_RAT(0)] * m_full
-    for i, r in enumerate(kept_rows):
-        y_full[r] = yk[i]
+    det_y, y_kept = _bareiss_solve(B.T, [c[j] for j in basis])
+    y_num = [0] * len(b)
+    for r, v in zip(kept_rows, y_kept):
+        y_num[r] = v
+    ya = _exact_matvec(cols, y_num)
+    c_det = _exact_matvec(np.asarray(c, dtype=np.int64)[:, None], [det_y])  # c_j det_y
+    if np.any(ya > c_det) or np.any(ya[basis] != c_det[basis]):
+        raise _WarmStartFailed
 
-    for j, col in enumerate(cols):
-        red = _RAT(c[j]) - sum((y_full[i] * coef for i, coef in col), _RAT(0))
-        if red < 0:
-            raise _WarmStartFailed
-    obj = sum((_RAT(c[j]) * x[j] for j in basis), _RAT(0))
-    return _LPResult(status="optimal", x=x, y=y_full, obj=obj,
+    zero = _RAT(0)
+    x = [zero] * len(cols)
+    for j, v in zip(basis, x_num):
+        if v:
+            x[j] = _RAT(v, det)
+    y = [_RAT(v, det_y) if v else zero for v in y_num]
+    obj = _RAT(sum(c[j] * v for j, v in zip(basis, x_num)), det)
+    return _LPResult(status="optimal", x=x, y=y, obj=obj,
                      basis=list(basis), kept_rows=list(kept_rows))
 
 
@@ -385,12 +357,27 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
     return _frac(res.obj), coloring
 
 
+def _incidence(sets: Sequence[IndependentSet], n: int) -> np.ndarray:
+    """0/1 int64 matrix with one row per set and one column per vertex."""
+    members = [s.members for s in sets]
+    inc = np.zeros((len(sets), n), dtype=np.int64)
+    owner = np.repeat(np.arange(len(sets)), [len(mem) for mem in members])
+    inc[owner, list(itertools.chain.from_iterable(members))] = 1
+    return inc
+
+
+def _covering_lp(n: int, sets: Sequence[IndependentSet]):
+    """(cols, b, c) of min sum x_S with every vertex covered at least once.
+
+    The columns are the sets, then one surplus column -e_v per vertex.
+    """
+    cols = np.concatenate([_incidence(sets, n), -np.eye(n, dtype=np.int64)])
+    return cols, [1] * n, [1] * len(sets) + [0] * n
+
+
 def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> _LPResult:
-    n, k = g.n, len(sets)
-    cols = [[(v, 1) for v in s.sorted_members()] for s in sets]
-    cols += [[(v, -1)] for v in range(n)]  # surplus
-    b = [1] * n
-    c = [1] * k + [0] * n
+    cols, b, c = _covering_lp(g.n, sets)
+    k = len(sets)
     res = _solve_exact(cols, b, c)
     if res.status != "optimal":
         raise InternalError("covering LP cannot be infeasible")
@@ -398,9 +385,11 @@ def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> _LPResult:
     y = res.y
     if any(v < 0 for v in y):
         raise InternalError("internal LP error: negative covering dual")
-    for s in sets:
-        if sum((y[v] for v in s.members), _RAT(0)) > 1:
-            raise InternalError("internal LP error: dual violates packing")
+    # packing: y(S) <= 1 for every set, in integers over y's common denominator
+    den = math.lcm(*(int(v.denominator) for v in y))
+    y_int = [int(v.numerator) * (den // int(v.denominator)) for v in y]
+    if np.any(_exact_matvec(cols[:k], y_int) > den):
+        raise InternalError("internal LP error: dual violates packing")
     if sum(y, _RAT(0)) != res.obj:
         raise InternalError("internal LP error: duality gap")
     return res
@@ -435,11 +424,7 @@ def uniform_cover_feasible(
         g._check_vertex(v)
     if not rows:
         return FractionalColoring({})
-    row_of = {v: i for i, v in enumerate(rows)}
-    cols = [
-        [(row_of[v], 1) for v in s.sorted_members() if v in row_of]
-        for s in family
-    ]
+    cols = _incidence(family, g.n)[:, rows]
     b = [1] * len(rows)
     c = [0] * len(family)
     res = _solve_exact(cols, b, c)

@@ -7,6 +7,8 @@ import math
 import random
 from fractions import Fraction
 
+from gelab.entropy import entropy
+from gelab.exactlp import fractional_chromatic_number
 from gelab.graphs import Distribution, Graph
 
 
@@ -119,3 +121,20 @@ def perturb_within(rng: random.Random, p: Distribution, delta: float) -> Distrib
             sup = max(abs(float(a) - b) for a, b in zip(p.weights, w))
             if sup < delta:
                 return Distribution([x / sum(w) for x in w])
+
+
+def entropy_equals_log_chi_f(
+    g: Graph, p: Distribution, tol: float, cap: int | None = None
+) -> bool:
+    """Numerical cross-check: does H(G,P) equal lg chi_f of the support graph?
+
+    Validation only; the combinatorial verdicts of `gelab.characterize` are
+    the actual decision procedure. True when the solver value is within
+    tol + (solver gap) of the exact logarithm.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    sub, _ = g.induced(p.support)
+    chi = fractional_chromatic_number(sub, cap)[0]
+    res = entropy(g, p, cap=cap)
+    return abs(res.value - math.log2(chi)) <= tol + res.gap

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from gelab.characterize import (
-    entropy_equals_log_chi_f,
     is_entropy_maximizer,
     is_symmetric,
 )
@@ -21,6 +20,7 @@ from gelab.oracle import verify_certificate
 
 from helpers import (
     complete_bipartite,
+    entropy_equals_log_chi_f,
     hypercube_q3,
     petersen,
     rand_graph,

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gelab import exactlp
@@ -250,3 +251,222 @@ class TestUniformCoverEquivalence:
             ]
             feasible = uniform_cover_feasible(g, maximum_sets, range(g.n)) is not None
             assert feasible == (chi == Fraction(g.n, a))
+
+
+def fraction_lu_solve(B, rhs, rhs_t):
+    """Reference solve in Fractions: x with B x = rhs and y with B^T y = rhs_t.
+
+    LU with first-nonzero pivoting, the rational solve that basis
+    certification used before it moved to integers. Returns (x, y, det,
+    swapped), or None when B is singular.
+    """
+    m = len(B)
+    perm = list(range(m))
+    lu = [[Fraction(v) for v in row] for row in B]
+    swapped = False
+    for k in range(m):
+        p = next((r for r in range(k, m) if lu[r][k] != 0), -1)
+        if p < 0:
+            return None
+        if p != k:
+            lu[p], lu[k] = lu[k], lu[p]
+            perm[p], perm[k] = perm[k], perm[p]
+            swapped = True
+        for r in range(k + 1, m):
+            if lu[r][k] != 0:
+                f = lu[r][k] / lu[k][k]
+                lu[r][k] = f
+                for t in range(k + 1, m):
+                    lu[r][t] -= f * lu[k][t]
+
+    z = [Fraction(rhs[perm[r]]) for r in range(m)]
+    for k in range(m):
+        for r in range(k + 1, m):
+            z[r] -= lu[r][k] * z[k]
+    for k in range(m - 1, -1, -1):
+        z[k] -= sum((lu[k][t] * z[t] for t in range(k + 1, m)), Fraction(0))
+        z[k] /= lu[k][k]
+    x = z
+
+    # B = P^-1 L U gives B^T = U^T L^T P: forward-solve U^T, back-solve L^T, unpermute
+    z = [Fraction(v) for v in rhs_t]
+    for k in range(m):
+        z[k] /= lu[k][k]
+        for r in range(k + 1, m):
+            z[r] -= lu[k][r] * z[k]
+    for k in range(m - 1, -1, -1):
+        z[k] -= sum((lu[r][k] * z[r] for r in range(k + 1, m)), Fraction(0))
+    y = [None] * m
+    for r in range(m):
+        y[perm[r]] = z[r]
+
+    det = Fraction(1)
+    for k in range(m):
+        det *= lu[k][k]
+    sign = 1
+    seen = [False] * m
+    for i in range(m):  # parity of the row permutation, cycle by cycle
+        length = 0
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return x, y, sign * det, swapped
+
+
+class TestBareissSolve:
+    """The integer solve behind certification agrees with a Fraction LU."""
+
+    @staticmethod
+    def random_matrix(rng, m):
+        density = rng.choice([0.2, 0.4, 0.7])
+        return [
+            [rng.choice([-1, 1]) if rng.random() < density else 0 for _ in range(m)]
+            for _ in range(m)
+        ]
+
+    def test_matches_fraction_lu_on_random_signed_matrices(self):
+        rng = random.Random(31)
+        seen = {"negative det": 0, "row swaps": 0, "singular": 0, "solved": 0}
+        for _ in range(600):
+            m = rng.randint(1, 12)
+            B = self.random_matrix(rng, m)
+            b = [rng.randint(-3, 3) for _ in range(m)]
+            c = [rng.randint(-3, 3) for _ in range(m)]
+            ref = fraction_lu_solve(B, b, c)
+            M = np.array(B, dtype=np.int64)
+            if ref is None:
+                seen["singular"] += 1
+                with pytest.raises(exactlp._WarmStartFailed):
+                    exactlp._bareiss_solve(M, b)
+                with pytest.raises(exactlp._WarmStartFailed):
+                    exactlp._bareiss_solve(M.T, c)
+                continue
+            x, y, det, swapped = ref
+            seen["solved"] += 1
+            seen["negative det"] += det < 0
+            seen["row swaps"] += swapped
+            d, x_num = exactlp._bareiss_solve(M, b)
+            d_t, y_num = exactlp._bareiss_solve(M.T, c)
+            assert d == d_t == abs(det)
+            assert all(type(v) is int for v in x_num + y_num)
+            assert [Fraction(v, d) for v in x_num] == x
+            assert [Fraction(v, d) for v in y_num] == y
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize(
+        "B, b, x",
+        [
+            ([[0, 1], [1, 0]], [2, 3], [3, 2]),  # a row swap, det -1
+            ([[0, 0, 1], [0, 1, 1], [1, 1, 1]], [1, 2, 4], [2, 1, 1]),
+            ([[2, 1], [1, -1]], [3, 0], [1, 1]),  # det -3, exact division
+        ],
+    )
+    def test_small_systems(self, B, b, x):
+        d, num = exactlp._bareiss_solve(np.array(B, dtype=np.int64), b)
+        assert d > 0 and [Fraction(v, d) for v in num] == x
+
+    @pytest.mark.parametrize("B", [[[1, 1], [1, 1]], [[0, 0], [0, 1]], [[1, 0], [0, 0]]])
+    def test_singular_raises(self, B):
+        with pytest.raises(exactlp._WarmStartFailed):
+            exactlp._bareiss_solve(np.array(B, dtype=np.int64), [1, 1])
+
+
+@pytest.mark.parametrize(
+    "v", [[5, 7, 11], [2**59, 2**59, 2**59], [2**62, 2**62, -1], [-(2**70), 3, 2**61]]
+)
+def test_exact_matvec_is_exact_past_int64(v):
+    M = np.array([[1, -1, 0], [2, 3, -1]], dtype=np.int64)
+    expected = [sum(int(a) * b for a, b in zip(row, v)) for row in M]
+    assert exactlp._exact_matvec(M, v).tolist() == expected
+
+
+class TestCertifyBasis:
+    """`_certify_basis` on the covering LP of C5: sets 02 03 13 14 24, surplus."""
+
+    SETS = [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+
+    @classmethod
+    def lp(cls):
+        g = cycle_graph(5)
+        sets = enumerate_maximal_independent_sets(g)
+        assert [s.sorted_members() for s in sets] == cls.SETS
+        return exactlp._covering_lp(g.n, sets)
+
+    @classmethod
+    def column(cls, name):
+        """A column index: a set such as (0, 2), or ("s", v) for v's surplus."""
+        if name[0] == "s":
+            return len(cls.SETS) + name[1]
+        return cls.SETS.index(name)
+
+    @classmethod
+    def reference(cls, basis, kept_rows):
+        """The basic solution in Fractions, over every row of the LP."""
+        cols, b, c = cls.lp()
+        B = [[int(cols[j][r]) for j in basis] for r in kept_rows]
+        ref = fraction_lu_solve(B, [b[r] for r in kept_rows], [c[j] for j in basis])
+        if ref is None:
+            return None
+        x = [Fraction(0)] * len(cols)
+        for j, v in zip(basis, ref[0]):
+            x[j] = v
+        rows = [sum(int(a) * xj for a, xj in zip(cols[:, r], x)) for r in range(len(b))]
+        return x, rows, sum(cj * xj for cj, xj in zip(c, x))
+
+    def test_optimal_basis_certifies(self):
+        cols, b, c = self.lp()
+        guess = exactlp._tableau_simplex(cols, b, c, exact=False)
+        res = exactlp._certify_basis(cols, b, c, guess.basis, guess.kept_rows)
+        cold = exactlp._tableau_simplex(cols, b, c, exact=True)
+        half = Fraction(1, 2)
+        assert res.x == [half] * 5 + [0] * 5 == cold.x
+        assert res.y == [half] * 5 == cold.y
+        assert res.obj == Fraction(5, 2) == cold.obj
+
+    def test_feasible_but_not_optimal_basis_is_rejected(self):
+        basis = [self.column(s) for s in [(0, 2), (0, 3), (1, 3), (2, 4), ("s", 2)]]
+        x, rows, obj = self.reference(basis, range(5))
+        assert min(x) >= 0 and rows == [1] * 5 and obj == 3 > Fraction(5, 2)
+        cols, b, c = self.lp()
+        with pytest.raises(exactlp._WarmStartFailed):
+            exactlp._certify_basis(cols, b, c, basis, list(range(5)))
+
+    def test_singular_basis_is_rejected(self):
+        basis = [self.column(s) for s in [(0, 2), (1, 3), (2, 4), ("s", 0), ("s", 2)]]
+        assert self.reference(basis, range(5)) is None
+        cols, b, c = self.lp()
+        with pytest.raises(exactlp._WarmStartFailed):
+            exactlp._certify_basis(cols, b, c, basis, list(range(5)))
+
+    def test_basis_violating_a_dropped_row_is_rejected(self):
+        basis = [self.column(s) for s in [(0, 2), (0, 3), (1, 3), (1, 4)]]
+        x, rows, _ = self.reference(basis, range(4))
+        assert min(x) >= 0 and rows[:4] == [1] * 4 and rows[4] == 0
+        cols, b, c = self.lp()
+        with pytest.raises(exactlp._WarmStartFailed):
+            exactlp._certify_basis(cols, b, c, basis, [0, 1, 2, 3])
+
+
+class TestFloatBasisCertifies:
+    """Every float basis certifies, so the exact tableau is never reached."""
+
+    def test_no_cold_exact_solve(self, monkeypatch):
+        rng = random.Random(41)
+        graphs = [rand_graph(rng, rng.randint(3, 14), rng.random()) for _ in range(40)]
+        graphs += [rand_graph(rng, n, 0.5) for n in (24, 28)]
+        real = exactlp._tableau_simplex
+        exact_calls = []
+
+        def simplex(cols, b, c, *, exact, **kwargs):
+            if exact:
+                exact_calls.append(len(b))
+            return real(cols, b, c, exact=exact, **kwargs)
+
+        monkeypatch.setattr(exactlp, "_tableau_simplex", simplex)
+        for g in graphs:
+            chi, coloring = fractional_chromatic_number(g)
+            assert coloring.total == chi
+        assert exact_calls == []
