@@ -7,10 +7,10 @@ with a comment header documenting the label map, so they re-parse
 identically.
 
 Exit codes: 0 success (and "yes" verdicts), 1 "no" verdicts, 2 parse or
-usage errors, 3 solver non-convergence, 4 enumeration cap exceeded, 5
-internal error (a self-check failed or an unexpected exception was raised,
-so no answer is given). The environment variable GELAB_CAP overrides the
-default enumeration cap.
+usage errors, 3 solver non-convergence, 4 enumeration cap or set budget
+exceeded, 5 internal error (a self-check failed or an unexpected exception
+was raised, so no answer is given). The environment variable GELAB_CAP
+overrides the default enumeration cap.
 """
 
 from __future__ import annotations

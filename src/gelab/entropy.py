@@ -38,6 +38,7 @@ from .graphs import (
     Distribution,
     Graph,
     IndependentSet,
+    _incidence,
     enumerate_maximal_independent_sets,
     max_weighted_independent_set,
 )
@@ -226,10 +227,8 @@ def entropy(
     sub, relabel = g.induced(supp)
     k = sub.n
     sets = enumerate_maximal_independent_sets(sub, cap)
-    set_masks = [sum(1 << v for v in s.members) for s in sets]
-    M = np.zeros((len(sets), k))
-    for i, s in enumerate(sets):
-        M[i, s.sorted_members()] = 1.0
+    set_masks = [s.mask for s in sets]
+    M = _incidence(sets, k).astype(np.float64)
     q = np.array([float(p[v]) for v in supp])
 
     cover = _greedy_cover_indices(k, set_masks)

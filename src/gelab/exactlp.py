@@ -19,7 +19,6 @@ faster, identical semantics)."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InternalError, NotUniform
-from .graphs import Graph, IndependentSet, enumerate_maximal_independent_sets
+from .graphs import Graph, IndependentSet, _incidence, enumerate_maximal_independent_sets
 
 try:
     from gmpy2 import mpq as _RAT
@@ -357,21 +356,12 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
     return _frac(res.obj), coloring
 
 
-def _incidence(sets: Sequence[IndependentSet], n: int) -> np.ndarray:
-    """0/1 int64 matrix with one row per set and one column per vertex."""
-    members = [s.members for s in sets]
-    inc = np.zeros((len(sets), n), dtype=np.int64)
-    owner = np.repeat(np.arange(len(sets)), [len(mem) for mem in members])
-    inc[owner, list(itertools.chain.from_iterable(members))] = 1
-    return inc
-
-
 def _covering_lp(n: int, sets: Sequence[IndependentSet]):
     """(cols, b, c) of min sum x_S with every vertex covered at least once.
 
     The columns are the sets, then one surplus column -e_v per vertex.
     """
-    cols = np.concatenate([_incidence(sets, n), -np.eye(n, dtype=np.int64)])
+    cols = np.concatenate([_incidence(sets, n).astype(np.int64), -np.eye(n, dtype=np.int64)])
     return cols, [1] * n, [1] * len(sets) + [0] * n
 
 
@@ -424,7 +414,7 @@ def uniform_cover_feasible(
         g._check_vertex(v)
     if not rows:
         return FractionalColoring({})
-    cols = _incidence(family, g.n)[:, rows]
+    cols = _incidence(family, g.n).astype(np.int64)[:, rows]
     b = [1] * len(rows)
     c = [0] * len(family)
     res = _solve_exact(cols, b, c)

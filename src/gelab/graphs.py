@@ -14,10 +14,21 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CapExceeded, NotRational, VertexNotFound
 
 DEFAULT_CAP = 40
 SET_COUNT_CAP = 10**6
+"""Set budget: most sets one enumeration may produce before `CapExceeded`.
+
+It bounds every enumeration of maximal independent sets (checked as the
+sets are found, before they are sorted, wrapped or turned into a matrix),
+and is the default `set_cap` of
+`enumerate_maximum_weighted_independent_sets`. The vertex cap alone does
+not bound memory: 13 disjoint triangles (39 vertices) have 3**13 = 1.59M
+maximal independent sets.
+"""
 
 
 def resolve_cap(cap: int | None) -> int:
@@ -140,10 +151,15 @@ def empty_graph(n: int) -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class IndependentSet:
-    """A vertex subset of a specific graph with no internal edges."""
+    """A vertex subset of a specific graph with no internal edges.
+
+    `mask` is the member set as a bitmask (bit v set iff v is a member); it
+    is derived from `members`, so equality, hashing and repr ignore it.
+    """
 
     graph: Graph
     members: frozenset[int]
+    mask: int = field(repr=False, compare=False)
 
     def __init__(self, graph: Graph, members: Iterable[int]):
         members = frozenset(members)
@@ -154,8 +170,31 @@ class IndependentSet:
         for v in members:
             if graph._adj[v] & mask:
                 raise ValueError(f"members {sorted(members)} contain an edge at vertex {v}")
+        self._set(graph, members, mask)
+
+    @classmethod
+    def _from_mask(cls, graph: Graph, mask: int) -> "IndependentSet":
+        """The set with bitmask `mask`, under the same checks as `__init__`."""
+        if mask >> graph.n:
+            raise VertexNotFound(f"mask {mask:#x} has a bit outside 0..{graph.n - 1}")
+        adj = graph._adj
+        members = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if adj[v] & mask:
+                raise ValueError(f"members {list(_bits(mask))} contain an edge at vertex {v}")
+            members.append(v)
+            rest ^= low
+        obj = object.__new__(cls)
+        obj._set(graph, frozenset(members), mask)
+        return obj
+
+    def _set(self, graph: Graph, members: frozenset[int], mask: int) -> None:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "_hash", hash((graph._hash, members)))
 
     def __eq__(self, other) -> bool:
@@ -253,30 +292,38 @@ def _bits(mask: int):
 
 
 def _maximal_independent_masks(adj: tuple[int, ...], n: int) -> list[int]:
-    """All inclusion-maximal independent sets as bitmasks.
+    """All inclusion-maximal independent sets as bitmasks, in search order.
 
     Bron-Kerbosch with pivoting, run on the complement (maximal independent
-    sets of G are maximal cliques of ~G). The pivot is the vertex of P | X
-    with the fewest complement-neighbours inside P, ties broken by label,
-    which fixes the recursion order; output is re-sorted anyway so callers
-    see one canonical order.
+    sets of G are maximal cliques of ~G). The pivot is Tomita's: the vertex
+    of P | X with the most complement-neighbours inside P (first by label on
+    ties), so each call branches on the fewest candidates and the search
+    takes O(3**(n/3)) time, the Moon-Moser bound on the output size
+    (Tomita, Tanaka & Takahashi, "The worst-case time complexity for
+    generating all maximal cliques and computational experiments",
+    Theoretical Computer Science 363, 2006). Raises CapExceeded as soon as
+    more than SET_COUNT_CAP sets have been found.
     """
     full = (1 << n) - 1
     comp = [full & ~adj[v] & ~(1 << v) for v in range(n)]
     out: list[int] = []
+    budget = SET_COUNT_CAP
 
     def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
+        if not p:
+            if not x:
+                if len(out) >= budget:
+                    raise CapExceeded(f"more than {budget} maximal independent sets")
+                out.append(r)
             return
-        pivot, best = -1, n + 1
+        pivot, best = -1, -1
         pux = p | x
         while pux:
             low = pux & -pux
             u = low.bit_length() - 1
             pux ^= low
             d = (comp[u] & p).bit_count()
-            if d < best:
+            if d > best:
                 pivot, best = u, d
         branch = p & ~comp[pivot]
         while branch:
@@ -294,17 +341,38 @@ def _maximal_independent_masks(adj: tuple[int, ...], n: int) -> list[int]:
 
 
 @lru_cache(maxsize=2048)
-def _maximal_sets_cached(graph: Graph) -> tuple[tuple[int, ...], ...]:
+def _maximal_sets_cached(graph: Graph) -> tuple[int, ...]:
+    """Bitmasks of the maximal independent sets, lexicographic by member list.
+
+    The sets form an antichain, so no member list is a prefix of another and
+    the first vertex where two sets differ decides their order: the set that
+    holds it comes first. That is descending order of the bit strings read
+    from vertex 0 upward (`bin(m)[:1:-1]`; no set being a subset of another,
+    the missing trailing zeros never decide a comparison).
+    """
     masks = _maximal_independent_masks(graph._adj, graph.n)
-    return tuple(sorted(tuple(_bits(m)) for m in masks))
+    return tuple(sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True))
+
+
+def _incidence(sets: Sequence["IndependentSet"], n: int) -> np.ndarray:
+    """0/1 uint8 matrix with one row per set and one column per vertex."""
+    width = (n + 7) // 8
+    raw = b"".join(s.mask.to_bytes(width, "little") for s in sets)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(sets), width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
 def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list[IndependentSet]:
-    """Every inclusion-maximal independent set, lexicographic by member list."""
+    """Every inclusion-maximal independent set, lexicographic by member list.
+
+    Raises CapExceeded when g has more vertices than the vertex cap, or more
+    than SET_COUNT_CAP maximal independent sets (the set budget, checked
+    while the sets are found, so memory stays bounded by the budget).
+    """
     limit = resolve_cap(cap)
     if g.n > limit:
         raise CapExceeded(f"graph has {g.n} vertices, enumeration cap is {limit}")
-    return [IndependentSet(g, members) for members in _maximal_sets_cached(g)]
+    return [IndependentSet._from_mask(g, mask) for mask in _maximal_sets_cached(g)]
 
 
 def alpha(g: Graph, cap: int | None = None) -> WeightedAlpha:
@@ -338,12 +406,12 @@ def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = 
     back = {new: old for old, new in relabel.items()}
     best_val = None
     best_set = None
-    for members in _maximal_sets_if_capped(sub, cap):
-        val = sum(weights[back[v]] for v in members)
+    for mask in _maximal_sets_if_capped(sub, cap):
+        val = sum(weights[back[v]] for v in _bits(mask))
         if best_val is None or val > best_val:
             best_val = val
-            best_set = members
-    witness = IndependentSet(g, (back[v] for v in best_set))
+            best_set = mask
+    witness = IndependentSet(g, (back[v] for v in _bits(best_set)))
     return WeightedAlpha(value=best_val, witness=witness)
 
 

@@ -49,6 +49,11 @@ def circulant(n: int, jumps) -> Graph:
     return Graph(n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
 
 
+def triangle_union(k: int) -> Graph:
+    """k disjoint triangles on 3k vertices: 3**k maximal independent sets."""
+    return Graph(3 * k, [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))])
+
+
 def complement(g: Graph) -> Graph:
     return Graph(g.n, [
         (u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.has_edge(u, v)

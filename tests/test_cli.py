@@ -15,6 +15,7 @@ from gelab.io import (
     parse_graph,
 )
 from gelab.errors import ParseError
+from helpers import triangle_union
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parent.parent / "docs" / "cli-json-schema.json").read_text()
@@ -196,6 +197,15 @@ class TestExitCodes:
     def test_cap_exceeded_is_4(self, files, capsys):
         edges = "\n".join(f"{i} {i+1}" for i in range(41))
         assert main(["chif", files("big", edges)]) == 4
+
+    def test_set_budget_exceeded_is_4(self, files, capsys, monkeypatch):
+        import gelab.graphs as graphs_mod
+
+        monkeypatch.setattr(graphs_mod, "SET_COUNT_CAP", 100)
+        graphs_mod._maximal_sets_cached.cache_clear()
+        # 6 triangles: 3**6 = 729 maximal independent sets
+        assert main(["chif", files("triangles", format_graph(triangle_union(6)))]) == 4
+        assert "more than 100 maximal independent sets" in capsys.readouterr().err
 
     def test_cap_flag_lifts_limit(self, files, capsys):
         k42 = "\n".join(f"{i} {j}" for i in range(42) for j in range(i + 1, 42))

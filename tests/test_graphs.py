@@ -1,5 +1,6 @@
 """Graph core: enumeration, alpha, and weighted independent-set oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gelab import graphs as graphs_mod
 from gelab.errors import CapExceeded, NotRational, VertexNotFound
 from gelab.graphs import (
     Distribution,
@@ -19,6 +21,7 @@ from gelab.graphs import (
     enumerate_maximal_independent_sets,
     enumerate_maximum_weighted_independent_sets,
     max_weighted_independent_set,
+    _incidence,
     path_graph,
 )
 from gelab.oracle import (
@@ -27,7 +30,7 @@ from gelab.oracle import (
     brute_maximal_independent_sets,
 )
 
-from helpers import rand_graph
+from helpers import rand_graph, triangle_union
 
 
 def members(sets):
@@ -133,6 +136,99 @@ class TestEnumerateMaximal:
     def test_agrees_with_exhaustive_enumeration(self, g):
         got = members(enumerate_maximal_independent_sets(g))
         assert got == brute_maximal_independent_sets(g)
+
+
+def disjoint_union(parts):
+    """Components placed on consecutive label blocks, in the order given."""
+    n, edges = 0, []
+    for g in parts:
+        edges += [(n + u, n + v) for u, v in g.edges]
+        n += g.n
+    return Graph(n, edges)
+
+
+class TestLargeEnumerationOrder:
+    """Order at sizes beyond the brute-force oracle, from the components alone.
+
+    The member list of a maximal set of a disjoint union is the concatenation
+    of one maximal set per component (blocks in label order), so the
+    lexicographic order is the product order of the components' own lists.
+    """
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [complete_graph(3)] * 7,
+            [complete_graph(3)] * 9,
+            [complete_graph(3)] * 3 + [cycle_graph(5)] + [complete_graph(3)] * 2 + [path_graph(3)],
+        ],
+        ids=["triangles7", "triangles9", "triangles-c5-p3"],
+    )
+    def test_union_is_product_of_components(self, parts):
+        offsets = itertools.accumulate([0] + [g.n for g in parts[:-1]])
+        per_part = [
+            [tuple(off + v for v in s) for s in brute_maximal_independent_sets(g)]
+            for g, off in zip(parts, offsets)
+        ]
+        expected = [sum(choice, ()) for choice in itertools.product(*per_part)]
+        got = members(enumerate_maximal_independent_sets(disjoint_union(parts)))
+        assert len(got) == len(expected)
+        assert got == expected
+
+
+class TestSetBudget:
+    def test_budget_raises_cap_exceeded(self, monkeypatch):
+        g = triangle_union(5)  # 3**5 = 243 maximal independent sets
+        graphs_mod._maximal_sets_cached.cache_clear()
+        monkeypatch.setattr(graphs_mod, "SET_COUNT_CAP", 242)
+        with pytest.raises(CapExceeded):
+            enumerate_maximal_independent_sets(g)
+        monkeypatch.setattr(graphs_mod, "SET_COUNT_CAP", 243)
+        assert len(enumerate_maximal_independent_sets(g)) == 243
+
+    def test_budget_is_checked_during_the_search(self, monkeypatch):
+        # 13 triangles: 39 vertices, under the vertex cap, 3**13 = 1.59M sets;
+        # the search stops at set budget + 1 instead of materialising them
+        monkeypatch.setattr(graphs_mod, "SET_COUNT_CAP", 10)
+        with pytest.raises(CapExceeded, match="more than 10 maximal"):
+            enumerate_maximal_independent_sets(triangle_union(13))
+
+
+class TestMaskPath:
+    def test_matches_members_constructor(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            g = rand_graph(rng, rng.randint(1, 20), rng.uniform(0.1, 0.7))
+            for s in enumerate_maximal_independent_sets(g):
+                ref = IndependentSet(g, s.members)
+                assert ref.mask == s.mask == sum(1 << v for v in s.members)
+                assert ref == s and hash(ref) == hash(s)
+                assert ref == IndependentSet._from_mask(g, ref.mask)
+
+    def test_rejects_mask_with_an_edge(self):
+        g = cycle_graph(5)
+        with pytest.raises(ValueError):
+            IndependentSet._from_mask(g, 0b00011)  # vertices 0 and 1
+        with pytest.raises(ValueError):
+            IndependentSet._from_mask(g, 0b10001)  # vertices 0 and 4
+
+    def test_rejects_bits_outside_the_graph(self):
+        g = cycle_graph(5)
+        with pytest.raises(VertexNotFound):
+            IndependentSet._from_mask(g, 1 << 5)
+        with pytest.raises(VertexNotFound):
+            IndependentSet._from_mask(g, 1 | 1 << 40)
+        with pytest.raises(VertexNotFound):
+            IndependentSet._from_mask(g, -1)
+        assert IndependentSet._from_mask(g, 0).members == frozenset()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 30])
+    def test_incidence_rows_are_characteristic_vectors(self, n):
+        g = rand_graph(random.Random(n), n, 0.4)
+        sets = enumerate_maximal_independent_sets(g)
+        inc = _incidence(sets, n)
+        assert inc.shape == (len(sets), n)
+        assert inc.tolist() == [list(s.characteristic_vector()) for s in sets]
 
 
 class TestAlpha:
