@@ -404,11 +404,15 @@ def uniform_cover_feasible(
     """Rational weights on `family` covering every target vertex exactly once.
 
     Returns None when no such weighting exists. Only target rows are
-    constrained; family sets may touch other vertices freely.
+    constrained; family sets may touch other vertices freely. Raises
+    ValueError when the family is empty or holds a set of another graph.
     """
     family = list(family)
     if not family:
         raise ValueError("family of independent sets must be nonempty")
+    for s in family:
+        if s.graph != g:
+            raise ValueError(f"family set {s.sorted_members()} is an independent set of another graph")
     rows = sorted(set(target))
     for v in rows:
         g._check_vertex(v)

@@ -9,7 +9,13 @@ from fractions import Fraction
 
 from gelab.entropy import entropy
 from gelab.exactlp import fractional_chromatic_number
-from gelab.graphs import Distribution, Graph
+from gelab.graphs import (
+    Distribution,
+    Graph,
+    IndependentSet,
+    enumerate_maximal_independent_sets,
+    max_weighted_independent_set,
+)
 
 
 def petersen() -> Graph:
@@ -68,6 +74,26 @@ def rand_bipartite(rng: random.Random, n: int, p_edge: float) -> Graph:
         for i, j in itertools.combinations(range(n), 2)
         if side[i] != side[j] and rng.random() < p_edge
     ]
+    return Graph(n, edges)
+
+
+def rand_chordal(rng: random.Random, n: int, keep: float) -> Graph:
+    """Random chordal graph, built along a perfect elimination order.
+
+    Each new vertex v picks an earlier vertex u and joins each member of u's
+    clique (u and the vertices u joined) with probability `keep`. v's
+    neighbourhood is then a clique, so 0..n-1 reversed is a perfect
+    elimination order.
+    """
+    joined: list[set[int]] = []
+    edges = []
+    for v in range(n):
+        join = set()
+        if v:
+            u = rng.randrange(v)
+            join = {w for w in joined[u] | {u} if rng.random() < keep}
+        joined.append(join)
+        edges += [(w, v) for w in join]
     return Graph(n, edges)
 
 
@@ -143,3 +169,21 @@ def entropy_equals_log_chi_f(
     chi = fractional_chromatic_number(sub, cap)[0]
     res = entropy(g, p, cap=cap)
     return abs(res.value - math.log2(chi)) <= tol + res.gap
+
+
+def linear_minimization_oracle(g: Graph, gradient, cap: int | None = None) -> IndependentSet:
+    """The packing-polytope vertex minimizing <gradient, s>.
+
+    Gradients of the entropy objective are nonpositive, so this is the
+    maximum weighted independent set for weights -gradient. An all-zero
+    gradient leaves every vertex tied; by convention the first maximal set
+    in enumeration order is returned.
+    """
+    if len(gradient) != g.n:
+        raise ValueError("gradient length differs from vertex count")
+    if any(gv > 0 for gv in gradient):
+        raise ValueError("gradient must be nonpositive coordinatewise")
+    if all(gv == 0 for gv in gradient):
+        return enumerate_maximal_independent_sets(g, cap)[0]
+    weights = [-float(gv) for gv in gradient]
+    return max_weighted_independent_set(g, weights, cap).witness

@@ -1,5 +1,6 @@
 """Entropy solver: certified values, the oracle step, and entropy laws."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -10,9 +11,9 @@ import pytest
 from gelab.constructions import union
 from gelab.entropy import (
     PolytopePoint,
+    _face_newton_step,
     _line_search,
     entropy,
-    linear_minimization_oracle,
     objective,
 )
 from gelab.errors import DomainError
@@ -33,9 +34,11 @@ from helpers import (
     complement,
     continuity_delta,
     kneser,
+    linear_minimization_oracle,
     perturb_within,
     petersen,
     rand_bipartite,
+    rand_chordal,
     rand_graph,
     rand_rational_distribution,
     rand_spanning_subgraph,
@@ -153,35 +156,48 @@ class TestEntropy:
             assert ref <= res.value + 1e-8
 
 
+def random_packing_point(rng: random.Random, n_max: int):
+    """(q, M, lam) at a random packing point of a seeded graph, or None.
+
+    The graph has 2..n_max vertices and M is its set-by-vertex incidence
+    matrix. lam is a random convex combination of maximal independent sets
+    that covers every vertex, so that a = lam @ M > 0, and q a random
+    distribution. None when the graph has a single maximal set.
+    """
+    g = rand_graph(rng, rng.randint(2, n_max), rng.random())
+    sets = enumerate_maximal_independent_sets(g)
+    if len(sets) < 2:
+        return None
+    M = np.zeros((len(sets), g.n))
+    for i, s in enumerate(sets):
+        M[i, s.sorted_members()] = 1.0
+    lam = np.array([rng.random() if rng.random() < 0.6 else 0.0 for _ in sets])
+    for v in range(g.n):  # cover every vertex so that a > 0
+        if not (lam @ M)[v]:
+            lam[rng.choice([i for i in range(len(sets)) if M[i, v]])] = rng.random() + 0.01
+    lam /= lam.sum()
+    q = np.array([rng.randint(1, 9) for _ in range(g.n)], dtype=float)
+    return q / q.sum(), M, lam
+
+
 def pairwise_line_searches(rng: random.Random, count: int):
     """(q, a, d, gamma_max) from pairwise directions at random packing points.
 
-    a is a random convex combination of maximal independent sets that covers
-    every vertex, and d = M[s] - M[t] with gamma_max the weight of t, as in
-    the solver's pairwise step. Half the cases take the solver's oracle atom
-    s and the lightest active atom t (drop steps occur there); the other half
-    take a random s and a random active t (many do not descend).
+    d = M[s] - M[t] with gamma_max the weight of t, as in the solver's
+    pairwise step. Half the cases take the solver's oracle atom s and the
+    lightest active atom t (drop steps occur there); the other half take a
+    random s and a random active t (many do not descend).
     """
     out = []
     while len(out) < count:
-        g = rand_graph(rng, rng.randint(2, 9), rng.random())
-        sets = enumerate_maximal_independent_sets(g)
-        if len(sets) < 2:
+        point = random_packing_point(rng, 9)
+        if point is None:
             continue
-        M = np.zeros((len(sets), g.n))
-        for i, s in enumerate(sets):
-            M[i, s.sorted_members()] = 1.0
-        lam = np.array([rng.random() if rng.random() < 0.6 else 0.0 for _ in sets])
-        for v in range(g.n):  # cover every vertex so that a > 0
-            if not (lam @ M)[v]:
-                lam[rng.choice([i for i in range(len(sets)) if M[i, v]])] = rng.random() + 0.01
-        lam /= lam.sum()
-        q = np.array([rng.randint(1, 9) for _ in range(g.n)], dtype=float)
-        q /= q.sum()
+        q, M, lam = point
         a = lam @ M
         solver_like = rng.random() < 0.5
-        s_idx = int(np.argmax(M @ (q / a))) if solver_like else rng.randrange(len(sets))
-        active = [i for i in range(len(sets)) if lam[i] > 0 and i != s_idx]
+        s_idx = int(np.argmax(M @ (q / a))) if solver_like else rng.randrange(len(M))
+        active = [i for i in range(len(M)) if lam[i] > 0 and i != s_idx]
         if not active:
             continue
         t_idx = min(active, key=lam.__getitem__) if solver_like else rng.choice(active)
@@ -219,6 +235,87 @@ class TestLineSearch:
             grid = along(q, a, d, np.linspace(0.0, gamma_max, 1000)).min()
             assert along(q, a, d, [gamma])[0] <= grid + 1e-15 * abs(grid)
         assert min(cases.values()) >= 20, cases
+
+
+def random_faces(rng: random.Random, count: int):
+    """(q, M, lam) at random packing points of seeded graphs with n <= 12.
+
+    A third of the active weights are scaled down 1000-fold, so that steps
+    often reach their bound.
+    """
+    out = []
+    while len(out) < count:
+        point = random_packing_point(rng, 12)
+        if point is None:
+            continue
+        q, M, lam = point
+        lam[[i for i in np.flatnonzero(lam) if rng.random() < 1 / 3]] *= 1e-3
+        out.append((q, M, lam / lam.sum()))
+    return out
+
+
+def nats(q, a):
+    return float(-(q * np.log(a)).sum())
+
+
+class TestFaceNewtonStep:
+    def test_stays_in_simplex_and_never_increases_the_objective(self):
+        moved = 0
+        for q, M, lam in random_faces(random.Random(16), 300):
+            a = lam @ M
+            new = lam.copy()
+            new_a = _face_newton_step(q, M, new, a)
+            assert np.all(new >= 0.0)
+            assert abs(new.sum() - 1.0) <= 1e-12
+            assert not np.any(new[lam == 0.0])  # the step stays on the face
+            np.testing.assert_allclose(new_a, new @ M, rtol=0, atol=1e-15)
+            assert nats(q, new_a) <= nats(q, a) + 1e-15 * abs(nats(q, a))
+            moved += nats(q, new_a) < nats(q, a)
+        assert moved >= 200
+
+    def test_atom_reaching_its_bound_leaves_at_exactly_zero(self, monkeypatch):
+        module = importlib.import_module("gelab.entropy")
+        searches = []
+
+        def recording(q, a, d, gamma_max):
+            gamma = _line_search(q, a, d, gamma_max)
+            searches.append(gamma == gamma_max)
+            return gamma
+
+        monkeypatch.setattr(module, "_line_search", recording)
+        bound_steps = 0
+        for q, M, lam in random_faces(random.Random(17), 300):
+            new = lam.copy()
+            _face_newton_step(q, M, new, lam @ M)
+            if searches and searches.pop():
+                bound_steps += 1
+                assert np.count_nonzero(new) < np.count_nonzero(lam)
+        assert bound_steps >= 50
+
+    def test_tied_atoms_reaching_their_bound_never_go_negative(self):
+        # sets {0}, {0} and {0, 1}: the two copies shrink at the same rate up
+        # to rounding, and the objective falls until both reach zero; computed
+        # as lam + gamma * step, the later copy came out at -1e-17 now and then
+        M = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        rng = random.Random(18)
+        for _ in range(2000):
+            x, q0 = rng.uniform(0.01, 0.49), rng.uniform(0.1, 0.9)
+            lam = np.array([x, x, 1.0 - 2.0 * x])
+            _face_newton_step(np.array([q0, 1.0 - q0]), M, lam, lam @ M)
+            assert min(lam[0], lam[1]) == 0.0 and max(lam[0], lam[1]) <= 1e-12
+            assert lam[0] >= 0.0 and lam[1] >= 0.0
+            assert abs(lam.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("distribution", ["uniform", "rational"])
+    def test_converges_in_tens_of_iterations_on_g_40(self, distribution):
+        # pairwise steps alone take about 3,900 iterations on this graph
+        g = rand_graph(random.Random(1), 40, 0.2)
+        if distribution == "uniform":
+            p = Distribution.uniform(40)
+        else:
+            p = rand_rational_distribution(random.Random(1), 40, m_max=200)
+        res = entropy(g, p)
+        assert res.converged and res.iterations <= 100
 
 
 class TestBracket:
@@ -261,12 +358,31 @@ class TestClosedForms:
         assert res.value - res.gap <= exact + 1e-12
         assert exact <= res.value + 1e-12
 
+    def test_kneser_8_3_uniform_is_lg_8_over_3(self):
+        graph = kneser(8, 3)  # 56 vertices, alpha = 21 (Erdos-Ko-Rado)
+        res = entropy(graph, Distribution.uniform(graph.n), cap=graph.n)
+        exact = math.log2(8 / 3)
+        assert res.converged
+        assert res.value - res.gap <= exact + 1e-12
+        assert exact <= res.value + 1e-12
+
     def test_perfect_graph_identity_on_bipartite_graphs(self):
         rng = random.Random(14)
         for _ in range(6):
             n = rng.randint(20, 30)
             g = rand_bipartite(rng, n, rng.uniform(0.2, 0.5))
             p = rand_rational_distribution(rng, n, strict=False)
+            h_p = -sum(float(w) * math.log2(float(w)) for w in p.weights if w)
+            res, co = entropy(g, p), entropy(complement(g), p)
+            assert res.converged and co.converged
+            assert abs(res.value + co.value - h_p) <= res.gap + co.gap + 1e-9
+
+    def test_perfect_graph_identity_on_chordal_graphs(self):
+        rng = random.Random(15)
+        for _ in range(8):
+            n = rng.randint(20, 40)
+            g = rand_chordal(rng, n, rng.uniform(0.3, 0.9))
+            p = rand_rational_distribution(rng, n, m_max=120, strict=False)
             h_p = -sum(float(w) * math.log2(float(w)) for w in p.weights if w)
             res, co = entropy(g, p), entropy(complement(g), p)
             assert res.converged and co.converged

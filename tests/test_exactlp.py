@@ -161,6 +161,22 @@ class TestUniformCoverFeasible:
         fc = uniform_cover_feasible(g, fam, [0])
         assert fc is not None and fc.coverage(0) == 1
 
+    def test_set_of_larger_graph_rejected(self):
+        g = empty_graph(5)
+        with pytest.raises(ValueError, match="another graph"):
+            uniform_cover_feasible(g, [IndependentSet(empty_graph(10), [0, 9])], [0])
+
+    def test_set_of_other_graph_on_same_range_rejected(self):
+        with pytest.raises(ValueError, match="another graph"):
+            uniform_cover_feasible(
+                empty_graph(5), [IndependentSet(empty_graph(10), [0, 4])], [0, 4]
+            )
+        # {0, 1} is independent in the empty graph but an edge of the path
+        with pytest.raises(ValueError, match="another graph"):
+            uniform_cover_feasible(
+                path_graph(5), [IndependentSet(empty_graph(5), [0, 1])], [0, 1]
+            )
+
 
 class TestIntegralize:
     def test_c5_cover(self):
