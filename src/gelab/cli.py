@@ -248,12 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
                                help="distribution file; uniform when omitted")
         p.add_argument("--format", choices=["edge-list", "dimacs"], default=None,
                        help="input graph format (default: auto-detect)")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def capped(p):  # subcommands that enumerate independent sets
         p.add_argument("--cap", type=int, default=None,
                        help="enumeration vertex cap (default 40; env GELAB_CAP)")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("entropy", help="compute H(G,P) with a certified gap")
     common(p, dist=True)
+    capped(p)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="duality-gap tolerance in bits (default 1e-9)")
     p.add_argument("--oracle", action="store_true",
@@ -264,14 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chif", help="exact fractional chromatic number")
     common(p)
+    capped(p)
     p.set_defaults(func=cmd_chif)
 
     p = sub.add_parser("symmetric", help="is the uniform distribution a maximizer?")
     common(p)
+    capped(p)
     p.set_defaults(func=cmd_symmetric)
 
     p = sub.add_parser("maximizer", help="does P maximize the entropy of G?")
     common(p, dist=True, dist_required=True)
+    capped(p)
     p.set_defaults(func=cmd_maximizer)
 
     p = sub.add_parser("gadget", help="emit the symmetry-hardness gadget")
@@ -284,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vertex", type=int, help="vertex of the outer graph to replace")
     p.add_argument("inner", help="graph file substituted for the vertex")
     p.add_argument("--format", choices=["edge-list", "dimacs"], default=None)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_substitute)
 
@@ -296,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="first graph file")
     p.add_argument("other", help="second graph file")
     p.add_argument("--format", choices=["edge-list", "dimacs"], default=None)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_union)
 

@@ -112,23 +112,20 @@ def objective(p: Distribution, a) -> float:
     return total
 
 
-def _greedy_cover_indices(k: int, set_masks: list[int]) -> list[int]:
-    """Indices of maximal sets greedily covering vertices 0..k-1.
+def _greedy_cover_indices(M: np.ndarray) -> list[int]:
+    """Indices of rows of the incidence matrix M greedily covering every vertex.
 
-    Repeatedly takes the first enumerated set covering the most still-exposed
-    vertices; every vertex lies in some maximal set, so this terminates with
-    full coverage and gives a strictly positive starting point.
+    Repeatedly takes the first set covering the most still-exposed vertices
+    (`np.argmax` returns the first maximum); every vertex lies in some
+    maximal set, so this terminates with full coverage and gives a strictly
+    positive starting point.
     """
-    remaining = (1 << k) - 1
+    remaining = np.ones(M.shape[1])
     chosen: list[int] = []
-    while remaining:
-        best, best_gain = -1, -1
-        for i, mask in enumerate(set_masks):
-            gain = (mask & remaining).bit_count()
-            if gain > best_gain:
-                best, best_gain = i, gain
+    while remaining.any():
+        best = int(np.argmax(M @ remaining))
         chosen.append(best)
-        remaining &= ~set_masks[best]
+        remaining[M[best] > 0] = 0.0
     return chosen
 
 
@@ -258,11 +255,10 @@ def entropy(
     sub, relabel = g.induced(supp)
     k = sub.n
     sets = enumerate_maximal_independent_sets(sub, cap)
-    set_masks = [s.mask for s in sets]
     M = _incidence(sets, k).astype(np.float64)
     q = np.array([float(p[v]) for v in supp])
 
-    cover = _greedy_cover_indices(k, set_masks)
+    cover = _greedy_cover_indices(M)
     lam = np.zeros(len(sets))
     lam[cover] = 1.0 / len(cover)
     a = lam @ M

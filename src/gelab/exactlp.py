@@ -1,7 +1,7 @@
 """Exact rational linear programming over independent-set families.
 
-Fractional chromatic numbers, uniform-cover feasibility, and integer cover
-extraction, all in exact arithmetic. Every LP takes one lane: a float
+Fractional chromatic numbers, their dual fractional cliques, and integer
+cover extraction, all in exact arithmetic. Every LP takes one lane: a float
 dense-tableau simplex proposes a basis, and the exact layer certifies it
 (Applegate, Cook, Dash & Espinoza, ORL 2007). Certification is
 fraction-free integer arithmetic over the common denominator det(B):
@@ -13,9 +13,8 @@ tableau simplex with Bland's rule. Every returned optimum is accompanied by
 an exactly-verified dual certificate, so a bug in the pivoting itself
 cannot produce a wrong answer unnoticed.
 
-Rationals are `fractions.Fraction` at every public boundary; the cold exact
-tableau prefers gmpy2's mpq when available (about an order of magnitude
-faster, identical semantics)."""
+Every rational, inside the exact layer and at its boundary, is a
+`fractions.Fraction`."""
 
 from __future__ import annotations
 
@@ -29,21 +28,8 @@ import numpy as np
 from .errors import InternalError, NotUniform
 from .graphs import Graph, IndependentSet, _incidence, enumerate_maximal_independent_sets
 
-try:
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover - gmpy2 is an optional accelerator
-    _RAT = Fraction
-
-Rational = Fraction
-
 _FLOAT_EPS = 1e-9
 _MAX_PIVOTS = 200_000
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(int(x.numerator), int(x.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +64,7 @@ def _tableau_simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> 
     """
     m, n_struct = len(b), len(cols)
     rhs = n_struct + m
-    zero = _RAT(0) if exact else 0.0
+    zero = Fraction(0) if exact else 0.0
     eps = zero if exact else _FLOAT_EPS
     T = np.zeros((m, rhs + 1), dtype=object if exact else float)
     T[:, :n_struct] = cols.T
@@ -86,7 +72,7 @@ def _tableau_simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> 
     T[:, rhs] = b
     if exact:  # one shared rational object per distinct entry
         for v in np.unique(T):
-            T[T == v] = _RAT(v)
+            T[T == v] = Fraction(v)
     basis = np.arange(n_struct, rhs)
     live = np.ones(m, dtype=bool)  # rows not dropped as redundant
 
@@ -254,13 +240,13 @@ def _certify_basis(cols, b, c, basis, kept_rows) -> _LPResult:
     if np.any(ya > c_det) or np.any(ya[basis] != c_det[basis]):
         raise _WarmStartFailed
 
-    zero = _RAT(0)
+    zero = Fraction(0)
     x = [zero] * len(cols)
     for j, v in zip(basis, x_num):
         if v:
-            x[j] = _RAT(v, det)
-    y = [_RAT(v, det_y) if v else zero for v in y_num]
-    obj = _RAT(sum(c[j] * v for j, v in zip(basis, x_num)), det)
+            x[j] = Fraction(v, det)
+    y = [Fraction(v, det_y) if v else zero for v in y_num]
+    obj = Fraction(sum(c[j] * v for j, v in zip(basis, x_num)), det)
     return _LPResult(status="optimal", x=x, y=y, obj=obj,
                      basis=list(basis), kept_rows=list(kept_rows))
 
@@ -348,12 +334,12 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
         return Fraction(0), FractionalColoring({})
     sets = enumerate_maximal_independent_sets(g, cap)
     res = _solve_covering(g, sets)
-    weights = {sets[j]: _frac(res.x[j]) for j in range(len(sets)) if res.x[j] != 0}
+    weights = {sets[j]: res.x[j] for j in range(len(sets)) if res.x[j] != 0}
     coloring = FractionalColoring(weights)
     for v in range(g.n):
         if coloring.coverage(v) < 1:
             raise InternalError("internal LP error: vertex left uncovered")
-    return _frac(res.obj), coloring
+    return res.obj, coloring
 
 
 def _covering_lp(n: int, sets: Sequence[IndependentSet]):
@@ -380,7 +366,7 @@ def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> _LPResult:
     y_int = [int(v.numerator) * (den // int(v.denominator)) for v in y]
     if np.any(_exact_matvec(cols[:k], y_int) > den):
         raise InternalError("internal LP error: dual violates packing")
-    if sum(y, _RAT(0)) != res.obj:
+    if sum(y, Fraction(0)) != res.obj:
         raise InternalError("internal LP error: duality gap")
     return res
 
@@ -395,44 +381,7 @@ def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fractio
     if g.n == 0:
         return Fraction(0), {}
     res = _solve_covering(g, enumerate_maximal_independent_sets(g, cap))
-    return _frac(res.obj), {v: _frac(y) for v, y in enumerate(res.y) if y != 0}
-
-
-def uniform_cover_feasible(
-    g: Graph, family: Sequence[IndependentSet], target: Iterable[int]
-) -> FractionalColoring | None:
-    """Rational weights on `family` covering every target vertex exactly once.
-
-    Returns None when no such weighting exists. Only target rows are
-    constrained; family sets may touch other vertices freely. Raises
-    ValueError when the family is empty or holds a set of another graph.
-    """
-    family = list(family)
-    if not family:
-        raise ValueError("family of independent sets must be nonempty")
-    for s in family:
-        if s.graph != g:
-            raise ValueError(f"family set {s.sorted_members()} is an independent set of another graph")
-    rows = sorted(set(target))
-    for v in rows:
-        g._check_vertex(v)
-    if not rows:
-        return FractionalColoring({})
-    cols = _incidence(family, g.n).astype(np.int64)[:, rows]
-    b = [1] * len(rows)
-    c = [0] * len(family)
-    res = _solve_exact(cols, b, c)
-    if res.status != "optimal":
-        return None
-    weights: dict[IndependentSet, Fraction] = {}
-    for j, s in enumerate(family):
-        if res.x[j] != 0:
-            weights[s] = weights.get(s, Fraction(0)) + _frac(res.x[j])
-    fc = FractionalColoring(weights)
-    for v in rows:
-        if fc.coverage(v) != 1:
-            raise InternalError("internal LP error: cover not exactly uniform")
-    return fc
+    return res.obj, {v: y for v, y in enumerate(res.y) if y != 0}
 
 
 def integralize_cover(fc: FractionalColoring) -> CoverMultiset:

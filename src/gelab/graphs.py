@@ -16,18 +16,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, NotRational, VertexNotFound
+from .errors import CapExceeded, VertexNotFound
 
 DEFAULT_CAP = 40
 SET_COUNT_CAP = 10**6
 """Set budget: most sets one enumeration may produce before `CapExceeded`.
 
 It bounds every enumeration of maximal independent sets (checked as the
-sets are found, before they are sorted, wrapped or turned into a matrix),
-and is the default `set_cap` of
-`enumerate_maximum_weighted_independent_sets`. The vertex cap alone does
-not bound memory: 13 disjoint triangles (39 vertices) have 3**13 = 1.59M
-maximal independent sets.
+sets are found, before they are sorted, wrapped or turned into a matrix).
+The vertex cap alone does not bound memory: 13 disjoint triangles (39
+vertices) have 3**13 = 1.59M maximal independent sets.
 """
 
 
@@ -258,6 +256,8 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
+        if n < 1:
+            raise ValueError("distribution needs at least one vertex")
         return cls([Fraction(1, n)] * n)
 
     @property
@@ -362,6 +362,14 @@ def _incidence(sets: Sequence["IndependentSet"], n: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
+def _maximal_sets_if_capped(g: Graph, cap: int | None) -> tuple[int, ...]:
+    """The cached maximal-set bitmasks, after the vertex-cap check."""
+    limit = resolve_cap(cap)
+    if g.n > limit:
+        raise CapExceeded(f"graph has {g.n} vertices, enumeration cap is {limit}")
+    return _maximal_sets_cached(g)
+
+
 def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list[IndependentSet]:
     """Every inclusion-maximal independent set, lexicographic by member list.
 
@@ -369,10 +377,7 @@ def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list
     than SET_COUNT_CAP maximal independent sets (the set budget, checked
     while the sets are found, so memory stays bounded by the budget).
     """
-    limit = resolve_cap(cap)
-    if g.n > limit:
-        raise CapExceeded(f"graph has {g.n} vertices, enumeration cap is {limit}")
-    return [IndependentSet._from_mask(g, mask) for mask in _maximal_sets_cached(g)]
+    return [IndependentSet._from_mask(g, mask) for mask in _maximal_sets_if_capped(g, cap)]
 
 
 def alpha(g: Graph, cap: int | None = None) -> WeightedAlpha:
@@ -413,55 +418,3 @@ def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = 
             best_set = mask
     witness = IndependentSet(g, (back[v] for v in _bits(best_set)))
     return WeightedAlpha(value=best_val, witness=witness)
-
-
-def _maximal_sets_if_capped(g: Graph, cap: int | None):
-    limit = resolve_cap(cap)
-    if g.n > limit:
-        raise CapExceeded(f"graph has {g.n} vertices, enumeration cap is {limit}")
-    return _maximal_sets_cached(g)
-
-
-def enumerate_maximum_weighted_independent_sets(
-    g: Graph, p: Distribution, cap: int | None = None, set_cap: int = SET_COUNT_CAP
-) -> list[IndependentSet]:
-    """All independent sets whose P-weight equals the maximum exactly.
-
-    Requires an exact-rational distribution so weight equality is decidable.
-    Zero-weight vertices may extend an attaining set without changing its
-    weight, so those variants are enumerated too (deduplication is by the
-    member set). Aborts with CapExceeded past `set_cap` sets.
-    """
-    if not p.exact:
-        raise NotRational("exact-rational distribution required")
-    if p.n != g.n:
-        raise ValueError("distribution length differs from vertex count")
-    limit = resolve_cap(cap)
-    if g.n > limit:
-        raise CapExceeded(f"graph has {g.n} vertices, enumeration cap is {limit}")
-    target = max_weighted_independent_set(g, p.weights, cap).value
-    adj = g._adj
-    weights = p.weights
-    out: list[tuple[int, ...]] = []
-
-    # Depth-first over vertices in label order; prune with the residual
-    # positive weight (an upper bound on what the suffix can still add).
-    suffix_pos = [Fraction(0)] * (g.n + 1)
-    for v in range(g.n - 1, -1, -1):
-        suffix_pos[v] = suffix_pos[v + 1] + (weights[v] if weights[v] > 0 else 0)
-
-    def walk(v: int, chosen_mask: int, total) -> None:
-        if total + suffix_pos[v] < target:
-            return
-        if v == g.n:
-            if total == target:
-                if len(out) >= set_cap:
-                    raise CapExceeded(f"more than {set_cap} maximum-weight sets")
-                out.append(tuple(_bits(chosen_mask)))
-            return
-        if adj[v] & chosen_mask == 0:
-            walk(v + 1, chosen_mask | (1 << v), total + weights[v])
-        walk(v + 1, chosen_mask, total)
-
-    walk(0, 0, Fraction(0))
-    return [IndependentSet(g, members) for members in sorted(out)]

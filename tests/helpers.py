@@ -1,4 +1,5 @@
-"""Shared test utilities: named graphs, random instances, tolerance math."""
+"""Shared test utilities: named graphs, random instances, tolerance math, and
+reference procedures that no solver path uses."""
 
 from __future__ import annotations
 
@@ -6,15 +7,23 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from gelab.entropy import entropy
-from gelab.exactlp import fractional_chromatic_number
+from gelab.errors import CapExceeded, InternalError, NotRational
+from gelab.exactlp import FractionalColoring, _solve_exact, fractional_chromatic_number
 from gelab.graphs import (
+    SET_COUNT_CAP,
     Distribution,
     Graph,
     IndependentSet,
+    _bits,
+    _incidence,
     enumerate_maximal_independent_sets,
     max_weighted_independent_set,
+    resolve_cap,
 )
 
 
@@ -187,3 +196,86 @@ def linear_minimization_oracle(g: Graph, gradient, cap: int | None = None) -> In
         return enumerate_maximal_independent_sets(g, cap)[0]
     weights = [-float(gv) for gv in gradient]
     return max_weighted_independent_set(g, weights, cap).witness
+
+
+def uniform_cover_feasible(
+    g: Graph, family: Sequence[IndependentSet], target: Iterable[int]
+) -> FractionalColoring | None:
+    """Rational weights on `family` covering every target vertex exactly once.
+
+    The reference for "symmetric iff a uniform cover by maximum sets
+    exists": a feasibility LP of its own, independent of the covering LP
+    behind the verdicts. Returns None when no such weighting exists. Only
+    target rows are constrained; family sets may touch other vertices
+    freely. Raises ValueError when the family is empty or holds a set of
+    another graph.
+    """
+    family = list(family)
+    if not family:
+        raise ValueError("family of independent sets must be nonempty")
+    for s in family:
+        if s.graph != g:
+            raise ValueError(f"family set {s.sorted_members()} is an independent set of another graph")
+    rows = sorted(set(target))
+    for v in rows:
+        g._check_vertex(v)
+    if not rows:
+        return FractionalColoring({})
+    cols = _incidence(family, g.n).astype(np.int64)[:, rows]
+    res = _solve_exact(cols, [1] * len(rows), [0] * len(family))
+    if res.status != "optimal":
+        return None
+    weights: dict[IndependentSet, Fraction] = {}
+    for j, s in enumerate(family):
+        if res.x[j] != 0:
+            weights[s] = weights.get(s, Fraction(0)) + res.x[j]
+    fc = FractionalColoring(weights)
+    for v in rows:
+        if fc.coverage(v) != 1:
+            raise InternalError("internal LP error: cover not exactly uniform")
+    return fc
+
+
+def enumerate_maximum_weighted_independent_sets(
+    g: Graph, p: Distribution, cap: int | None = None, set_cap: int = SET_COUNT_CAP
+) -> list[IndependentSet]:
+    """All independent sets whose P-weight equals the maximum exactly.
+
+    Requires an exact-rational distribution so weight equality is decidable.
+    Zero-weight vertices may extend an attaining set without changing its
+    weight, so those variants are enumerated too (deduplication is by the
+    member set). Aborts with CapExceeded past `set_cap` sets.
+    """
+    if not p.exact:
+        raise NotRational("exact-rational distribution required")
+    if p.n != g.n:
+        raise ValueError("distribution length differs from vertex count")
+    limit = resolve_cap(cap)
+    if g.n > limit:
+        raise CapExceeded(f"graph has {g.n} vertices, enumeration cap is {limit}")
+    target = max_weighted_independent_set(g, p.weights, cap).value
+    adj = g._adj
+    weights = p.weights
+    out: list[tuple[int, ...]] = []
+
+    # Depth-first over vertices in label order; prune with the residual
+    # positive weight (an upper bound on what the suffix can still add).
+    suffix_pos = [Fraction(0)] * (g.n + 1)
+    for v in range(g.n - 1, -1, -1):
+        suffix_pos[v] = suffix_pos[v + 1] + (weights[v] if weights[v] > 0 else 0)
+
+    def walk(v: int, chosen_mask: int, total) -> None:
+        if total + suffix_pos[v] < target:
+            return
+        if v == g.n:
+            if total == target:
+                if len(out) >= set_cap:
+                    raise CapExceeded(f"more than {set_cap} maximum-weight sets")
+                out.append(tuple(_bits(chosen_mask)))
+            return
+        if adj[v] & chosen_mask == 0:
+            walk(v + 1, chosen_mask | (1 << v), total + weights[v])
+        walk(v + 1, chosen_mask, total)
+
+    walk(0, 0, Fraction(0))
+    return [IndependentSet(g, members) for members in sorted(out)]

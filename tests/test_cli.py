@@ -207,6 +207,29 @@ class TestExitCodes:
         assert main(["chif", files("triangles", format_graph(triangle_union(6)))]) == 4
         assert "more than 100 maximal independent sets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["entropy", "blowup"])
+    def test_zero_vertex_uniform_is_2(self, files, capsys, command):
+        # an empty file is the graph on 0 vertices; no distribution lives on it
+        assert main([command, files("empty", "")]) == 2
+        assert "at least one vertex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["union", "a", "b"],
+            ["gadget", "a", "--k", "2"],
+            ["substitute", "a", "0", "b"],
+            ["blowup", "a"],
+        ],
+    )
+    def test_cap_is_a_usage_error_where_nothing_enumerates(self, files, capsys, argv):
+        path = files("k2", K2)
+        argv = [path if arg in ("a", "b") else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cap", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
+
     def test_cap_flag_lifts_limit(self, files, capsys):
         k42 = "\n".join(f"{i} {j}" for i in range(42) for j in range(i + 1, 42))
         assert main(["chif", files("big", k42), "--cap", "64", "--json"]) == 0

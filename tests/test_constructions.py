@@ -23,7 +23,7 @@ from gelab.errors import (
     VertexSetMismatch,
     ZeroWeightVertex,
 )
-from gelab.exactlp import fractional_chromatic_number, uniform_cover_feasible
+from gelab.exactlp import fractional_chromatic_number
 from gelab.graphs import (
     Distribution,
     Graph,
@@ -35,7 +35,7 @@ from gelab.graphs import (
 )
 from gelab.oracle import brute_alpha
 
-from helpers import rand_graph, rand_rational_distribution
+from helpers import rand_graph, rand_rational_distribution, uniform_cover_feasible
 
 
 class TestUnion:

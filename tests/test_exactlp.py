@@ -14,7 +14,6 @@ from gelab.exactlp import (
     fractional_chromatic_dual,
     fractional_chromatic_number,
     integralize_cover,
-    uniform_cover_feasible,
 )
 from gelab.graphs import (
     Graph,
@@ -27,7 +26,7 @@ from gelab.graphs import (
     path_graph,
 )
 
-from helpers import petersen, rand_graph
+from helpers import petersen, rand_graph, uniform_cover_feasible
 
 
 def greedy_chromatic_number(g: Graph) -> int:
@@ -132,6 +131,25 @@ class TestColdExactFallback:
             assert chi == chi_expected and coloring.total == chi
             assert all(coloring.coverage(v) >= 1 for v in range(g.n))
         assert len(exact_calls) == len(graphs)
+
+
+class TestFractionAtBoundary:
+    """chi_f, coloring weights and dual values are Fractions on both lanes."""
+
+    @pytest.mark.parametrize("mode", ["certified", "wrong-basis", "certify-fails"])
+    def test_types(self, monkeypatch, mode):
+        exact_calls = []
+        if mode != "certified":
+            exact_calls = TestColdExactFallback.force_fallback(monkeypatch, mode)
+        graphs = [cycle_graph(5), petersen(), rand_graph(random.Random(3), 8, 0.4)]
+        for g in graphs:
+            chi, coloring = fractional_chromatic_number(g)
+            assert type(chi) is Fraction
+            assert all(type(w) is Fraction for w in coloring.weights.values())
+            dual_value, y = fractional_chromatic_dual(g)
+            assert type(dual_value) is Fraction and dual_value == chi
+            assert y and all(type(v) is Fraction for v in y.values())
+        assert len(exact_calls) == (0 if mode == "certified" else 2 * len(graphs))
 
 
 class TestUniformCoverFeasible:

@@ -19,7 +19,6 @@ from gelab.graphs import (
     cycle_graph,
     empty_graph,
     enumerate_maximal_independent_sets,
-    enumerate_maximum_weighted_independent_sets,
     max_weighted_independent_set,
     _incidence,
     path_graph,
@@ -30,7 +29,7 @@ from gelab.oracle import (
     brute_maximal_independent_sets,
 )
 
-from helpers import rand_graph, triangle_union
+from helpers import enumerate_maximum_weighted_independent_sets, rand_graph, triangle_union
 
 
 def members(sets):
@@ -95,6 +94,11 @@ class TestDistribution:
     def test_rational_sum_must_be_exact(self):
         with pytest.raises(ValueError):
             Distribution([Fraction(1, 3), Fraction(1, 3)])
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_uniform_needs_a_vertex(self, n):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Distribution.uniform(n)
 
 
 class TestEnumerateMaximal:
