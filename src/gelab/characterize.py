@@ -8,11 +8,13 @@ product is never below 1). Then any optimal fractional coloring x of G[S]
 is the certificate: 1 = sum_v p_v <= sum_T x_T P(T) <= alpha_P sum_T x_T = 1
 forces every vertex of S to be covered exactly once, by sets of P-weight
 alpha_P. A graph is symmetric when the uniform distribution maximizes,
-i.e. when chi_f = n / alpha.
+i.e. when chi_f = n / alpha: `is_symmetric` is one call of
+`is_entropy_maximizer` with the uniform distribution, not a path of its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,13 +25,7 @@ from .exactlp import (
     fractional_chromatic_number,
     integralize_cover,
 )
-from .graphs import (
-    Distribution,
-    Graph,
-    IndependentSet,
-    alpha,
-    max_weighted_independent_set,
-)
+from .graphs import Distribution, Graph, IndependentSet, max_weighted_independent_set
 
 REASON_NO_UNIFORM_COVER = "NoUniformCover"
 
@@ -71,9 +67,11 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
     supp = list(p.support)
     sub, relabel = g.induced(supp)
     back = {new: old for old, new in relabel.items()}
-    p_sub = Distribution(p.restricted_to(supp))
+    # P-weights over a common denominator, so the set weights sum as ints
+    den = math.lcm(*(w.denominator for w in p.weights))
+    scaled = [w.numerator * (den // w.denominator) for w in p.restricted_to(supp)]
     chi_supp, coloring = fractional_chromatic_number(sub, cap)
-    alpha_p = Fraction(max_weighted_independent_set(sub, p_sub.weights, cap).value)
+    alpha_p = Fraction(max_weighted_independent_set(sub, scaled, cap).value, den)
     if chi_supp * alpha_p != 1:
         return MaximizerVerdict(
             is_maximizer=False,
@@ -84,7 +82,7 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
         )
     lifted = FractionalColoring(
         {
-            IndependentSet(g, (back[v] for v in s.members)): w
+            IndependentSet(g, (back[v] for v in s.sorted_members())): w
             for s, w in coloring.weights.items()
         }
     )
@@ -100,15 +98,12 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
 def is_symmetric(g: Graph, cap: int | None = None) -> SymmetryVerdict:
     """Decide exactly whether the uniform distribution maximizes H(G, .).
 
-    The uniform case of `is_entropy_maximizer`: symmetric iff chi_f equals
-    n/alpha, and then the optimal fractional coloring covers every vertex
-    exactly once with maximum independent sets, which is the certificate.
+    One call of `is_entropy_maximizer` with the uniform distribution: then
+    alpha_P = alpha/n, so the verdict is chi_f == n/alpha, and on a yes the
+    certificate covers every vertex exactly once with maximum independent
+    sets.
     """
     if g.n == 0:
         raise ValueError("symmetry of the empty graph is undefined")
-    chi, coloring = fractional_chromatic_number(g, cap)
-    n_over_alpha = Fraction(g.n, alpha(g, cap).value)
-    if chi != n_over_alpha:
-        return SymmetryVerdict(False, chi, n_over_alpha, None)
-    return SymmetryVerdict(True, chi, n_over_alpha, integralize_cover(coloring))
-
+    v = is_entropy_maximizer(g, Distribution.uniform(g.n), cap)
+    return SymmetryVerdict(v.is_maximizer, v.chi_f_support, 1 / v.alpha_p, v.certificate)

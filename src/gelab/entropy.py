@@ -68,7 +68,7 @@ class PolytopePoint:
         acc = [0.0] * n
         wsum = 0.0
         for ind, w in self.decomposition:
-            if w < 0:
+            if not w >= 0:  # NaN fails this too
                 raise ValueError("negative decomposition weight")
             wsum += w
             for v in ind.members:
@@ -99,14 +99,14 @@ def objective(p: Distribution, a) -> float:
     """sum over the support of p_v * lg(1/a_v), in bits.
 
     `a` may be a PolytopePoint or a plain coordinate sequence. Raises
-    DomainError when a support coordinate is zero (the objective is +inf
-    there, reported as an error rather than a float infinity).
+    DomainError when a support coordinate is not positive (the objective is
+    +inf at zero, reported as an error rather than a float infinity) or NaN.
     """
     coords = a.coords if isinstance(a, PolytopePoint) else a
     total = 0.0
     for v in p.support:
         av = coords[v]
-        if av <= 0.0:
+        if not av > 0.0:  # NaN fails this too
             raise DomainError(f"coordinate {v} is {av}; objective undefined")
         total -= float(p[v]) * math.log2(av)
     return total
@@ -245,7 +245,7 @@ def entropy(
     active one while the gap is still above `tol` (the pairwise direction
     is then zero).
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails this too
         raise ValueError("tolerance must be positive")
     if p.n != g.n:
         raise ValueError("distribution length differs from vertex count")
@@ -302,7 +302,7 @@ def entropy(
     for j, old in enumerate(back):
         coords[old] = float(a[j])
     decomposition = tuple(
-        (IndependentSet(g, (back[v] for v in sets[i].members)), float(lam[i]))
+        (IndependentSet(g, (back[v] for v in sets[i].sorted_members())), float(lam[i]))
         for i in range(len(sets))
         if lam[i] > 0.0
     )

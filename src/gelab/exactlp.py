@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InternalError, NotUniform
-from .graphs import Graph, IndependentSet, _incidence, enumerate_maximal_independent_sets
+from .graphs import Graph, IndependentSet, _bits, _incidence, enumerate_maximal_independent_sets
 
 _FLOAT_EPS = 1e-9
 _MAX_PIVOTS = 200_000
@@ -286,10 +286,10 @@ class FractionalColoring:
         return sum((w for s, w in self.weights.items() if v in s), Fraction(0))
 
     def covered_vertices(self) -> frozenset[int]:
-        out: set[int] = set()
+        mask = 0
         for s in self.weights:
-            out |= s.members
-        return frozenset(out)
+            mask |= s.mask
+        return frozenset(_bits(mask))
 
 
 @dataclass(frozen=True)
@@ -420,34 +420,30 @@ def b_fold_realization(g: Graph, cap: int | None = None) -> CoverMultiset:
     chi, fc = fractional_chromatic_number(g, cap)
     if g.n == 0:
         return CoverMultiset({}, 1, frozenset())
-    weights: dict[tuple[int, ...], Fraction] = {
-        s.sorted_members(): w for s, w in fc.weights.items()
-    }
+    weights = dict(fc.weights)
     for v in range(g.n):
-        cov = sum((w for mem, w in weights.items() if v in mem), Fraction(0))
+        cov = sum((w for s, w in weights.items() if v in s), Fraction(0))
         excess = cov - 1
         if excess < 0:
             raise InternalError("internal error: vertex under-covered")
-        for mem in sorted(k for k in weights if v in k):
+        for s in sorted((s for s in weights if v in s), key=IndependentSet.sorted_members):
             if excess == 0:
                 break
-            w = weights[mem]
+            w = weights[s]
             take = min(excess, w)
             if take == 0:
                 continue
-            shrunk = tuple(u for u in mem if u != v)
+            shrunk = IndependentSet._from_mask(g, s.mask & ~(1 << v))
             if not shrunk:
                 raise InternalError(
                     "internal error: tightening emptied a set; coloring was not optimal"
                 )
-            weights[mem] = w - take
+            weights[s] = w - take
             weights[shrunk] = weights.get(shrunk, Fraction(0)) + take
-            if weights[mem] == 0:
-                del weights[mem]
+            if weights[s] == 0:
+                del weights[s]
             excess -= take
-    fc_tight = FractionalColoring(
-        {IndependentSet(g, mem): w for mem, w in weights.items()}
-    )
+    fc_tight = FractionalColoring(weights)
     if fc_tight.total != chi:
         raise InternalError("internal error: tightening changed the LP objective")
     cm = integralize_cover(fc_tight)

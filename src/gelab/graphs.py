@@ -2,8 +2,10 @@
 
 Vertices are always labelled 0..n-1. Adjacency is kept both as a canonical
 edge tuple (for hashing/equality) and as per-vertex bitmasks (for the
-enumeration inner loops). All types are immutable values; every operation
-here is pure, so results can be cached and shared freely across threads.
+enumeration inner loops). An independent set is stored only as its bitmask;
+its member frozenset is derived on first use and cached. All types are
+immutable values; every operation here is pure, so results can be cached
+and shared freely across threads.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -151,80 +153,85 @@ def empty_graph(n: int) -> Graph:
 class IndependentSet:
     """A vertex subset of a specific graph with no internal edges.
 
-    `mask` is the member set as a bitmask (bit v set iff v is a member); it
-    is derived from `members`, so equality, hashing and repr ignore it.
+    `mask` is the set: bit v is set iff v is a member. Every other view
+    (`members`, `len`, `in`, `sorted_members`, the characteristic vector,
+    the weight) is read off it; `members` is derived once and cached.
     """
 
     graph: Graph
-    members: frozenset[int]
-    mask: int = field(repr=False, compare=False)
+    mask: int
 
     def __init__(self, graph: Graph, members: Iterable[int]):
-        members = frozenset(members)
         mask = 0
         for v in members:
             graph._check_vertex(v)
             mask |= 1 << v
-        for v in members:
-            if graph._adj[v] & mask:
-                raise ValueError(f"members {sorted(members)} contain an edge at vertex {v}")
-        self._set(graph, members, mask)
+        _check_independent(graph, mask)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def _from_mask(cls, graph: Graph, mask: int) -> "IndependentSet":
         """The set with bitmask `mask`, under the same checks as `__init__`."""
         if mask >> graph.n:
             raise VertexNotFound(f"mask {mask:#x} has a bit outside 0..{graph.n - 1}")
-        adj = graph._adj
-        members = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            if adj[v] & mask:
-                raise ValueError(f"members {list(_bits(mask))} contain an edge at vertex {v}")
-            members.append(v)
-            rest ^= low
+        _check_independent(graph, mask)
         obj = object.__new__(cls)
-        obj._set(graph, frozenset(members), mask)
+        object.__setattr__(obj, "graph", graph)
+        object.__setattr__(obj, "mask", mask)
         return obj
 
-    def _set(self, graph: Graph, members: frozenset[int], mask: int) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_hash", hash((graph._hash, members)))
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(_bits(self.mask))
+
+    @cached_property
+    def _hash(self) -> int:
+        # on first use: most enumerated sets are never hashed
+        return hash((self.graph._hash, self.mask))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IndependentSet):
             return NotImplemented
-        return self.members == other.members and self.graph == other.graph
+        return self.mask == other.mask and self.graph == other.graph
 
     def __hash__(self) -> int:
         return self._hash
 
     def characteristic_vector(self) -> tuple[int, ...]:
         """0/1 coordinates over the owning graph's vertices (a VP(G) vertex)."""
-        return tuple(1 if v in self.members else 0 for v in range(self.graph.n))
+        return tuple(self.mask >> v & 1 for v in range(self.graph.n))
 
     def weight(self, weights: Sequence) -> object:
         """Total weight of the members under a vertex-indexed weight vector."""
         total = 0
-        for v in sorted(self.members):
+        for v in _bits(self.mask):
             total = total + weights[v]
         return total
 
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(_bits(self.mask))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __contains__(self, v: int) -> bool:
-        return v in self.members
+        return v >= 0 and self.mask >> v & 1 == 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IndependentSet({sorted(self.members)})"
+        return f"IndependentSet({list(_bits(self.mask))})"
+
+
+def _check_independent(graph: Graph, mask: int) -> None:
+    """Raise ValueError when two vertices of `mask` are adjacent in `graph`."""
+    adj = graph._adj
+    rest = mask
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        if adj[v] & mask:
+            raise ValueError(f"members {list(_bits(mask))} contain an edge at vertex {v}")
+        rest ^= low
 
 
 @dataclass(frozen=True)
@@ -247,7 +254,7 @@ class Distribution:
                 raise ValueError(f"rational weights sum to {sum(weights)}, not 1")
         else:
             weights = tuple(float(w) for w in weights)
-            if any(w < 0 for w in weights):
+            if any(not w >= 0 for w in weights):  # NaN fails this too
                 raise ValueError("negative probability weight")
             if abs(sum(weights) - 1.0) > 1e-12:
                 raise ValueError(f"weights sum to {sum(weights)!r}, not 1 within 1e-12")
@@ -381,14 +388,14 @@ def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list
 
 
 def alpha(g: Graph, cap: int | None = None) -> WeightedAlpha:
-    """Maximum independent-set size with a witness (ties by enumeration order)."""
+    """Maximum independent-set size with a witness.
+
+    The unit-weight case of `max_weighted_independent_set`, so the witness is
+    the first maximum set in enumeration order.
+    """
     if g.n == 0:
         raise ValueError("alpha of the empty graph on 0 vertices is undefined")
-    best = None
-    for s in enumerate_maximal_independent_sets(g, cap):
-        if best is None or len(s) > len(best):
-            best = s
-    return WeightedAlpha(value=len(best), witness=best)
+    return max_weighted_independent_set(g, [1] * g.n, cap)
 
 
 def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = None) -> WeightedAlpha:
@@ -401,20 +408,20 @@ def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = 
     """
     if len(weights) != g.n:
         raise ValueError("weight vector length differs from vertex count")
-    if any(w < 0 for w in weights):
+    if any(not w >= 0 for w in weights):  # NaN fails this too
         raise ValueError("weights must be nonnegative")
     support = [v for v in range(g.n) if weights[v] > 0]
     if not support:
         zero = weights[0] * 0 if g.n else 0
         return WeightedAlpha(value=zero, witness=IndependentSet(g, ()))
-    sub, relabel = g.induced(support)
-    back = {new: old for old, new in relabel.items()}
+    sub, _ = g.induced(support)  # sub's vertex i is support[i]
+    sub_weights = [weights[v] for v in support]
     best_val = None
     best_set = None
     for mask in _maximal_sets_if_capped(sub, cap):
-        val = sum(weights[back[v]] for v in _bits(mask))
+        val = sum(sub_weights[v] for v in _bits(mask))
         if best_val is None or val > best_val:
             best_val = val
             best_set = mask
-    witness = IndependentSet(g, (back[v] for v in _bits(best_set)))
+    witness = IndependentSet(g, (support[v] for v in _bits(best_set)))
     return WeightedAlpha(value=best_val, witness=witness)

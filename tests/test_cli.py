@@ -213,6 +213,12 @@ class TestExitCodes:
         assert main([command, files("empty", "")]) == 2
         assert "at least one vertex" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_nonpositive_tolerance_is_2(self, files, capsys, tol):
+        # a NaN tolerance would never meet gap <= tol and spin to max_iter
+        assert main(["entropy", files("c5", C5), "--tol", tol]) == 2
+        assert "tolerance must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -63,6 +63,10 @@ class TestObjective:
         with pytest.raises(DomainError):
             objective(Distribution.uniform(2), (0.5, 0.0))
 
+    def test_nan_on_support_is_domain_error(self):
+        with pytest.raises(DomainError):
+            objective(Distribution.uniform(2), (math.nan, 0.5))
+
 
 class TestLinearMinimizationOracle:
     def test_k2_picks_heavier(self):
@@ -102,6 +106,12 @@ class TestPolytopePoint:
             PolytopePoint((1.0, 1.0), ((IndependentSet(g, [0]), 1.0),
                                        (IndependentSet(g, [1]), 1.0)))
 
+    def test_nan_weight_rejected(self):
+        g = complete_graph(2)
+        with pytest.raises(ValueError, match="negative decomposition weight"):
+            PolytopePoint((0.5, 0.5), ((IndependentSet(g, [0]), math.nan),
+                                       (IndependentSet(g, [1]), 0.5)))
+
 
 class TestEntropy:
     def test_empty_graph_is_zero(self):
@@ -137,6 +147,11 @@ class TestEntropy:
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             entropy(complete_graph(2), Distribution.uniform(2), tol=-1)
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            entropy(complete_graph(2), Distribution.uniform(2), tol=tol)
 
     def test_unconverged_flag(self):
         g = rand_graph(random.Random(4), 8, 0.5)

@@ -1,7 +1,9 @@
 """Graph core: enumeration, alpha, and weighted independent-set oracles."""
 
 import itertools
+import math
 import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -99,6 +101,10 @@ class TestDistribution:
     def test_uniform_needs_a_vertex(self, n):
         with pytest.raises(ValueError, match="at least one vertex"):
             Distribution.uniform(n)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="negative probability weight"):
+            Distribution([math.nan, 0.5, 0.5])
 
 
 class TestEnumerateMaximal:
@@ -208,6 +214,26 @@ class TestMaskPath:
                 assert ref.mask == s.mask == sum(1 << v for v in s.members)
                 assert ref == s and hash(ref) == hash(s)
                 assert ref == IndependentSet._from_mask(g, ref.mask)
+                # every derived view agrees with the frozenset reference
+                mem = frozenset(s.members)
+                assert len(s) == len(mem)
+                assert [v in s for v in range(-2, g.n + 2)] == [
+                    v in mem for v in range(-2, g.n + 2)
+                ]
+                assert s.sorted_members() == tuple(sorted(mem))
+                assert s.characteristic_vector() == tuple(
+                    1 if v in mem else 0 for v in range(g.n)
+                )
+                weights = [Fraction(v + 1, 3) for v in range(g.n)]
+                assert s.weight(weights) == sum(
+                    (weights[v] for v in mem), Fraction(0)
+                )
+
+    def test_mask_is_frozen(self):
+        s = IndependentSet(cycle_graph(5), (0, 2))
+        with pytest.raises(FrozenInstanceError):
+            s.mask = 0b00101
+        assert [f.name for f in fields(IndependentSet)] == ["graph", "mask"]
 
     def test_rejects_mask_with_an_edge(self):
         g = cycle_graph(5)
@@ -249,6 +275,9 @@ class TestAlpha:
         g = rand_graph(random.Random(1), 8, 0.4)
         sets = enumerate_maximal_independent_sets(g)
         assert alpha(g).value == max(len(s) for s in sets)
+        size = max(len(s) for s in sets)
+        assert alpha(g).witness == next(s for s in sets if len(s) == size)
+        assert alpha(cycle_graph(5)).witness.sorted_members() == (0, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(graphs())
@@ -293,6 +322,10 @@ class TestMaxWeighted:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             max_weighted_independent_set(complete_graph(2), [1, -1])
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            max_weighted_independent_set(path_graph(3), [math.nan, 0.5, 0.4])
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_n=7), st.data())
