@@ -7,24 +7,19 @@ chi_f(G[S]) * alpha_P = 1 (p / alpha_P is a fractional clique, so the
 product is never below 1). Then any optimal fractional coloring x of G[S]
 is the certificate: 1 = sum_v p_v <= sum_T x_T P(T) <= alpha_P sum_T x_T = 1
 forces every vertex of S to be covered exactly once, by sets of P-weight
-alpha_P. A graph is symmetric when the uniform distribution maximizes,
-i.e. when chi_f = n / alpha: `is_symmetric` is one call of
-`is_entropy_maximizer` with the uniform distribution, not a path of its own.
+alpha_P, so its sets taken r*x_T times, r the common denominator of x,
+cover S exactly r times. A graph is symmetric when the uniform
+distribution maximizes, i.e. when chi_f = n / alpha: `is_symmetric` is one
+call of `is_entropy_maximizer` with the uniform distribution.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRational
-from .exactlp import (
-    CoverMultiset,
-    FractionalColoring,
-    fractional_chromatic_number,
-    integralize_cover,
-)
+from .exactlp import CoverMultiset, _common_denominator, fractional_chromatic_number
 from .graphs import Distribution, Graph, IndependentSet, max_weighted_independent_set
 
 REASON_NO_UNIFORM_COVER = "NoUniformCover"
@@ -56,20 +51,18 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
 
     Works on the support-induced subgraph: the verdict is
     chi_f(G[supp P]) * alpha_P == 1 in exact rationals. On a yes, the
-    optimal fractional coloring covers the support exactly once with sets
-    of P-weight alpha_P (see the module docstring); it is lifted back to G
-    and scaled to an integer cover multiset.
+    optimal fractional coloring covers the support exactly once (see the
+    module docstring); lifted back to G as integers r*x, it is the r-fold
+    cover certificate.
     """
     if not p.exact:
         raise NotRational("exact-rational distribution required for the decision")
     if p.n != g.n:
         raise ValueError("distribution length differs from vertex count")
-    supp = list(p.support)
-    sub, relabel = g.induced(supp)
-    back = {new: old for old, new in relabel.items()}
+    supp = p.support
+    sub, _ = g.induced(supp)  # sub's vertex i is supp[i]
     # P-weights over a common denominator, so the set weights sum as ints
-    den = math.lcm(*(w.denominator for w in p.weights))
-    scaled = [w.numerator * (den // w.denominator) for w in p.restricted_to(supp)]
+    den, scaled = _common_denominator(p.restricted_to(supp))
     chi_supp, coloring = fractional_chromatic_number(sub, cap)
     alpha_p = Fraction(max_weighted_independent_set(sub, scaled, cap).value, den)
     if chi_supp * alpha_p != 1:
@@ -80,17 +73,16 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
             certificate=None,
             reason=REASON_NO_UNIFORM_COVER,
         )
-    lifted = FractionalColoring(
-        {
-            IndependentSet(g, (back[v] for v in s.sorted_members())): w
-            for s, w in coloring.weights.items()
-        }
-    )
+    r, counts = _common_denominator(coloring.weights.values())
+    lifted = {
+        IndependentSet(g, (supp[v] for v in s.sorted_members())): k
+        for s, k in zip(coloring.weights, counts)
+    }
     return MaximizerVerdict(
         is_maximizer=True,
         chi_f_support=chi_supp,
         alpha_p=alpha_p,
-        certificate=integralize_cover(lifted),
+        certificate=CoverMultiset(lifted, r, supp),
         reason=None,
     )
 

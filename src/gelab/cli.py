@@ -16,6 +16,7 @@ overrides the default enumeration cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -307,9 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on first use and shared: parsing never changes the parser
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -249,10 +249,8 @@ def entropy(
         raise ValueError("tolerance must be positive")
     if p.n != g.n:
         raise ValueError("distribution length differs from vertex count")
-    supp = list(p.support)
-    if not supp:
-        raise ValueError("distribution has empty support")
-    sub, relabel = g.induced(supp)
+    supp = p.support
+    sub, _ = g.induced(supp)  # sub's vertex i is supp[i]
     k = sub.n
     sets = enumerate_maximal_independent_sets(sub, cap)
     M = _incidence(sets, k).astype(np.float64)
@@ -297,12 +295,11 @@ def entropy(
     a = lam @ M
     value = float(-(q * np.log2(a)).sum()) + 0.0
 
-    back = sorted(relabel, key=relabel.get)
     coords = [0.0] * g.n
-    for j, old in enumerate(back):
+    for j, old in enumerate(supp):
         coords[old] = float(a[j])
     decomposition = tuple(
-        (IndependentSet(g, (back[v] for v in sets[i].sorted_members())), float(lam[i]))
+        (IndependentSet(g, (supp[v] for v in sets[i].sorted_members())), float(lam[i]))
         for i in range(len(sets))
         if lam[i] > 0.0
     )

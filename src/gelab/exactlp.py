@@ -9,9 +9,9 @@ Bareiss elimination gives det(B) x_B and det(B) y as integers, and
 feasibility against the full constraint system, nonnegativity, and
 reduced-cost optimality are all re-checked on those integers. Only when
 that certification fails is the LP solved again from scratch by an exact
-tableau simplex with Bland's rule. Every returned optimum is accompanied by
-an exactly-verified dual certificate, so a bug in the pivoting itself
-cannot produce a wrong answer unnoticed.
+tableau simplex with Bland's rule. Whichever lane answered,
+`_solve_covering` proves primal and dual again on integers, so a bug in
+the pivoting itself cannot produce a wrong answer unnoticed.
 
 Every rational, inside the exact layer and at its boundary, is a
 `fractions.Fraction`."""
@@ -195,6 +195,16 @@ def _bareiss_solve(M, rhs) -> tuple[int, list[int]]:
     return prev, num
 
 
+def _common_denominator(values) -> tuple[int, list[int]]:
+    """(d, [d*v ...]) for rationals `values`, d the lcm of their denominators.
+
+    `values` is iterated twice. Every d*v is a Python int, so sums and
+    comparisons of the values run on integers over one denominator d.
+    """
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def _exact_matvec(M, v) -> np.ndarray:
     """M @ v exactly, for an int64 matrix M and a sequence of Python ints v.
 
@@ -326,20 +336,14 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
 
     Solves the covering LP over *maximal* independent sets only; enlarging an
     independent set never hurts coverage, so the optimum is unchanged while
-    the column count shrinks. The returned coloring's coverage constraints
-    and a matching dual (packing) solution are re-verified exactly before
-    returning.
+    the column count shrinks. The coloring's coverage and a matching dual
+    (packing) solution are proved exactly by `_solve_covering`.
     """
     if g.n == 0:
         return Fraction(0), FractionalColoring({})
     sets = enumerate_maximal_independent_sets(g, cap)
     res = _solve_covering(g, sets)
-    weights = {sets[j]: res.x[j] for j in range(len(sets)) if res.x[j] != 0}
-    coloring = FractionalColoring(weights)
-    for v in range(g.n):
-        if coloring.coverage(v) < 1:
-            raise InternalError("internal LP error: vertex left uncovered")
-    return res.obj, coloring
+    return res.obj, FractionalColoring({s: w for s, w in zip(sets, res.x) if w})
 
 
 def _covering_lp(n: int, sets: Sequence[IndependentSet]):
@@ -352,21 +356,23 @@ def _covering_lp(n: int, sets: Sequence[IndependentSet]):
 
 
 def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> _LPResult:
+    """Solve the covering LP over `sets` and prove the answer, from either lane.
+
+    On integers over one common denominator per side: x >= 0 covers every
+    vertex, y >= 0 packs into every set, and sum x = sum y = obj.
+    """
     cols, b, c = _covering_lp(g.n, sets)
     k = len(sets)
     res = _solve_exact(cols, b, c)
     if res.status != "optimal":
         raise InternalError("covering LP cannot be infeasible")
-    # exact dual certificate: y >= 0, packing-feasible, strong duality
-    y = res.y
-    if any(v < 0 for v in y):
-        raise InternalError("internal LP error: negative covering dual")
-    # packing: y(S) <= 1 for every set, in integers over y's common denominator
-    den = math.lcm(*(int(v.denominator) for v in y))
-    y_int = [int(v.numerator) * (den // int(v.denominator)) for v in y]
-    if np.any(_exact_matvec(cols[:k], y_int) > den):
-        raise InternalError("internal LP error: dual violates packing")
-    if sum(y, Fraction(0)) != res.obj:
+    x_den, x_int = _common_denominator(res.x[:k])
+    y_den, y_int = _common_denominator(res.y)
+    if any(v < 0 for v in x_int) or np.any(_exact_matvec(cols[:k].T, x_int) < x_den):
+        raise InternalError("internal LP error: coloring negative or not covering")
+    if any(v < 0 for v in y_int) or np.any(_exact_matvec(cols[:k], y_int) > y_den):
+        raise InternalError("internal LP error: dual negative or not packing")
+    if Fraction(sum(x_int), x_den) != res.obj or Fraction(sum(y_int), y_den) != res.obj:
         raise InternalError("internal LP error: duality gap")
     return res
 
@@ -387,66 +393,50 @@ def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fractio
 def integralize_cover(fc: FractionalColoring) -> CoverMultiset:
     """Scale a uniform fractional cover to integer multiplicities.
 
-    r is the lcm of the weight denominators; multiplicities are r*w and the
-    fold is r times the common per-vertex coverage. Raises NotUniform when
-    coverage differs across covered vertices.
+    r is the lcm of the weight denominators and the multiplicities are r*w.
+    The fold is read off the lowest covered vertex; `CoverMultiset` counts
+    every covered vertex against it and raises NotUniform when one differs.
     """
     if not fc.weights:
         return CoverMultiset({}, 1, frozenset())
-    r = 1
-    for w in fc.weights.values():
-        r = math.lcm(r, w.denominator)
+    _, counts = _common_denominator(fc.weights.values())
+    mult = dict(zip(fc.weights, counts))
     covered = fc.covered_vertices()
-    coverages = {fc.coverage(v) for v in covered}
-    if len(coverages) > 1:
-        raise NotUniform(f"coverage varies across vertices: {sorted(coverages)}")
-    common = coverages.pop()
-    fold = common * r
-    if fold.denominator != 1:
-        raise InternalError("lcm scaling must give an integer fold")
-    mult = {s: int(w * r) for s, w in fc.weights.items()}
-    return CoverMultiset(mult, int(fold), covered)
+    v = min(covered)
+    return CoverMultiset(mult, sum(k for s, k in mult.items() if v in s), covered)
 
 
 def b_fold_realization(g: Graph, cap: int | None = None) -> CoverMultiset:
     """An integer cover multiset realizing chi_f exactly (size/fold = chi_f).
 
-    Starts from an optimal basic fractional coloring; where the LP optimum
-    over-covers a vertex, that vertex is removed from covering sets in
-    deterministic order (splitting a set's weight when only part of it must
-    go) until every vertex is covered exactly once. The total weight is
-    untouched, so integralizing yields a b-fold coloring witnessing chi_f.
+    Starts from an optimal basic fractional coloring as integers m = r*x over
+    its common denominator r, which cover every vertex at least r times.
+    Where a vertex is covered more often, it is removed from covering sets in
+    deterministic order (splitting a multiplicity when only part of it must
+    go) until it is covered exactly r times. The total is untouched, so
+    m / gcd(r, m) is a b-fold coloring witnessing chi_f.
     """
     chi, fc = fractional_chromatic_number(g, cap)
     if g.n == 0:
         return CoverMultiset({}, 1, frozenset())
-    weights = dict(fc.weights)
+    r, counts = _common_denominator(fc.weights.values())
+    mult = dict(zip(fc.weights, counts))
     for v in range(g.n):
-        cov = sum((w for s, w in weights.items() if v in s), Fraction(0))
-        excess = cov - 1
-        if excess < 0:
-            raise InternalError("internal error: vertex under-covered")
-        for s in sorted((s for s in weights if v in s), key=IndependentSet.sorted_members):
+        excess = sum(k for s, k in mult.items() if v in s) - r
+        for s in sorted((s for s in mult if v in s), key=IndependentSet.sorted_members):
             if excess == 0:
                 break
-            w = weights[s]
-            take = min(excess, w)
-            if take == 0:
-                continue
+            take = min(excess, mult[s])
             shrunk = IndependentSet._from_mask(g, s.mask & ~(1 << v))
             if not shrunk:
-                raise InternalError(
-                    "internal error: tightening emptied a set; coloring was not optimal"
-                )
-            weights[s] = w - take
-            weights[shrunk] = weights.get(shrunk, Fraction(0)) + take
-            if weights[s] == 0:
-                del weights[s]
+                raise InternalError("internal error: tightening emptied a set")
+            mult[s] -= take
+            mult[shrunk] = mult.get(shrunk, 0) + take
+            if mult[s] == 0:
+                del mult[s]
             excess -= take
-    fc_tight = FractionalColoring(weights)
-    if fc_tight.total != chi:
-        raise InternalError("internal error: tightening changed the LP objective")
-    cm = integralize_cover(fc_tight)
+    d = math.gcd(r, *mult.values())
+    cm = CoverMultiset({s: k // d for s, k in mult.items()}, r // d, range(g.n))
     if Fraction(cm.size, cm.fold) != chi:
         raise InternalError("internal error: integer cover does not realize chi_f")
     return cm

@@ -110,12 +110,15 @@ class Graph:
     def induced(self, keep: Sequence[int]) -> tuple["Graph", dict[int, int]]:
         """Subgraph induced by `keep`, relabelled 0..k-1 in `keep`'s sorted order.
 
-        Returns the subgraph and the old->new label map.
+        Returns the subgraph and the old->new label map. When `keep` is every
+        vertex, the subgraph is the graph itself and the map the identity.
         """
         order = sorted(set(keep))
         for v in order:
             self._check_vertex(v)
         relabel = {old: new for new, old in enumerate(order)}
+        if len(order) == self.n:
+            return self, relabel
         edges = [
             (relabel[u], relabel[v])
             for u, v in self.edges

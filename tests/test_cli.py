@@ -236,6 +236,13 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
 
+    def test_usage_error_leaves_the_parser_usable(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chif"])
+        assert exc.value.code == 2
+        assert main(["chif", files("c5", C5), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["chi_f"] == "5/2"
+
     def test_cap_flag_lifts_limit(self, files, capsys):
         k42 = "\n".join(f"{i} {j}" for i in range(42) for j in range(i + 1, 42))
         assert main(["chif", files("big", k42), "--cap", "64", "--json"]) == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gelab import exactlp
-from gelab.errors import NotUniform
+from gelab.errors import InternalError, NotUniform
 from gelab.exactlp import (
     FractionalColoring,
     b_fold_realization,
@@ -133,6 +133,52 @@ class TestColdExactFallback:
         assert len(exact_calls) == len(graphs)
 
 
+class TestCoveringProof:
+    """Every LP answer is proved whichever lane produced it: a wrong one raises."""
+
+    @staticmethod
+    def answer(monkeypatch, x, y, obj):
+        def solve(cols, b, c):
+            assert len(x) == len(cols) and len(y) == len(b)
+            return exactlp._LPResult(status="optimal", x=x, y=y, obj=obj)
+
+        monkeypatch.setattr(exactlp, "_solve_exact", solve)
+
+    @pytest.mark.parametrize("solver", [fractional_chromatic_number, fractional_chromatic_dual])
+    def test_zero_answer_for_k1(self, monkeypatch, solver):
+        self.answer(monkeypatch, [Fraction(0)] * 2, [Fraction(0)], Fraction(0))
+        with pytest.raises(InternalError, match="not covering"):
+            solver(Graph(1))
+
+    def test_negative_covering_weight(self, monkeypatch):
+        # P4: maximal sets {0,2}, {0,3}, {1,3}; x covers every vertex but is negative
+        half = Fraction(1, 2)
+        self.answer(monkeypatch, [2, -1, 2, 0, 0, 0, 0], [half] * 4, Fraction(3))
+        with pytest.raises(InternalError, match="coloring negative"):
+            fractional_chromatic_number(path_graph(4))
+
+    def test_dual_not_packing(self, monkeypatch):
+        # the one maximal set {0, 1} of the empty graph on 2 vertices packs y = 2
+        self.answer(monkeypatch, [1, 0, 0], [1, 1], Fraction(1))
+        with pytest.raises(InternalError, match="not packing"):
+            fractional_chromatic_dual(empty_graph(2))
+
+    def test_negative_dual(self, monkeypatch):
+        self.answer(monkeypatch, [1, 1, 0, 0], [Fraction(1), Fraction(-1, 2)], Fraction(1, 2))
+        with pytest.raises(InternalError, match="dual negative"):
+            fractional_chromatic_dual(complete_graph(2))
+
+    @pytest.mark.parametrize(
+        "y, obj",
+        [([1, 1], Fraction(1)), ([Fraction(1, 2)] * 2, Fraction(1)), ([0, 1], Fraction(2))],
+    )
+    def test_duality_gap(self, monkeypatch, y, obj):
+        # K2: x = (1, 1) covers with value 2 and y packs; x, y or both miss obj
+        self.answer(monkeypatch, [1, 1, 0, 0], y, obj)
+        with pytest.raises(InternalError, match="duality gap"):
+            fractional_chromatic_number(complete_graph(2))
+
+
 class TestFractionAtBoundary:
     """chi_f, coloring weights and dual values are Fractions on both lanes."""
 
@@ -216,6 +262,17 @@ class TestIntegralize:
         fc = FractionalColoring(
             {
                 IndependentSet(g, [0]): Fraction(1, 3),
+                IndependentSet(g, [0, 1]): Fraction(2, 3),
+            }
+        )
+        with pytest.raises(NotUniform):
+            integralize_cover(fc)
+
+    def test_not_uniform_raises_when_lowest_vertex_is_covered_less(self):
+        g = empty_graph(2)
+        fc = FractionalColoring(
+            {
+                IndependentSet(g, [1]): Fraction(1, 3),
                 IndependentSet(g, [0, 1]): Fraction(2, 3),
             }
         )

@@ -72,6 +72,13 @@ class TestGraphType:
         assert relabel == {1: 0, 2: 1, 4: 2}
         assert sub.edges == ((0, 1),)
 
+    def test_induced_on_every_vertex_is_the_graph(self):
+        g = cycle_graph(5)
+        sub, relabel = g.induced(range(g.n))
+        assert sub is g
+        assert relabel == {v: v for v in range(5)}
+        assert g.induced([4, 3, 2, 1, 0, 0])[0] is g
+
     def test_independent_set_validates(self):
         g = path_graph(3)
         assert IndependentSet(g, [0, 2]).characteristic_vector() == (1, 0, 1)
@@ -105,6 +112,11 @@ class TestDistribution:
     def test_nan_weight_rejected(self):
         with pytest.raises(ValueError, match="negative probability weight"):
             Distribution([math.nan, 0.5, 0.5])
+
+    @pytest.mark.parametrize("weights", [[0, 0], [0.0, 0.0]])
+    def test_all_zero_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="sum to"):
+            Distribution(weights)
 
 
 class TestEnumerateMaximal:
