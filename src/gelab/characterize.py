@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRational
-from .exactlp import CoverMultiset, _common_denominator, fractional_chromatic_number
+from .exactlp import (
+    CoverMultiset,
+    FractionalColoring,
+    _common_denominator,
+    fractional_chromatic_number,
+    integralize_cover,
+)
 from .graphs import Distribution, Graph, IndependentSet, max_weighted_independent_set
 
 REASON_NO_UNIFORM_COVER = "NoUniformCover"
@@ -52,8 +58,8 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
     Works on the support-induced subgraph: the verdict is
     chi_f(G[supp P]) * alpha_P == 1 in exact rationals. On a yes, the
     optimal fractional coloring covers the support exactly once (see the
-    module docstring); lifted back to G as integers r*x, it is the r-fold
-    cover certificate.
+    module docstring); lifted back to G and scaled by `integralize_cover`
+    to integers r*x, it is the r-fold cover certificate.
     """
     if not p.exact:
         raise NotRational("exact-rational distribution required for the decision")
@@ -73,16 +79,17 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
             certificate=None,
             reason=REASON_NO_UNIFORM_COVER,
         )
-    r, counts = _common_denominator(coloring.weights.values())
-    lifted = {
-        IndependentSet(g, (supp[v] for v in s.sorted_members())): k
-        for s, k in zip(coloring.weights, counts)
-    }
+    lifted = FractionalColoring(
+        {
+            IndependentSet(g, (supp[v] for v in s.sorted_members())): w
+            for s, w in coloring.weights.items()
+        }
+    )
     return MaximizerVerdict(
         is_maximizer=True,
         chi_f_support=chi_supp,
         alpha_p=alpha_p,
-        certificate=CoverMultiset(lifted, r, supp),
+        certificate=integralize_cover(lifted),
         reason=None,
     )
 

@@ -264,27 +264,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the brute-force oracle (n <= 10)")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed for the oracle multi-start")
-    p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("chif", help="exact fractional chromatic number")
     common(p)
     capped(p)
-    p.set_defaults(func=cmd_chif)
 
     p = sub.add_parser("symmetric", help="is the uniform distribution a maximizer?")
     common(p)
     capped(p)
-    p.set_defaults(func=cmd_symmetric)
 
     p = sub.add_parser("maximizer", help="does P maximize the entropy of G?")
     common(p, dist=True, dist_required=True)
     capped(p)
-    p.set_defaults(func=cmd_maximizer)
 
     p = sub.add_parser("gadget", help="emit the symmetry-hardness gadget")
     common(p)
     p.add_argument("--k", type=int, required=True, help="independent-set size parameter")
-    p.set_defaults(func=cmd_gadget)
 
     p = sub.add_parser("substitute", help="substitute a graph for a vertex")
     p.add_argument("graph", help="outer graph file")
@@ -292,30 +287,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inner", help="graph file substituted for the vertex")
     p.add_argument("--format", choices=["edge-list", "dimacs"], default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_substitute)
 
     p = sub.add_parser("blowup", help="blow up vertices by a rational distribution")
     common(p, dist=True)
-    p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("union", help="union of two graphs on one vertex set")
     p.add_argument("graph", help="first graph file")
     p.add_argument("other", help="second graph file")
     p.add_argument("--format", choices=["edge-list", "dimacs"], default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_union)
 
     return parser
 
 
-# built on first use and shared: parsing never changes the parser
+# built on first use and shared: parsing never changes the parser, and the
+# parser holds no command function (main looks `cmd_<command>` up by name)
 _parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -243,6 +243,16 @@ class TestExitCodes:
         assert main(["chif", files("c5", C5), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["chi_f"] == "5/2"
 
+    def test_cached_parser_runs_the_current_command_function(self, files, capsys, monkeypatch):
+        import gelab.cli as cli_mod
+
+        c5 = files("c5", C5)
+        assert main(["chif", c5]) == 0  # the parser is built and cached here
+        monkeypatch.setattr(cli_mod, "cmd_chif", lambda args: 7)
+        assert main(["chif", c5]) == 7
+        monkeypatch.undo()
+        assert main(["chif", c5]) == 0
+
     def test_cap_flag_lifts_limit(self, files, capsys):
         k42 = "\n".join(f"{i} {j}" for i in range(42) for j in range(i + 1, 42))
         assert main(["chif", files("big", k42), "--cap", "64", "--json"]) == 0
