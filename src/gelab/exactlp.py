@@ -2,16 +2,18 @@
 
 Fractional chromatic numbers, their dual fractional cliques, and integer
 cover extraction, all in exact arithmetic. Every LP takes one lane: a float
-dense-tableau simplex proposes a basis, and the exact layer certifies it
+revised simplex proposes a basis, and the exact layer certifies it
 (Applegate, Cook, Dash & Espinoza, ORL 2007). Certification is
 fraction-free integer arithmetic over the common denominator det(B):
 Bareiss elimination gives det(B) x_B and det(B) y as integers, and
 feasibility against the full constraint system, nonnegativity, and
 reduced-cost optimality are all re-checked on those integers. Only when
-that certification fails is the LP solved again from scratch by an exact
-tableau simplex with Bland's rule. Whichever lane answered,
+that certification fails is the LP solved again from scratch by the same
+revised simplex in Fractions, with Bland's rule. Whichever lane answered,
 `_solve_covering` proves primal and dual again on integers, so a bug in
-the pivoting itself cannot produce a wrong answer unnoticed.
+the pivoting itself cannot produce a wrong answer unnoticed. Where the
+optimum is not unique, which optimal coloring, b-fold multiset or dual
+vector is returned depends on the pivoting; chi_f and every verdict do not.
 
 Every rational, inside the exact layer and at its boundary, is a
 `fractions.Fraction`."""
@@ -51,84 +53,80 @@ class _LPResult:
     kept_rows: list | None = None
 
 
-def _tableau_simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> _LPResult:
-    """Two-phase dense-tableau simplex for min c.x, A x = b, x >= 0, b >= 0.
+def _simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> _LPResult:
+    """Two-phase revised simplex for min c.x, A x = b, x >= 0, b >= 0.
 
-    Exact mode pivots by Bland's rule (no cycling); float mode uses Dantzig
-    pricing and is only ever used to guess a basis for the exact layer.
-    Pricing and the ratio test are array operations; a pivot updates the
-    tableau row by row in place, since one outer-product update would
-    allocate a tableau-sized temporary per pivot. Artificial columns double
-    as an identity block, so the final tableau carries the basis inverse
-    and dual values can be read off directly.
+    Exact mode pivots by Bland's rule (no cycling) in Fractions; float mode
+    uses Dantzig pricing and is only ever used to guess a basis for the
+    exact layer. The basis inverse B^-1 (m x m) is held explicitly, as in
+    the revised simplex of Dantzig & Orchard-Hays (1954). Each pivot prices
+    every column at once as c - (c_B B^-1) A, one matvec; forms the
+    entering column B^-1 a_q for the ratio test; and updates B^-1 and x_B
+    by a rank-one step. The artificial columns are the identity: they are
+    priced as cost - y and never stored. Duals are y = c_B B^-1 on the
+    kept rows.
     """
     m, n_struct = len(b), len(cols)
-    rhs = n_struct + m
     zero = Fraction(0) if exact else 0.0
     eps = zero if exact else _FLOAT_EPS
-    T = np.zeros((m, rhs + 1), dtype=object if exact else float)
-    T[:, :n_struct] = cols.T
-    T[:, n_struct:rhs] = np.eye(m, dtype=np.int64)
-    T[:, rhs] = b
-    if exact:  # one shared rational object per distinct entry
-        for v in np.unique(T):
-            T[T == v] = Fraction(v)
-    basis = np.arange(n_struct, rhs)
+    dtype = object if exact else np.float64
+    A = cols.astype(dtype)  # A^T: row j is column j of A
+    Binv = np.full((m, m), zero, dtype=dtype)
+    np.fill_diagonal(Binv, Fraction(1) if exact else 1.0)
+    xB = np.array([zero + v for v in b], dtype=dtype)
+    basis = np.arange(n_struct, n_struct + m)
     live = np.ones(m, dtype=bool)  # rows not dropped as redundant
 
-    def pivot(r: int, jcol: int) -> None:
-        T[r] = T[r] / T[r, jcol]
-        for i in np.flatnonzero(live & (T[:, jcol] != zero)):
-            if i != r:
-                T[i] -= T[i, jcol] * T[r]
-        basis[r] = jcol
+    def pivot(r: int, enter: int, u) -> None:
+        # rank-one update of B^-1 and x_B; u = B^-1 a_enter must not alias B^-1
+        p, theta = Binv[r] / u[r], xB[r] / u[r]
+        Binv[:] -= u[:, None] * p
+        xB[:] -= u * theta
+        Binv[r], xB[r] = p, theta
+        basis[r] = enter
 
     def run_phase(cost, limit, pivots_left) -> int:
-        # reduced-cost row kept beside T; its last entry rides along over
-        # the rhs column and tracks the negated objective. Only the first
-        # `limit` columns may enter. c_B T is summed row by row, in order.
-        cBT = np.zeros(rhs + 1, dtype=T.dtype)
-        for i in np.flatnonzero(live):
-            cBT += cost[basis[i]] * T[i]
-        red = cost - cBT
+        # `cost` spans the structural columns, then the artificials; only
+        # the first `limit` columns may enter
         while pivots_left > 0:
-            neg = np.flatnonzero(red[:limit] < -eps)
+            y = cost[basis] @ Binv
+            red = cost[:n_struct] - A @ y
+            if limit > n_struct:
+                red = np.concatenate([red, cost[n_struct:] - y])
+            neg = (red < -eps).nonzero()[0]
             if not neg.size:
                 return pivots_left
             # Bland: the first improving column; Dantzig: the most negative
-            enter = neg[0] if exact else neg[np.argmin(red[neg])]
-            col = T[:, enter]
-            rows = np.flatnonzero(live & (col > eps))
+            enter = neg[0] if exact else neg[red[neg].argmin()]
+            u = Binv @ A[enter] if enter < n_struct else Binv[:, enter - n_struct].copy()
+            rows = (live & (u > eps)).nonzero()[0]
             if not rows.size:
                 raise InternalError("LP unbounded; covering LPs cannot be")
-            ratios = T[rows, rhs] / col[rows]
+            ratios = xB[rows] / u[rows]
             tied = rows[ratios == ratios.min()]
-            leave = tied[np.argmin(basis[tied])]  # ties: smallest basis label
-            pivot(leave, enter)
-            red -= red[enter] * T[leave]
-            red[enter] = zero
+            pivot(tied[basis[tied].argmin()], enter, u)  # ties: smallest basis label
             pivots_left -= 1
         raise InternalError("simplex pivot limit exhausted")
 
     def costs(struct, art):
-        cost = np.zeros(rhs + 1, dtype=T.dtype)
+        # filled in numpy: n Python floats would fragment pymalloc arenas and
+        # raise peak RSS
+        cost = np.full(n_struct + m, zero + art, dtype=dtype)
         cost[:n_struct] = struct
-        cost[n_struct:rhs] = art
         return cost
 
     # phase 1: drive artificials to zero
-    cost1 = costs(0, 1)
-    left = run_phase(cost1, rhs, maxiter)
-    infeas = T[basis >= n_struct, rhs].sum()
+    left = run_phase(costs(0, 1), n_struct + m, maxiter)
+    infeas = xB[basis >= n_struct].sum()
     if (exact and infeas != 0) or (not exact and infeas > 1e-7):
         return _LPResult(status="infeasible")
 
     # drive basic artificials out; a row with no structural pivot is redundant
     for i in np.flatnonzero(basis >= n_struct):
-        row = T[i, :n_struct]
+        row = A @ Binv[i]  # row i of B^-1 A
         target = np.flatnonzero(row != zero if exact else np.abs(row) > 1e-7)
         if target.size:
-            pivot(i, target[0])
+            pivot(i, target[0], Binv @ A[target[0]])
         else:
             live[i] = False
 
@@ -140,11 +138,10 @@ def _tableau_simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> 
     x = [zero] * n_struct
     for i in rows:
         if basis[i] < n_struct:
-            x[basis[i]] = T[i, rhs]
-    # duals from the identity block: y = c_B . B^-1
+            x[basis[i]] = xB[i]
     cB = cost2[basis[rows]]
     return _LPResult(
-        status="optimal", x=x, y=list(cB @ T[rows, n_struct:rhs]), obj=cB @ T[rows, rhs],
+        status="optimal", x=x, y=list(cB @ Binv[rows]), obj=cB @ xB[rows],
         basis=basis[rows].tolist(), kept_rows=rows.tolist(),
     )
 
@@ -263,14 +260,14 @@ def _certify_basis(cols, b, c, basis, kept_rows) -> _LPResult:
 
 def _solve_exact(cols, b, c) -> _LPResult:
     """Exact LP solve: certify the float basis, else solve cold in rationals."""
-    guess = _tableau_simplex(cols, b, c, exact=False)
+    guess = _simplex(cols, b, c, exact=False)
     if guess.status == "optimal":
         try:
             return _certify_basis(cols, b, c, guess.basis, guess.kept_rows)
         except _WarmStartFailed:
             pass
     # float infeasibility is only a hint; the exact pass decides
-    return _tableau_simplex(cols, b, c, exact=True)
+    return _simplex(cols, b, c, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +339,8 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
     if g.n == 0:
         return Fraction(0), FractionalColoring({})
     sets = enumerate_maximal_independent_sets(g, cap)
-    res = _solve_covering(g, sets)
-    return res.obj, FractionalColoring({s: w for s, w in zip(sets, res.x) if w})
+    res, support = _solve_covering(g, sets)
+    return res.obj, FractionalColoring({sets[j]: res.x[j] for j in support})
 
 
 def _covering_lp(n: int, sets: Sequence[IndependentSet]):
@@ -355,26 +352,31 @@ def _covering_lp(n: int, sets: Sequence[IndependentSet]):
     return cols, [1] * n, [1] * len(sets) + [0] * n
 
 
-def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> _LPResult:
+def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> tuple[_LPResult, list[int]]:
     """Solve the covering LP over `sets` and prove the answer, from either lane.
 
     On integers over one common denominator per side: x >= 0 covers every
-    vertex, y >= 0 packs into every set, and sum x = sum y = obj.
+    vertex, y >= 0 packs into every set, and sum x = sum y = obj. The primal
+    side runs over the support of x only (at most n sets for a basic
+    solution): a zero weight adds nothing to coverage or sum, and a
+    negative one is nonzero. Returns the result and that support, the
+    indices of the sets with nonzero weight.
     """
     cols, b, c = _covering_lp(g.n, sets)
     k = len(sets)
     res = _solve_exact(cols, b, c)
     if res.status != "optimal":
         raise InternalError("covering LP cannot be infeasible")
-    x_den, x_int = _common_denominator(res.x[:k])
+    support = [j for j, w in enumerate(res.x[:k]) if w]
+    x_den, x_int = _common_denominator([res.x[j] for j in support])
     y_den, y_int = _common_denominator(res.y)
-    if any(v < 0 for v in x_int) or np.any(_exact_matvec(cols[:k].T, x_int) < x_den):
+    if any(v < 0 for v in x_int) or np.any(_exact_matvec(cols[support].T, x_int) < x_den):
         raise InternalError("internal LP error: coloring negative or not covering")
     if any(v < 0 for v in y_int) or np.any(_exact_matvec(cols[:k], y_int) > y_den):
         raise InternalError("internal LP error: dual negative or not packing")
     if Fraction(sum(x_int), x_den) != res.obj or Fraction(sum(y_int), y_den) != res.obj:
         raise InternalError("internal LP error: duality gap")
-    return res
+    return res, support
 
 
 def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fraction, dict[int, Fraction]]:
@@ -386,7 +388,7 @@ def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fractio
     """
     if g.n == 0:
         return Fraction(0), {}
-    res = _solve_covering(g, enumerate_maximal_independent_sets(g, cap))
+    res, _ = _solve_covering(g, enumerate_maximal_independent_sets(g, cap))
     return res.obj, {v: y for v, y in enumerate(res.y) if y != 0}
 
 

@@ -268,7 +268,11 @@ class Distribution:
     def uniform(cls, n: int) -> "Distribution":
         if n < 1:
             raise ValueError("distribution needs at least one vertex")
-        return cls([Fraction(1, n)] * n)
+        # n equal weights summing to 1 need no validation
+        p = object.__new__(cls)
+        object.__setattr__(p, "weights", (Fraction(1, n),) * n)
+        object.__setattr__(p, "exact", True)
+        return p
 
     @property
     def n(self) -> int:

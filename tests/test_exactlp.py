@@ -26,7 +26,11 @@ from gelab.graphs import (
     path_graph,
 )
 
-from helpers import petersen, rand_graph, uniform_cover_feasible
+from helpers import kneser, petersen, rand_graph, triangle_union, uniform_cover_feasible
+
+# a division by zero or a NaN in the float lane fails here instead of
+# passing silently as a cold exact fallback
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def greedy_chromatic_number(g: Graph) -> int:
@@ -97,7 +101,7 @@ class TestColdExactFallback:
 
     @staticmethod
     def force_fallback(monkeypatch, mode):
-        real = exactlp._tableau_simplex
+        real = exactlp._simplex
         exact_calls = []
 
         def simplex(cols, b, c, *, exact, **kwargs):
@@ -113,7 +117,7 @@ class TestColdExactFallback:
         def certify_fails(*args):
             raise exactlp._WarmStartFailed
 
-        monkeypatch.setattr(exactlp, "_tableau_simplex", simplex)
+        monkeypatch.setattr(exactlp, "_simplex", simplex)
         if mode == "certify-fails":
             monkeypatch.setattr(exactlp, "_certify_basis", certify_fails)
         return exact_calls
@@ -509,9 +513,9 @@ class TestCertifyBasis:
 
     def test_optimal_basis_certifies(self):
         cols, b, c = self.lp()
-        guess = exactlp._tableau_simplex(cols, b, c, exact=False)
+        guess = exactlp._simplex(cols, b, c, exact=False)
         res = exactlp._certify_basis(cols, b, c, guess.basis, guess.kept_rows)
-        cold = exactlp._tableau_simplex(cols, b, c, exact=True)
+        cold = exactlp._simplex(cols, b, c, exact=True)
         half = Fraction(1, 2)
         assert res.x == [half] * 5 + [0] * 5 == cold.x
         assert res.y == [half] * 5 == cold.y
@@ -548,7 +552,7 @@ class TestFloatBasisCertifies:
         rng = random.Random(41)
         graphs = [rand_graph(rng, rng.randint(3, 14), rng.random()) for _ in range(40)]
         graphs += [rand_graph(rng, n, 0.5) for n in (24, 28)]
-        real = exactlp._tableau_simplex
+        real = exactlp._simplex
         exact_calls = []
 
         def simplex(cols, b, c, *, exact, **kwargs):
@@ -556,8 +560,67 @@ class TestFloatBasisCertifies:
                 exact_calls.append(len(b))
             return real(cols, b, c, exact=exact, **kwargs)
 
-        monkeypatch.setattr(exactlp, "_tableau_simplex", simplex)
+        monkeypatch.setattr(exactlp, "_simplex", simplex)
         for g in graphs:
             chi, coloring = fractional_chromatic_number(g)
             assert coloring.total == chi
         assert exact_calls == []
+
+
+class TestRevisedSimplex:
+    """`_simplex`: both lanes agree, the float basis certifies, the edge cases."""
+
+    @staticmethod
+    def covering_lp(g):
+        return exactlp._covering_lp(g.n, enumerate_maximal_independent_sets(g))
+
+    def test_lanes_agree_and_float_basis_certifies(self):
+        rng = random.Random(1010)
+        for _ in range(200):
+            cols, b, c = self.covering_lp(rand_graph(rng, rng.randint(1, 12), rng.random()))
+            guess = exactlp._simplex(cols, b, c, exact=False)
+            cold = exactlp._simplex(cols, b, c, exact=True)
+            assert guess.status == cold.status == "optimal"
+            assert abs(guess.obj - float(cold.obj)) < 1e-9
+            certified = exactlp._certify_basis(cols, b, c, guess.basis, guess.kept_rows)
+            assert certified.obj == cold.obj
+
+    def test_degenerate_families_certify_without_the_exact_lane(self, monkeypatch):
+        families = [(triangle_union(k), Fraction(3)) for k in range(2, 9)]
+        families += [(kneser(m, 2), Fraction(m, 2)) for m in range(5, 9)]
+        families += [(cycle_graph(n), Fraction(n, n // 2)) for n in range(9, 22, 2)]
+        families += [(petersen(), Fraction(5, 2))]
+        real = exactlp._simplex
+        exact_calls = []
+
+        def simplex(cols, b, c, *, exact, **kwargs):
+            if exact:
+                exact_calls.append(len(b))
+            return real(cols, b, c, exact=exact, **kwargs)
+
+        monkeypatch.setattr(exactlp, "_simplex", simplex)
+        for g, chi_expected in families:
+            chi, coloring = fractional_chromatic_number(g)
+            assert chi == chi_expected == coloring.total
+        assert exact_calls == []
+
+    def test_infeasible_equality_lp(self):
+        # x0 = 1 and x0 = 2
+        cols = np.array([[1, 1]], dtype=np.int64)
+        assert exactlp._simplex(cols, [1, 2], [0], exact=True).status == "infeasible"
+
+    def test_duplicated_row_is_dropped(self):
+        # C5's covering LP has the unique optimum 1/2 on every set
+        cols, b, c = self.covering_lp(cycle_graph(5))
+        plain = exactlp._simplex(cols, b, c, exact=True)
+        doubled = exactlp._simplex(np.hstack([cols, cols[:, :1]]), b + b[:1], c, exact=True)
+        assert doubled.status == "optimal" and len(doubled.kept_rows) == len(b)
+        assert {0, len(b)} - set(doubled.kept_rows)
+        assert doubled.obj == plain.obj == Fraction(5, 2)
+        assert doubled.x == plain.x
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_pivot_limit_raises(self, exact):
+        cols, b, c = self.covering_lp(cycle_graph(5))
+        with pytest.raises(InternalError, match="pivot limit"):
+            exactlp._simplex(cols, b, c, exact=exact, maxiter=1)

@@ -109,6 +109,12 @@ class TestDistribution:
         with pytest.raises(ValueError, match="at least one vertex"):
             Distribution.uniform(n)
 
+    def test_uniform_equals_the_validated_constructor(self):
+        for n in range(1, 61):
+            p = Distribution.uniform(n)
+            assert p == Distribution([Fraction(1, n)] * n)
+            assert all(type(w) is Fraction for w in p.weights)
+
     def test_nan_weight_rejected(self):
         with pytest.raises(ValueError, match="negative probability weight"):
             Distribution([math.nan, 0.5, 0.5])
