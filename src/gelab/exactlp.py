@@ -359,15 +359,16 @@ def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> tuple[_LPResult
     vertex, y >= 0 packs into every set, and sum x = sum y = obj. The primal
     side runs over the support of x only (at most n sets for a basic
     solution): a zero weight adds nothing to coverage or sum, and a
-    negative one is nonzero. Returns the result and that support, the
-    indices of the sets with nonzero weight.
+    negative one is nonzero. Both lanes set x off the basis to zero, so the
+    support is read from the basis: the set indices in it with nonzero x.
+    Returns the result and that support, in ascending order.
     """
     cols, b, c = _covering_lp(g.n, sets)
     k = len(sets)
     res = _solve_exact(cols, b, c)
     if res.status != "optimal":
         raise InternalError("covering LP cannot be infeasible")
-    support = [j for j, w in enumerate(res.x[:k]) if w]
+    support = sorted(j for j in res.basis if j < k and res.x[j])
     x_den, x_int = _common_denominator([res.x[j] for j in support])
     y_den, y_int = _common_denominator(res.y)
     if any(v < 0 for v in x_int) or np.any(_exact_matvec(cols[support].T, x_int) < x_den):

@@ -18,16 +18,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, VertexNotFound
+from .errors import CapExceeded, InternalError, VertexNotFound
 
 DEFAULT_CAP = 40
 SET_COUNT_CAP = 10**6
 """Set budget: most sets one enumeration may produce before `CapExceeded`.
 
-It bounds every enumeration of maximal independent sets (checked as the
-sets are found, before they are sorted, wrapped or turned into a matrix).
-The vertex cap alone does not bound memory: 13 disjoint triangles (39
-vertices) have 3**13 = 1.59M maximal independent sets.
+It bounds every enumeration of maximal independent sets. It is checked as
+the sets are found, before anything else touches them: the family is then
+checked for independence once, in bulk, when it is enumerated and cached,
+and only after that sorted, wrapped or turned into a matrix. The vertex
+cap alone does not bound memory: 13 disjoint triangles (39 vertices) have
+3**13 = 1.59M maximal independent sets.
 """
 
 
@@ -175,10 +177,19 @@ class IndependentSet:
 
     @classmethod
     def _from_mask(cls, graph: Graph, mask: int) -> "IndependentSet":
-        """The set with bitmask `mask`, under the same checks as `__init__`."""
+        """The set with bitmask `mask`, under the same checks as `__init__`.
+
+        For masks from anywhere but the enumeration, whose families are
+        checked in bulk when they are cached (`_maximal_sets_cached`).
+        """
         if mask >> graph.n:
             raise VertexNotFound(f"mask {mask:#x} has a bit outside 0..{graph.n - 1}")
         _check_independent(graph, mask)
+        return cls._trusted(graph, mask)
+
+    @classmethod
+    def _trusted(cls, graph: Graph, mask: int) -> "IndependentSet":
+        """The set with bitmask `mask`, unchecked: `mask` must be independent in `graph`."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "graph", graph)
         object.__setattr__(obj, "mask", mask)
@@ -354,25 +365,64 @@ def _maximal_independent_masks(adj: tuple[int, ...], n: int) -> list[int]:
     return out
 
 
+_REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+"""Bit reversal within a byte: `_REV[b]` has bit 7 - i set iff b has bit i."""
+
+
 @lru_cache(maxsize=2048)
 def _maximal_sets_cached(graph: Graph) -> tuple[int, ...]:
     """Bitmasks of the maximal independent sets, lexicographic by member list.
 
-    The sets form an antichain, so no member list is a prefix of another and
-    the first vertex where two sets differ decides their order: the set that
-    holds it comes first. That is descending order of the bit strings read
-    from vertex 0 upward (`bin(m)[:1:-1]`; no set being a subset of another,
-    the missing trailing zeros never decide a comparison).
+    The family is checked once, in bulk, before it is sorted and cached
+    (`_check_family`); a family that fails raises InternalError and is not
+    cached. The sort key reads each mask as a bit string of fixed width
+    8 * ceil(n/8) from vertex 0 upward: its little-endian bytes, each
+    bit-reversed so that a byte's first bit is its lowest vertex. All keys
+    have the same width, so descending order puts first the set that holds
+    the first vertex where two sets differ. The sets form an antichain, so
+    no member list is a prefix of another, and that order is lexicographic
+    order of the member lists.
     """
     masks = _maximal_independent_masks(graph._adj, graph.n)
-    return tuple(sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True))
+    _check_family(graph, masks)
+    width = (graph.n + 7) // 8
+    masks.sort(key=lambda m: m.to_bytes(width, "little").translate(_REV), reverse=True)
+    return tuple(masks)
+
+
+def _check_family(graph: Graph, masks: Sequence[int]) -> None:
+    """Raise InternalError unless every mask is an independent set of `graph`.
+
+    One bulk pass over an enumerated family, in place of a per-set check on
+    every wrap. The ints are range-checked first: packing drops bits at or
+    above n silently. Then the family is transposed into one int per vertex
+    v, whose bit i is set iff set i holds v, eight vertices at a time from
+    the packed rows (memory: the k x ceil(n/8) packed rows and k x 8 bits).
+    Every edge is tested with one AND of two such ints, 64 sets per word.
+    """
+    n = graph.n
+    if masks and (min(masks) < 0 or max(masks) >> n):
+        raise InternalError(f"enumerated set has a bit outside 0..{n - 1}")
+    rows = _packed(masks, n)
+    holders = []
+    for j in range(rows.shape[1]):
+        bits = np.unpackbits(rows[:, j, None], axis=1, bitorder="little")  # vertices 8j..8j+7
+        holders += [int.from_bytes(col.tobytes(), "little") for col in np.packbits(bits, axis=0).T]
+    for u, v in graph.edges:
+        if holders[u] & holders[v]:
+            raise InternalError(f"enumerated set contains the edge ({u}, {v})")
+
+
+def _packed(masks: Sequence[int], n: int) -> np.ndarray:
+    """uint8 matrix with one row per mask: its ceil(n/8) little-endian bytes."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
 
 
 def _incidence(sets: Sequence["IndependentSet"], n: int) -> np.ndarray:
     """0/1 uint8 matrix with one row per set and one column per vertex."""
-    width = (n + 7) // 8
-    raw = b"".join(s.mask.to_bytes(width, "little") for s in sets)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(sets), width)
+    rows = _packed([s.mask for s in sets], n)
     return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
@@ -389,9 +439,12 @@ def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list
 
     Raises CapExceeded when g has more vertices than the vertex cap, or more
     than SET_COUNT_CAP maximal independent sets (the set budget, checked
-    while the sets are found, so memory stays bounded by the budget).
+    while the sets are found, so memory stays bounded by the budget). The
+    family is checked for independence once, in bulk, when it is enumerated
+    and cached, so each set is wrapped here without a check of its own.
     """
-    return [IndependentSet._from_mask(g, mask) for mask in _maximal_sets_if_capped(g, cap)]
+    trusted = IndependentSet._trusted
+    return [trusted(g, mask) for mask in _maximal_sets_if_capped(g, cap)]
 
 
 def alpha(g: Graph, cap: int | None = None) -> WeightedAlpha:

@@ -1,5 +1,6 @@
 """Maximizer and symmetry decisions with certificate verification."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from gelab.characterize import (
     is_symmetric,
 )
 from gelab.errors import NotRational
+from gelab.exactlp import b_fold_realization
 from gelab.graphs import (
     Distribution,
     complete_graph,
@@ -22,6 +24,7 @@ from helpers import (
     complete_bipartite,
     entropy_equals_log_chi_f,
     hypercube_q3,
+    kneser,
     petersen,
     rand_graph,
     rand_rational_distribution,
@@ -97,6 +100,30 @@ class TestIsSymmetric:
             v = is_symmetric(g)
             assert v.is_symmetric
             assert verify_certificate(g, Distribution.uniform(g.n), v.certificate)
+
+    def test_kneser_8_3_closed_form_at_56_vertices(self):
+        # K(m,k) with m > 2k: chi_f = m/k, and by Erdos-Ko-Rado the maximum
+        # independent sets are exactly the m stars {S : i in S}
+        m, k = 8, 3
+        g = kneser(m, k)
+        subsets = list(itertools.combinations(range(m), k))
+        stars = {sum(1 << j for j, s in enumerate(subsets) if i in s) for i in range(m)}
+        cm = b_fold_realization(g, cap=56)
+        assert Fraction(cm.size, cm.fold) == Fraction(m, k)
+        for v in range(g.n):
+            assert sum(mult for s, mult in cm.multiplicities.items() if v in s) == cm.fold
+        verdict = is_symmetric(g, cap=56)
+        assert verdict.is_symmetric and verdict.chi_f == Fraction(m, k)
+        # verify_certificate's own maximum is a scan of all 2^n subsets, so
+        # at n = 56 its three checks are made here with the stars instead:
+        # independent sets of maximum weight, covering every vertex `fold` times
+        cert = verdict.certificate
+        assert cert.covered == frozenset(range(g.n))
+        for s in cert.multiplicities:
+            assert not any(g.has_edge(a, b) for a, b in itertools.combinations(s.sorted_members(), 2))
+            assert s.mask in stars
+        for v in range(g.n):
+            assert sum(mult for s, mult in cert.multiplicities.items() if v in s) == cert.fold
 
     def test_specializes_maximizer_with_uniform(self):
         rng = random.Random(2)

@@ -207,6 +207,20 @@ class TestExitCodes:
         assert main(["chif", files("triangles", format_graph(triangle_union(6)))]) == 4
         assert "more than 100 maximal independent sets" in capsys.readouterr().err
 
+    def test_corrupt_family_is_5(self, files, capsys, monkeypatch):
+        import gelab.graphs as graphs_mod
+
+        real = graphs_mod._maximal_independent_masks
+        monkeypatch.setattr(
+            graphs_mod, "_maximal_independent_masks", lambda adj, n: real(adj, n) + [0b11]
+        )
+        graphs_mod._maximal_sets_cached.cache_clear()
+        try:
+            assert main(["chif", files("c5", C5), "--json"]) == 5
+        finally:
+            graphs_mod._maximal_sets_cached.cache_clear()
+        assert "internal error: enumerated set contains the edge (0, 1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["entropy", "blowup"])
     def test_zero_vertex_uniform_is_2(self, files, capsys, command):
         # an empty file is the graph on 0 vertices; no distribution lives on it
@@ -274,7 +288,8 @@ class TestExitCodes:
 
         def negative_dual(cols, b, c):
             return exactlp._LPResult(
-                status="optimal", x=[0] * len(cols), y=[-1] * len(b), obj=0
+                status="optimal", x=[0] * len(cols), y=[-1] * len(b), obj=0,
+                basis=list(range(len(cols))),
             )
 
         monkeypatch.setattr(exactlp, "_solve_exact", negative_dual)

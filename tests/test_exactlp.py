@@ -144,7 +144,9 @@ class TestCoveringProof:
     def answer(monkeypatch, x, y, obj):
         def solve(cols, b, c):
             assert len(x) == len(cols) and len(y) == len(b)
-            return exactlp._LPResult(status="optimal", x=x, y=y, obj=obj)
+            # every column basic, so the proof reads every entry of x
+            basis = list(range(len(x)))
+            return exactlp._LPResult(status="optimal", x=x, y=y, obj=obj, basis=basis)
 
         monkeypatch.setattr(exactlp, "_solve_exact", solve)
 

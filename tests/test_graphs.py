@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gelab import graphs as graphs_mod
-from gelab.errors import CapExceeded, NotRational, VertexNotFound
+from gelab.entropy import entropy
+from gelab.errors import CapExceeded, InternalError, NotRational, VertexNotFound
+from gelab.exactlp import fractional_chromatic_number
 from gelab.graphs import (
     Distribution,
     Graph,
@@ -277,6 +279,82 @@ class TestMaskPath:
         inc = _incidence(sets, n)
         assert inc.shape == (len(sets), n)
         assert inc.tolist() == [list(s.characteristic_vector()) for s in sets]
+
+
+@pytest.fixture
+def fresh_cache():
+    graphs_mod._maximal_sets_cached.cache_clear()
+    yield
+    graphs_mod._maximal_sets_cached.cache_clear()
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of graphs_mod.<name> from here on."""
+    real = getattr(graphs_mod, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphs_mod, name, counted)
+    return calls
+
+
+def add_to_enumeration(monkeypatch, mask):
+    """Make the enumerator return `mask` after the true maximal sets."""
+    real = graphs_mod._maximal_independent_masks
+    monkeypatch.setattr(
+        graphs_mod, "_maximal_independent_masks", lambda adj, n: real(adj, n) + [mask]
+    )
+
+
+# on C10, whose packed rows are two bytes wide
+BAD_MASKS = {
+    "edge 0-1": 0b11,
+    "edge 7-8 across bytes": 1 << 7 | 1 << 8,
+    "edge 0-9": 1 | 1 << 9,
+    "bit at n": 1 << 10,
+    "bit past the packed width": 1 | 1 << 40,
+    "negative": -1,
+}
+
+SOLVERS = {
+    "enumerate": lambda g: enumerate_maximal_independent_sets(g),
+    "max weighted": lambda g: max_weighted_independent_set(g, [1] * g.n),
+    "chi_f": lambda g: fractional_chromatic_number(g),
+    "entropy": lambda g: entropy(g, Distribution.uniform(g.n)),
+}
+
+
+@pytest.mark.usefixtures("fresh_cache")
+class TestFamilyCheck:
+    @pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS.keys())
+    @pytest.mark.parametrize("mask", BAD_MASKS.values(), ids=BAD_MASKS.keys())
+    def test_corrupt_family_raises_internal_error(self, monkeypatch, solver, mask):
+        add_to_enumeration(monkeypatch, mask)
+        with pytest.raises(InternalError):
+            solver(cycle_graph(10))
+        assert graphs_mod._maximal_sets_cached.cache_info().currsize == 0
+        monkeypatch.undo()
+        solver(cycle_graph(10))  # nothing corrupt was cached
+
+    def test_family_is_checked_once_per_graph(self, monkeypatch):
+        checks = count_calls(monkeypatch, "_check_family")
+        g = rand_graph(random.Random(3), 12, 0.3)
+        for _ in range(3):
+            entropy(g, Distribution.uniform(g.n))
+        assert len(checks) == 1
+
+    def test_enumeration_runs_no_per_set_check(self, monkeypatch):
+        per_set = count_calls(monkeypatch, "_check_independent")
+        g = rand_graph(random.Random(5), 14, 0.3)
+        sets = enumerate_maximal_independent_sets(g)
+        enumerate_maximal_independent_sets(g)
+        assert sets and per_set == []
+        IndependentSet._from_mask(g, sets[0].mask)
+        assert len(per_set) == 1
+
 
 
 class TestAlpha:
