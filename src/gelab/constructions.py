@@ -137,29 +137,12 @@ class GadgetSpec:
 
     f: Graph
     k: int
-    a_labels: tuple[str, ...]
-    b_labels: tuple[str, ...]
 
-    def __init__(self, f: Graph, k: int,
-                 a_labels: tuple[str, ...] | None = None,
-                 b_labels: tuple[str, ...] | None = None):
-        if k < 2:
-            raise InvalidK(f"gadget parameter k must be >= 2, got {k}")
-        if f.n == 0:
+    def __post_init__(self):
+        if self.k < 2:
+            raise InvalidK(f"gadget parameter k must be >= 2, got {self.k}")
+        if self.f.n == 0:
             raise ValueError("gadget base graph must be nonempty")
-        if a_labels is None:
-            a_labels = tuple(f"a{i}" for i in range(k - 1))
-        if b_labels is None:
-            b_labels = tuple(f"b{i}" for i in range(k - 1))
-        a_labels, b_labels = tuple(a_labels), tuple(b_labels)
-        if len(a_labels) != k - 1 or len(b_labels) != k - 1:
-            raise ValueError("label sets must have size k-1")
-        if set(a_labels) & set(b_labels):
-            raise ValueError("A and B label sets must be disjoint")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a_labels", a_labels)
-        object.__setattr__(self, "b_labels", b_labels)
 
     @property
     def n(self) -> int:
@@ -174,9 +157,9 @@ class GadgetSpec:
     def role(self, label: int) -> str:
         """Human-readable role of a gadget vertex label."""
         if label < self.k - 1:
-            return self.a_labels[label]
+            return f"a{label}"
         v, b = divmod(label - (self.k - 1), self.k - 1)
-        return f"(f{v},{self.b_labels[b]})"
+        return f"(f{v},b{b})"
 
 
 def hardness_gadget(spec: GadgetSpec) -> Graph:

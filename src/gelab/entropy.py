@@ -9,21 +9,19 @@ line-search step, and reads off a duality-gap certificate bounding how far
 the current value can be from the true optimum.
 
 Each iteration makes one full scan of every maximal independent set (the
-oracle and the gap) and then two steps. The first is a pairwise step
-(Lacoste-Julien & Jaggi, NeurIPS 2015): it moves weight from the worst
-active vertex of the current convex decomposition straight onto the
-oracle's vertex, by at most that active vertex's whole weight (a drop step
-removes it from the decomposition). Plain toward-steps zigzag sublinearly
+oracle and the gap) and then one step: a Newton step on the face spanned by
+the active sets plus the oracle's set. This is simplicial decomposition
+(Von Hohenbalken, Math. Programming 1977) with a single Newton step per
+round on the mixture weights: on a face the objective is a log-likelihood
+over mixture weights, which Newton's method minimizes in a few steps (Wang,
+JRSS-B 2007), where plain conditional-gradient steps zigzag for thousands
 whenever the optimum sits on a face spanned by tied independent sets
-(ubiquitous here: any vertex-transitive subgraph produces such ties);
-pairwise steps can shed weight from the wrong sets and bring in the sets
-the optimum needs. The second is one Newton step on the face spanned by the
-active sets: on that face the objective is a log-likelihood over mixture
-weights, which Newton's method minimizes in a few steps (Wang, JRSS-B 2007),
-where conditional-gradient steps alone take thousands. Both steps take the
-exact minimizer along their direction, found by safeguarded Newton on the
-derivative, and neither can increase the objective. The reported
-certificate is the standard toward-step duality gap of the last scan.
+(ubiquitous here: any vertex-transitive subgraph produces such ties). The
+Newton direction may shrink any active set to zero, so sets the optimum
+does not need leave the decomposition. The step takes the exact minimizer
+along its direction, found by safeguarded Newton on the derivative, and
+never increases the objective. The reported certificate is the standard
+toward-step duality gap of the last scan.
 
 Everything is computed on the subgraph induced by the support of P; the
 minimum provably depends on nothing else. Logarithms are base 2 throughout,
@@ -132,11 +130,11 @@ def _greedy_cover_indices(M: np.ndarray) -> list[int]:
 def _line_search(q: np.ndarray, a: np.ndarray, d: np.ndarray, gamma_max: float) -> float:
     """Exact step for min of -sum q*lg(a + gamma*d) on [0, gamma_max].
 
-    The line search of both the pairwise step and the face-Newton step: `a`
-    is the current point and `d` the step's direction, both in vertex
-    coordinates. The objective is convex along the segment, so its derivative
-    f'(gamma) = -sum q*d/(a + gamma*d) increases, and f'' has the closed
-    form sum q*d^2/(a + gamma*d)^2 > 0. Returns 0 when f'(0) >= 0 (no
+    The line search of the face-Newton step: `a` is the current point and
+    `d` the step's direction, both in vertex coordinates. The objective is
+    convex along the segment, so its derivative f'(gamma) =
+    -sum q*d/(a + gamma*d) increases, and f'' has the closed form
+    sum q*d^2/(a + gamma*d)^2 > 0. Returns 0 when f'(0) >= 0 (no
     descent) and gamma_max when f'(gamma_max) <= 0 (the step reaches its
     bound). Otherwise runs Newton on f' inside a bracket [lo, hi] around its
     root, bisecting whenever a Newton step leaves the bracket or fails to
@@ -185,21 +183,30 @@ def _line_search(q: np.ndarray, a: np.ndarray, d: np.ndarray, gamma_max: float) 
             hi = gamma
 
 
-def _face_newton_step(q: np.ndarray, M: np.ndarray, lam: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """One Newton step on the face spanned by the active atoms; returns the new a.
+def _face_newton_step(
+    q: np.ndarray, M: np.ndarray, lam: np.ndarray, a: np.ndarray, enter: int | None = None
+) -> np.ndarray:
+    """One Newton step on the face of the active atoms and `enter`; returns the new a.
 
-    On the active atoms W (lam > 0) the objective f(lam) = -sum q*ln(lam @ M)
-    has gradient -M_W @ (q/a) and Hessian M_W diag(q/a^2) M_W^T. The step
-    solves the KKT system of that quadratic model on {sum_W lam = 1} by least
+    On a face F of atoms the objective f(lam) = -sum q*ln(lam @ M) has
+    gradient -M_F @ (q/a) and Hessian M_F diag(q/a^2) M_F^T. The step solves
+    the KKT system of that quadratic model on {sum_F lam = 1} by least
     squares (faces are often affinely dependent, so the system is singular;
-    the a-space direction is unique all the same). The step length is the
-    exact `_line_search` along the direction in a-space, bounded by the first
-    active weight to reach zero; every atom that reaches its bound leaves
-    at exactly 0 and no weight goes negative. Updates lam in place.
+    the a-space direction is unique all the same). F is the active atoms W
+    (lam > 0) plus `enter` when it is given with zero weight; if the entering
+    atom's Newton component comes out <= 0 it cannot gain weight, and the
+    step is the same rule on W alone. The step length is the exact
+    `_line_search` along the direction in a-space, bounded by the first
+    active weight to reach zero; every atom that reaches its bound leaves at
+    exactly 0 and no weight goes negative. Updates lam in place and returns
+    `a` itself when the step does not move.
     """
-    active = np.flatnonzero(lam)
-    m_w = M[active]
-    w = len(active)
+    face = np.flatnonzero(lam)
+    entering = enter is not None and not lam[enter]
+    if entering:
+        face = np.append(face, enter)
+    m_w = M[face]
+    w = len(face)
     root = m_w * (np.sqrt(q) / a)
     kkt = np.ones((w + 1, w + 1))
     kkt[:w, :w] = root @ root.T
@@ -207,7 +214,9 @@ def _face_newton_step(q: np.ndarray, M: np.ndarray, lam: np.ndarray, a: np.ndarr
     rhs = np.append(m_w @ (q / a), 0.0)
     step = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:w]
     step -= step.mean()  # sum(step) = 0 to rounding: keep a on the polytope
-    lam_w = lam[active]
+    if entering and step[-1] <= 0.0:
+        return _face_newton_step(q, M, lam, a)
+    lam_w = lam[face]
     shrinking = np.flatnonzero(step < 0.0)
     if not len(shrinking):
         return a
@@ -219,7 +228,7 @@ def _face_newton_step(q: np.ndarray, M: np.ndarray, lam: np.ndarray, a: np.ndarr
     # a shrinking weight is -step * (its bound - gamma): never negative, and
     # exactly 0 for every atom whose bound gamma reaches
     lam_w[shrinking] = -step[shrinking] * (bounds - gamma)
-    lam[active] = lam_w
+    lam[face] = lam_w
     return lam_w @ m_w
 
 
@@ -236,14 +245,12 @@ def entropy(
     maximal independent set once for the oracle's set and the duality gap
     <grad, a - s>, and stops once that gap falls to `tol` (bits), so the
     returned value differs from the true H(G,P) by at most `gap`. Otherwise
-    it takes a pairwise step with an exact Newton line search, then one
-    Newton step on the face of the active sets (`_face_newton_step`).
-    `iterations` counts those scan-and-step rounds (the final, converging
-    scan takes no step and is not counted) and `max_iter` caps them; a run
-    that reaches the cap returns unconverged, with the gap of its last scan.
-    Stops early, unconverged, if the oracle's vertex is also the worst
-    active one while the gap is still above `tol` (the pairwise direction
-    is then zero).
+    it takes one Newton step on the face of the active sets plus the
+    oracle's set (`_face_newton_step`). `iterations` counts those
+    scan-and-step rounds (the final, converging scan takes no step and is
+    not counted) and `max_iter` caps them; a run that reaches the cap
+    returns unconverged, with the gap of its last scan. Stops early,
+    unconverged, if the step cannot move while the gap is still above `tol`.
     """
     if not tol > 0:  # NaN fails this too
         raise ValueError("tolerance must be positive")
@@ -270,20 +277,10 @@ def entropy(
         if gap <= tol:
             converged = True
             break
-        active = np.flatnonzero(lam)
-        a_idx = int(active[np.argmin(scores[active])])
-        if a_idx == s_idx:
-            # sum lam*scores = 1, so the oracle atom being the worst active one
-            # means the gap is rounding noise and d = 0 cannot make progress
+        new_a = _face_newton_step(q, M, lam, a, s_idx)
+        if new_a is a:  # no descent on the face: stop, unconverged, at this scan's gap
             break
-        d = M[s_idx] - M[a_idx]
-        lam_a = float(lam[a_idx])
-        gamma = _line_search(q, a, d, lam_a)
-        a = a + gamma * d
-        lam[s_idx] += gamma
-        # at gamma = lam_a this is a drop step: the away atom leaves exactly
-        lam[a_idx] = 0.0 if gamma >= lam_a else lam_a - gamma
-        a = _face_newton_step(q, M, lam, a)
+        a = new_a
     else:
         # best-so-far is still a valid upper bound; gap reports its quality
         iterations = max_iter

@@ -53,13 +53,6 @@ def brute_alpha(g: Graph) -> int:
     return int(_popcounts(1 << g.n)[ok].max())
 
 
-def brute_independent_sets(g: Graph) -> list[tuple[int, ...]]:
-    """Every independent set (as a sorted member tuple), exhaustively."""
-    _check_cap(g, BRUTE_VERTEX_CAP)
-    ok = _independent_mask_flags(g)
-    return [_mask_members(m) for m in np.nonzero(ok)[0]]
-
-
 def brute_maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """Inclusion-maximal independent sets via the exhaustive subset scan."""
     _check_cap(g, BRUTE_VERTEX_CAP)

@@ -160,6 +160,20 @@ class TestEntropy:
         # even unconverged, value stays a valid upper bound
         assert res.value >= brute_entropy(g, Distribution.uniform(8)) - 1e-8
 
+    def test_step_that_cannot_move_stops_after_one_scan(self, monkeypatch):
+        module = importlib.import_module("gelab.entropy")
+        calls = []
+
+        def stalled(q, M, lam, a, enter=None):
+            calls.append(enter)
+            return a
+
+        monkeypatch.setattr(module, "_face_newton_step", stalled)
+        res = entropy(cycle_graph(5), Distribution.uniform(5))
+        assert len(calls) == 1
+        assert not res.converged and res.iterations == 0
+        assert res.value - res.gap <= LG_5_2 <= res.value
+
     def test_gap_brackets_bruteforce(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -198,8 +212,8 @@ def random_packing_point(rng: random.Random, n_max: int):
 def pairwise_line_searches(rng: random.Random, count: int):
     """(q, a, d, gamma_max) from pairwise directions at random packing points.
 
-    d = M[s] - M[t] with gamma_max the weight of t, as in the solver's
-    pairwise step. Half the cases take the solver's oracle atom s and the
+    d = M[s] - M[t] with gamma_max the weight of t, as in a pairwise
+    conditional-gradient step. Half the cases take the solver's oracle atom s and the
     lightest active atom t (drop steps occur there); the other half take a
     random s and a random active t (many do not descend).
     """
@@ -287,6 +301,32 @@ class TestFaceNewtonStep:
             assert nats(q, new_a) <= nats(q, a) + 1e-15 * abs(nats(q, a))
             moved += nats(q, new_a) < nats(q, a)
         assert moved >= 200
+
+    def test_entering_oracle_atom(self):
+        # enter is the oracle's set at faces where it has zero weight; the step
+        # either brings it in or leaves it out and is then the step on W alone
+        branches = {"enters": 0, "stays out": 0}
+        for q, M, lam in random_faces(random.Random(21), 600):
+            a = lam @ M
+            enter = int(np.argmax(M @ (q / a)))
+            if lam[enter]:
+                continue
+            new = lam.copy()
+            new_a = _face_newton_step(q, M, new, a, enter)
+            assert np.all(new >= 0.0)
+            assert abs(new.sum() - 1.0) <= 1e-12
+            outside = lam == 0.0
+            outside[enter] = False
+            assert not np.any(new[outside])  # only W and enter carry weight
+            assert nats(q, new_a) <= nats(q, a) + 1e-15 * abs(nats(q, a))
+            if new[enter] > 0.0:
+                branches["enters"] += 1
+            else:
+                branches["stays out"] += 1
+                plain = lam.copy()
+                plain_a = _face_newton_step(q, M, plain, a)
+                assert np.array_equal(new, plain) and np.array_equal(new_a, plain_a)
+        assert branches["enters"] >= 50 and branches["stays out"] >= 20, branches
 
     def test_atom_reaching_its_bound_leaves_at_exactly_zero(self, monkeypatch):
         module = importlib.import_module("gelab.entropy")
