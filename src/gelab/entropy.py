@@ -40,6 +40,7 @@ from .graphs import (
     Distribution,
     Graph,
     IndependentSet,
+    _greedy_cover_indices,
     _incidence,
     enumerate_maximal_independent_sets,
 )
@@ -108,23 +109,6 @@ def objective(p: Distribution, a) -> float:
             raise DomainError(f"coordinate {v} is {av}; objective undefined")
         total -= float(p[v]) * math.log2(av)
     return total
-
-
-def _greedy_cover_indices(M: np.ndarray) -> list[int]:
-    """Indices of rows of the incidence matrix M greedily covering every vertex.
-
-    Repeatedly takes the first set covering the most still-exposed vertices
-    (`np.argmax` returns the first maximum); every vertex lies in some
-    maximal set, so this terminates with full coverage and gives a strictly
-    positive starting point.
-    """
-    remaining = np.ones(M.shape[1])
-    chosen: list[int] = []
-    while remaining.any():
-        best = int(np.argmax(M @ remaining))
-        chosen.append(best)
-        remaining[M[best] > 0] = 0.0
-    return chosen
 
 
 def _line_search(q: np.ndarray, a: np.ndarray, d: np.ndarray, gamma_max: float) -> float:
@@ -263,7 +247,7 @@ def entropy(
     M = _incidence(sets, k).astype(np.float64)
     q = np.array([float(p[v]) for v in supp])
 
-    cover = _greedy_cover_indices(M)
+    cover = _greedy_cover_indices(M)  # a full cover: the start point is strictly positive
     lam = np.zeros(len(sets))
     lam[cover] = 1.0 / len(cover)
     a = lam @ M

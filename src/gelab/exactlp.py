@@ -3,17 +3,22 @@
 Fractional chromatic numbers, their dual fractional cliques, and integer
 cover extraction, all in exact arithmetic. Every LP takes one lane: a float
 revised simplex proposes a basis, and the exact layer certifies it
-(Applegate, Cook, Dash & Espinoza, ORL 2007). Certification is
+(Applegate, Cook, Dash & Espinoza, ORL 2007). Both lanes start at the same
+feasible basis: a greedy cover of the vertices, pruned to a minimal cover,
+with each kept set basic at one of its private vertices and a surplus
+column elsewhere (`_cover_start`). That basis is its own inverse, so phase
+1 is a no-op from it and only phase 2 pivots. Certification is
 fraction-free integer arithmetic over the common denominator det(B):
 Bareiss elimination gives det(B) x_B and det(B) y as integers, and
 feasibility against the full constraint system, nonnegativity, and
 reduced-cost optimality are all re-checked on those integers. Only when
-that certification fails is the LP solved again from scratch by the same
-revised simplex in Fractions, with Bland's rule. Whichever lane answered,
-`_solve_covering` proves primal and dual again on integers, so a bug in
-the pivoting itself cannot produce a wrong answer unnoticed. Where the
-optimum is not unique, which optimal coloring, b-fold multiset or dual
-vector is returned depends on the pivoting; chi_f and every verdict do not.
+that certification fails is the LP solved again, from the same start, by
+the same revised simplex in Fractions, with Bland's rule. Whichever lane
+answered, `_solve_covering` proves primal and dual again on integers, so
+a bug in the pivoting itself cannot produce a wrong answer unnoticed.
+Where the optimum is not unique, which optimal coloring, b-fold multiset
+or dual vector is returned depends on the start and the pivoting; chi_f
+and every verdict do not.
 
 Every rational, inside the exact layer and at its boundary, is a
 `fractions.Fraction`."""
@@ -28,7 +33,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InternalError, NotUniform
-from .graphs import Graph, IndependentSet, _bits, _incidence, enumerate_maximal_independent_sets
+from .graphs import (
+    Graph,
+    IndependentSet,
+    _bits,
+    _greedy_cover_indices,
+    _incidence,
+    enumerate_maximal_independent_sets,
+)
 
 _FLOAT_EPS = 1e-9
 _MAX_PIVOTS = 200_000
@@ -53,7 +65,7 @@ class _LPResult:
     kept_rows: list | None = None
 
 
-def _simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> _LPResult:
+def _simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS, start=None) -> _LPResult:
     """Two-phase revised simplex for min c.x, A x = b, x >= 0, b >= 0.
 
     Exact mode pivots by Bland's rule (no cycling) in Fractions; float mode
@@ -65,16 +77,34 @@ def _simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> _LPResul
     by a rank-one step. The artificial columns are the identity: they are
     priced as cost - y and never stored. Duals are y = c_B B^-1 on the
     kept rows.
+
+    `start` is (basis, Binv): basis[i] is the column basic in position i,
+    and Binv is the inverse of that basis, both integer arrays. Column
+    len(cols) + r is the artificial of row r, and may sit only at position
+    r (kept positions are read as rows). None is the artificial basis with
+    Binv = I. Before the first pivot, B Binv = I and Binv b >= 0 are
+    checked on integers, and InternalError is raised if either fails. From
+    a start with no artificial column, phase 1 and the drive-out of
+    artificials take no pivots. At most `maxiter` pivots are taken in all;
+    InternalError is raised only when one more is needed.
     """
     m, n_struct = len(b), len(cols)
     zero = Fraction(0) if exact else 0.0
     eps = zero if exact else _FLOAT_EPS
     dtype = object if exact else np.float64
     A = cols.astype(dtype)  # A^T: row j is column j of A
-    Binv = np.full((m, m), zero, dtype=dtype)
-    np.fill_diagonal(Binv, Fraction(1) if exact else 1.0)
-    xB = np.array([zero + v for v in b], dtype=dtype)
-    basis = np.arange(n_struct, n_struct + m)
+    if start is None:
+        start = (np.arange(n_struct, n_struct + m), np.eye(m, dtype=np.int64))
+    basis = np.array(start[0])
+    is_art = basis >= n_struct
+    B = np.zeros((m, m), dtype=np.int64)
+    B[:, ~is_art] = cols[basis[~is_art]].T
+    B[basis[is_art] - n_struct, is_art.nonzero()[0]] = 1
+    xB = _exact_matvec(start[1], b)
+    if not np.array_equal(_exact_matvec(B, start[1]), np.eye(m)) or np.any(xB < 0):
+        raise InternalError("simplex start: Binv is not the basis inverse, or Binv b < 0")
+    Binv = start[1].astype(dtype) + zero
+    xB = xB.astype(dtype) + zero
     live = np.ones(m, dtype=bool)  # rows not dropped as redundant
 
     def pivot(r: int, enter: int, u) -> None:
@@ -88,7 +118,7 @@ def _simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> _LPResul
     def run_phase(cost, limit, pivots_left) -> int:
         # `cost` spans the structural columns, then the artificials; only
         # the first `limit` columns may enter
-        while pivots_left > 0:
+        while True:
             y = cost[basis] @ Binv
             red = cost[:n_struct] - A @ y
             if limit > n_struct:
@@ -96,6 +126,8 @@ def _simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> _LPResul
             neg = (red < -eps).nonzero()[0]
             if not neg.size:
                 return pivots_left
+            if not pivots_left:
+                raise InternalError("simplex pivot limit exhausted")
             # Bland: the first improving column; Dantzig: the most negative
             enter = neg[0] if exact else neg[red[neg].argmin()]
             u = Binv @ A[enter] if enter < n_struct else Binv[:, enter - n_struct].copy()
@@ -106,7 +138,6 @@ def _simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS) -> _LPResul
             tied = rows[ratios == ratios.min()]
             pivot(tied[basis[tied].argmin()], enter, u)  # ties: smallest basis label
             pivots_left -= 1
-        raise InternalError("simplex pivot limit exhausted")
 
     def costs(struct, art):
         # filled in numpy: n Python floats would fragment pymalloc arenas and
@@ -203,17 +234,18 @@ def _common_denominator(values) -> tuple[int, list[int]]:
 
 
 def _exact_matvec(M, v) -> np.ndarray:
-    """M @ v exactly, for an int64 matrix M and a sequence of Python ints v.
+    """M @ v exactly, for an int64 matrix M and a vector or matrix v of ints.
 
     Runs in int64 when no partial sum can reach 2**63 (max|v| times the
     largest |M| entry times the row length stays below it), else on
     Python ints.
     """
-    bound = max(map(abs, v), default=0) * M.shape[1]
+    v = np.asarray(v)
+    bound = max(int(v.max(initial=0)), -int(v.min(initial=0))) * M.shape[1]
     bound *= max(int(M.max(initial=0)), -int(M.min(initial=0)))
     if bound < 2**63:
-        return M @ np.array(v, dtype=np.int64)
-    return M.astype(object) @ np.array(v, dtype=object)
+        return M @ v.astype(np.int64)
+    return M.astype(object) @ v.astype(object)
 
 
 def _certify_basis(cols, b, c, basis, kept_rows) -> _LPResult:
@@ -258,16 +290,53 @@ def _certify_basis(cols, b, c, basis, kept_rows) -> _LPResult:
                      basis=list(basis), kept_rows=list(kept_rows))
 
 
+def _cover_start(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A feasible basis of a covering LP and its inverse, from a greedy cover.
+
+    `cols` has the `_covering_lp` layout: the set columns, then -I on the
+    n vertex rows. The greedy cover (`_greedy_cover_indices`) is pruned in
+    reverse order to a minimal cover: a set is dropped when each of its
+    vertices is covered at least twice. Each kept set then has a private
+    vertex, covered by no other kept set, and is made basic at its lowest
+    one; the surplus column -e_v is basic at every other vertex v. With the
+    private rows first, B = [[I, 0], [M', -I]], where M' holds the kept
+    sets on the other rows, and B B = I: Binv is B itself, an integer
+    matrix. The start solution B 1 is 1 on the private rows and cov(v) - 1
+    >= 0 elsewhere, and its objective is the number of kept sets (Bixby,
+    *Implementing the simplex method: the initial basis*, ORSA J.
+    Computing 1992).
+    """
+    k = len(cols) - n
+    M = cols[:k]
+    cover = _greedy_cover_indices(M)
+    cov = M[cover].sum(axis=0)
+    kept = []
+    for j in reversed(cover):
+        if cov[M[j] > 0].min() >= 2:
+            cov -= M[j]
+        else:
+            kept.append(j)
+    basis = np.arange(k, k + n)
+    for j in kept:
+        basis[np.flatnonzero((M[j] > 0) & (cov == 1))[0]] = j
+    return basis, cols[basis].T
+
+
 def _solve_exact(cols, b, c) -> _LPResult:
-    """Exact LP solve: certify the float basis, else solve cold in rationals."""
-    guess = _simplex(cols, b, c, exact=False)
-    if guess.status == "optimal":
-        try:
-            return _certify_basis(cols, b, c, guess.basis, guess.kept_rows)
-        except _WarmStartFailed:
-            pass
-    # float infeasibility is only a hint; the exact pass decides
-    return _simplex(cols, b, c, exact=True)
+    """Exact solve of a covering LP: certify the float basis, else solve cold.
+
+    `cols`, `b`, `c` have the `_covering_lp` layout. Both lanes start at the
+    feasible cover basis of `_cover_start`, so phase 1 takes no pivots in
+    either: the float revised simplex proposes an optimal basis, and only
+    when `_certify_basis` rejects it is the LP solved again in Fractions
+    from the same start.
+    """
+    start = _cover_start(cols, len(b))
+    guess = _simplex(cols, b, c, exact=False, start=start)
+    try:
+        return _certify_basis(cols, b, c, guess.basis, guess.kept_rows)
+    except _WarmStartFailed:
+        return _simplex(cols, b, c, exact=True, start=start)
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,27 @@ def _incidence(sets: Sequence["IndependentSet"], n: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
+def _greedy_cover_indices(M: np.ndarray) -> list[int]:
+    """Indices of rows of the incidence matrix M greedily covering every vertex.
+
+    Repeatedly takes the first set covering the most still-exposed vertices
+    (`np.argmax` returns the first maximum). `entropy` starts from this
+    cover, and the covering LP from it pruned to a minimal cover
+    (`exactlp._cover_start`). Runs in M's dtype, so an integer M is not
+    copied to floats. Raises InternalError when a vertex lies in no row.
+    """
+    remaining = np.ones(M.shape[1], dtype=M.dtype)
+    chosen: list[int] = []
+    while remaining.any():
+        scores = M @ remaining
+        best = int(np.argmax(scores))
+        if not scores[best]:
+            raise InternalError("greedy cover: a vertex lies in no set")
+        chosen.append(best)
+        remaining[M[best] > 0] = 0
+    return chosen
+
+
 def _maximal_sets_if_capped(g: Graph, cap: int | None) -> tuple[int, ...]:
     """The cached maximal-set bitmasks, after the vertex-cap check."""
     limit = resolve_cap(cap)

@@ -13,7 +13,7 @@ import numpy as np
 
 from gelab.entropy import entropy
 from gelab.errors import CapExceeded, InternalError, NotRational
-from gelab.exactlp import FractionalColoring, _solve_exact, fractional_chromatic_number
+from gelab.exactlp import FractionalColoring, _simplex, fractional_chromatic_number
 from gelab.graphs import (
     SET_COUNT_CAP,
     Distribution,
@@ -205,7 +205,8 @@ def uniform_cover_feasible(
 
     The reference for "symmetric iff a uniform cover by maximum sets
     exists": a feasibility LP of its own, independent of the covering LP
-    behind the verdicts. Returns None when no such weighting exists. Only
+    behind the verdicts, solved in Fractions by `_simplex` from its
+    artificial start. Returns None when no such weighting exists. Only
     target rows are constrained; family sets may touch other vertices
     freely. Raises ValueError when the family is empty or holds a set of
     another graph.
@@ -222,7 +223,7 @@ def uniform_cover_feasible(
     if not rows:
         return FractionalColoring({})
     cols = _incidence(family, g.n).astype(np.int64)[:, rows]
-    res = _solve_exact(cols, [1] * len(rows), [0] * len(family))
+    res = _simplex(cols, [1] * len(rows), [0] * len(family), exact=True)
     if res.status != "optimal":
         return None
     weights: dict[IndependentSet, Fraction] = {}

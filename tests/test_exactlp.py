@@ -626,3 +626,93 @@ class TestRevisedSimplex:
         cols, b, c = self.covering_lp(cycle_graph(5))
         with pytest.raises(InternalError, match="pivot limit"):
             exactlp._simplex(cols, b, c, exact=exact, maxiter=1)
+
+
+def complete_multipartite(a: int, parts: int) -> Graph:
+    """K_{a,...,a}: `parts` classes of a vertices, adjacent across classes."""
+    n = a * parts
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // a != v // a])
+
+
+class TestCoverStart:
+    """`_cover_start`: a minimal greedy cover as a self-inverse feasible basis."""
+
+    @staticmethod
+    def covering_lp(g):
+        return exactlp._covering_lp(g.n, enumerate_maximal_independent_sets(g))
+
+    def check_start(self, g):
+        cols, b, c = self.covering_lp(g)
+        n, k = g.n, len(cols) - g.n
+        basis, Binv = exactlp._cover_start(cols, n)
+        M = cols[:k]
+        kept = [j for j in basis.tolist() if j < k]
+        cov = M[kept].sum(axis=0)
+        # a minimal cover: every vertex covered, every kept set needed
+        assert len(set(kept)) == len(kept) and cov.min() >= 1
+        assert all(((M[j] > 0) & (cov == 1)).any() for j in kept)
+        # a set sits at one of its private vertices, a surplus at its own row
+        for r, j in enumerate(basis.tolist()):
+            if j < k:
+                assert M[j, r] == 1 and cov[r] == 1
+            else:
+                assert j == k + r
+        B = cols[basis].T
+        assert np.array_equal(Binv, B)
+        assert np.array_equal(B @ B, np.eye(n, dtype=np.int64))
+        xB = B @ np.array(b)
+        assert xB.min() >= 0
+        assert np.array(c)[basis] @ xB == len(kept) >= fractional_chromatic_number(g)[0]
+
+    def test_invariants_on_small_corpus(self, corpus7):
+        for g in corpus7:
+            self.check_start(g)
+
+    def test_invariants_on_random_and_structured_graphs(self):
+        rng = random.Random(1313)
+        graphs = [rand_graph(rng, rng.randint(2, 30), rng.random()) for _ in range(300)]
+        graphs += [triangle_union(k) for k in range(1, 7)]
+        graphs += [kneser(m, 2) for m in range(5, 9)] + [kneser(7, 3), petersen()]
+        for g in graphs:
+            self.check_start(g)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_optimal_start_takes_no_pivot(self, exact):
+        families = [(triangle_union(k), 3) for k in range(2, 9)]
+        families += [
+            (complete_multipartite(a, parts), parts)
+            for a, parts in [(1, 5), (2, 3), (3, 3), (4, 4), (5, 2)]
+        ]
+        for g, chi in families:
+            cols, b, c = self.covering_lp(g)
+            start = exactlp._cover_start(cols, len(b))
+            res = exactlp._simplex(cols, b, c, exact=exact, maxiter=0, start=start)
+            assert res.status == "optimal" and res.obj == chi
+
+    def test_lanes_agree_from_both_starts(self):
+        rng = random.Random(2020)
+        for _ in range(200):
+            cols, b, c = self.covering_lp(rand_graph(rng, rng.randint(1, 12), rng.random()))
+            start = exactlp._cover_start(cols, len(b))
+            warm = exactlp._simplex(cols, b, c, exact=True, start=start)
+            cold = exactlp._simplex(cols, b, c, exact=True)
+            guess = exactlp._simplex(cols, b, c, exact=False, start=start)
+            certified = exactlp._certify_basis(cols, b, c, guess.basis, guess.kept_rows)
+            assert warm.obj == cold.obj == certified.obj
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_start_that_is_not_the_inverse_is_rejected(self, exact):
+        cols, b, c = self.covering_lp(cycle_graph(5))
+        basis, Binv = exactlp._cover_start(cols, len(b))
+        wrong = Binv.copy()
+        wrong[0, 0] += 1
+        with pytest.raises(InternalError, match="not the basis inverse"):
+            exactlp._simplex(cols, b, c, exact=exact, start=(basis, wrong))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_infeasible_start_is_rejected(self, exact):
+        # every surplus column basic: B = Binv = -I, so Binv b = -1
+        cols, b, c = self.covering_lp(cycle_graph(5))
+        basis = np.arange(len(cols) - len(b), len(cols))
+        with pytest.raises(InternalError, match="Binv b < 0"):
+            exactlp._simplex(cols, b, c, exact=exact, start=(basis, -np.eye(5, dtype=np.int64)))

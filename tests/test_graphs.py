@@ -6,6 +6,7 @@ import random
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -497,3 +498,16 @@ def test_sixteen_vertex_brute_force_equivalence():
     assert max_weighted_independent_set(g, p.weights).value == best
     got = [s.sorted_members() for s in enumerate_maximum_weighted_independent_sets(g, p)]
     assert got == attaining
+
+
+class TestGreedyCover:
+    def test_covers_with_first_maxima(self):
+        # C5's maximal sets 02 03 13 14 24: 02, then 13 (first to add two), then 14
+        M = _incidence(enumerate_maximal_independent_sets(cycle_graph(5)), 5)
+        assert graphs_mod._greedy_cover_indices(M.astype(np.int64)) == [0, 2, 3]
+        assert graphs_mod._greedy_cover_indices(M.astype(np.float64)) == [0, 2, 3]
+
+    def test_vertex_in_no_set_raises(self):
+        M = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.int64)
+        with pytest.raises(InternalError, match="lies in no set"):
+            graphs_mod._greedy_cover_indices(M)
