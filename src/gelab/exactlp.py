@@ -6,8 +6,9 @@ revised simplex proposes a basis, and the exact layer certifies it
 (Applegate, Cook, Dash & Espinoza, ORL 2007). Both lanes start at the same
 feasible basis: a greedy cover of the vertices, pruned to a minimal cover,
 with each kept set basic at one of its private vertices and a surplus
-column elsewhere (`_cover_start`). That basis is its own inverse, so phase
-1 is a no-op from it and only phase 2 pivots. Certification is
+column elsewhere (`_cover_start`). That basis is its own inverse, and the
+simplex runs a single phase from it on the real objective: a covering LP
+always has a feasible basis, so none is searched for. Certification is
 fraction-free integer arithmetic over the common denominator det(B):
 Bareiss elimination gives det(B) x_B and det(B) y as integers, and
 feasibility against the full constraint system, nonnegativity, and
@@ -57,124 +58,71 @@ _MAX_PIVOTS = 200_000
 
 @dataclass
 class _LPResult:
-    status: str  # "optimal" | "infeasible"
-    x: list | None = None
-    y: list | None = None
-    obj: object = None
-    basis: list | None = None
-    kept_rows: list | None = None
+    x: list
+    y: list
+    obj: object
+    basis: list
 
 
-def _simplex(cols, b, c, *, exact: bool, maxiter: int = _MAX_PIVOTS, start=None) -> _LPResult:
-    """Two-phase revised simplex for min c.x, A x = b, x >= 0, b >= 0.
+def _simplex(cols, b, c, *, exact: bool, start, maxiter: int = _MAX_PIVOTS) -> _LPResult:
+    """Revised simplex for min c.x, A x = b, x >= 0, from a feasible basis.
 
-    Exact mode pivots by Bland's rule (no cycling) in Fractions; float mode
-    uses Dantzig pricing and is only ever used to guess a basis for the
-    exact layer. The basis inverse B^-1 (m x m) is held explicitly, as in
-    the revised simplex of Dantzig & Orchard-Hays (1954). Each pivot prices
-    every column at once as c - (c_B B^-1) A, one matvec; forms the
-    entering column B^-1 a_q for the ratio test; and updates B^-1 and x_B
-    by a rank-one step. The artificial columns are the identity: they are
-    priced as cost - y and never stored. Duals are y = c_B B^-1 on the
-    kept rows.
-
-    `start` is (basis, Binv): basis[i] is the column basic in position i,
-    and Binv is the inverse of that basis, both integer arrays. Column
-    len(cols) + r is the artificial of row r, and may sit only at position
-    r (kept positions are read as rows). None is the artificial basis with
-    Binv = I. Before the first pivot, B Binv = I and Binv b >= 0 are
-    checked on integers, and InternalError is raised if either fails. From
-    a start with no artificial column, phase 1 and the drive-out of
-    artificials take no pivots. At most `maxiter` pivots are taken in all;
-    InternalError is raised only when one more is needed.
+    `start` is (basis, Binv): basis[i] is the column basic in row i, and
+    Binv is the inverse of that basis, both integer arrays. Before the
+    first pivot, B Binv = I and Binv b >= 0 are checked on integers, and
+    InternalError is raised if either fails. From there a single phase
+    pivots on the real objective. Exact mode pivots by Bland's rule (no
+    cycling) in Fractions; float mode uses Dantzig pricing and is only ever
+    used to guess a basis for the exact layer. The basis inverse B^-1
+    (m x m) is held explicitly, as in the revised simplex of Dantzig &
+    Orchard-Hays (1954). Each pivot prices every column at once as
+    c - (c_B B^-1) A, one matvec; forms the entering column B^-1 a_q for
+    the ratio test; and updates B^-1 and x_B by a rank-one step. Duals are
+    y = c_B B^-1. At most `maxiter` pivots are taken; InternalError is
+    raised only when one more is needed.
     """
-    m, n_struct = len(b), len(cols)
+    m = len(b)
     zero = Fraction(0) if exact else 0.0
     eps = zero if exact else _FLOAT_EPS
     dtype = object if exact else np.float64
     A = cols.astype(dtype)  # A^T: row j is column j of A
-    if start is None:
-        start = (np.arange(n_struct, n_struct + m), np.eye(m, dtype=np.int64))
     basis = np.array(start[0])
-    is_art = basis >= n_struct
-    B = np.zeros((m, m), dtype=np.int64)
-    B[:, ~is_art] = cols[basis[~is_art]].T
-    B[basis[is_art] - n_struct, is_art.nonzero()[0]] = 1
     xB = _exact_matvec(start[1], b)
-    if not np.array_equal(_exact_matvec(B, start[1]), np.eye(m)) or np.any(xB < 0):
+    if not np.array_equal(_exact_matvec(cols[basis].T, start[1]), np.eye(m)) or np.any(xB < 0):
         raise InternalError("simplex start: Binv is not the basis inverse, or Binv b < 0")
     Binv = start[1].astype(dtype) + zero
     xB = xB.astype(dtype) + zero
-    live = np.ones(m, dtype=bool)  # rows not dropped as redundant
-
-    def pivot(r: int, enter: int, u) -> None:
-        # rank-one update of B^-1 and x_B; u = B^-1 a_enter must not alias B^-1
+    cost = np.array(c, dtype=dtype)
+    pivots_left = maxiter
+    while True:
+        y = cost[basis] @ Binv
+        red = cost - A @ y
+        neg = (red < -eps).nonzero()[0]
+        if not neg.size:
+            break
+        if not pivots_left:
+            raise InternalError("simplex pivot limit exhausted")
+        # Bland: the first improving column; Dantzig: the most negative
+        enter = neg[0] if exact else neg[red[neg].argmin()]
+        u = Binv @ A[enter]
+        rows = (u > eps).nonzero()[0]
+        if not rows.size:
+            raise InternalError("LP unbounded; covering LPs cannot be")
+        ratios = xB[rows] / u[rows]
+        tied = rows[ratios == ratios.min()]
+        r = tied[basis[tied].argmin()]  # ties: smallest basis label
+        # rank-one update of B^-1 and x_B
         p, theta = Binv[r] / u[r], xB[r] / u[r]
-        Binv[:] -= u[:, None] * p
-        xB[:] -= u * theta
+        Binv -= u[:, None] * p
+        xB -= u * theta
         Binv[r], xB[r] = p, theta
         basis[r] = enter
+        pivots_left -= 1
 
-    def run_phase(cost, limit, pivots_left) -> int:
-        # `cost` spans the structural columns, then the artificials; only
-        # the first `limit` columns may enter
-        while True:
-            y = cost[basis] @ Binv
-            red = cost[:n_struct] - A @ y
-            if limit > n_struct:
-                red = np.concatenate([red, cost[n_struct:] - y])
-            neg = (red < -eps).nonzero()[0]
-            if not neg.size:
-                return pivots_left
-            if not pivots_left:
-                raise InternalError("simplex pivot limit exhausted")
-            # Bland: the first improving column; Dantzig: the most negative
-            enter = neg[0] if exact else neg[red[neg].argmin()]
-            u = Binv @ A[enter] if enter < n_struct else Binv[:, enter - n_struct].copy()
-            rows = (live & (u > eps)).nonzero()[0]
-            if not rows.size:
-                raise InternalError("LP unbounded; covering LPs cannot be")
-            ratios = xB[rows] / u[rows]
-            tied = rows[ratios == ratios.min()]
-            pivot(tied[basis[tied].argmin()], enter, u)  # ties: smallest basis label
-            pivots_left -= 1
-
-    def costs(struct, art):
-        # filled in numpy: n Python floats would fragment pymalloc arenas and
-        # raise peak RSS
-        cost = np.full(n_struct + m, zero + art, dtype=dtype)
-        cost[:n_struct] = struct
-        return cost
-
-    # phase 1: drive artificials to zero
-    left = run_phase(costs(0, 1), n_struct + m, maxiter)
-    infeas = xB[basis >= n_struct].sum()
-    if (exact and infeas != 0) or (not exact and infeas > 1e-7):
-        return _LPResult(status="infeasible")
-
-    # drive basic artificials out; a row with no structural pivot is redundant
-    for i in np.flatnonzero(basis >= n_struct):
-        row = A @ Binv[i]  # row i of B^-1 A
-        target = np.flatnonzero(row != zero if exact else np.abs(row) > 1e-7)
-        if target.size:
-            pivot(i, target[0], Binv @ A[target[0]])
-        else:
-            live[i] = False
-
-    # phase 2 with the real objective; artificials may not re-enter
-    cost2 = costs(c, 0)
-    run_phase(cost2, n_struct, left)
-
-    rows = np.flatnonzero(live)
-    x = [zero] * n_struct
-    for i in rows:
-        if basis[i] < n_struct:
-            x[basis[i]] = xB[i]
-    cB = cost2[basis[rows]]
-    return _LPResult(
-        status="optimal", x=x, y=list(cB @ Binv[rows]), obj=cB @ xB[rows],
-        basis=basis[rows].tolist(), kept_rows=rows.tolist(),
-    )
+    x = [zero] * len(cols)
+    for j, v in zip(basis.tolist(), xB):
+        x[j] = v
+    return _LPResult(x=x, y=list(y), obj=cost[basis] @ xB, basis=basis.tolist())
 
 
 class _WarmStartFailed(Exception):
@@ -248,32 +196,29 @@ def _exact_matvec(M, v) -> np.ndarray:
     return M.astype(object) @ v.astype(object)
 
 
-def _certify_basis(cols, b, c, basis, kept_rows) -> _LPResult:
+def _certify_basis(cols, b, c, basis) -> _LPResult:
     """Exactly solve for a basis found in floats and certify its optimality.
 
     All arithmetic is on integers over the common denominator det(B), from
-    two Bareiss solves: B x_B = b on the kept rows and B^T y = c_B. Raises
-    _WarmStartFailed unless x is nonnegative and satisfies *every* row
-    (the float pass may have dropped rows it wrongly believed redundant),
-    and every reduced cost c_j - y.a_j is nonnegative and zero on the
-    basis. Then x and y are feasible and complementary, which proves both
-    optimal whatever computed them, so a wrong float answer can never leak
-    through. Rationals are built only for the nonzero outputs.
+    two Bareiss solves: B x_B = b and B^T y = c_B, with B = cols[basis]^T
+    on every row. Raises _WarmStartFailed unless B is square and
+    nonsingular, x is nonnegative and, re-checked as a safety net,
+    satisfies every row, and every reduced cost c_j - y.a_j is nonnegative
+    and zero on the basis. Then x and y are feasible and complementary,
+    which proves both optimal whatever computed them, so a wrong float
+    answer can never leak through. Rationals are built only for the
+    nonzero outputs.
     """
-    m = len(kept_rows)
-    if len(basis) != m or any(j >= len(cols) for j in basis):
+    if len(basis) != len(b):
         raise _WarmStartFailed
-    B = cols[basis][:, kept_rows].T
-    det, x_num = _bareiss_solve(B, [b[r] for r in kept_rows])
+    B = cols[basis].T
+    det, x_num = _bareiss_solve(B, b)
     if any(v < 0 for v in x_num):
         raise _WarmStartFailed
-    if _exact_matvec(cols[basis].T, x_num).tolist() != [det * v for v in b]:
+    if _exact_matvec(B, x_num).tolist() != [det * v for v in b]:
         raise _WarmStartFailed
 
-    det_y, y_kept = _bareiss_solve(B.T, [c[j] for j in basis])
-    y_num = [0] * len(b)
-    for r, v in zip(kept_rows, y_kept):
-        y_num[r] = v
+    det_y, y_num = _bareiss_solve(B.T, [c[j] for j in basis])
     ya = _exact_matvec(cols, y_num)
     c_det = _exact_matvec(np.asarray(c, dtype=np.int64)[:, None], [det_y])  # c_j det_y
     if np.any(ya > c_det) or np.any(ya[basis] != c_det[basis]):
@@ -286,8 +231,7 @@ def _certify_basis(cols, b, c, basis, kept_rows) -> _LPResult:
             x[j] = Fraction(v, det)
     y = [Fraction(v, det_y) if v else zero for v in y_num]
     obj = Fraction(sum(c[j] * v for j, v in zip(basis, x_num)), det)
-    return _LPResult(status="optimal", x=x, y=y, obj=obj,
-                     basis=list(basis), kept_rows=list(kept_rows))
+    return _LPResult(x=x, y=y, obj=obj, basis=list(basis))
 
 
 def _cover_start(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,16 +269,16 @@ def _cover_start(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _solve_exact(cols, b, c) -> _LPResult:
     """Exact solve of a covering LP: certify the float basis, else solve cold.
 
-    `cols`, `b`, `c` have the `_covering_lp` layout. Both lanes start at the
-    feasible cover basis of `_cover_start`, so phase 1 takes no pivots in
-    either: the float revised simplex proposes an optimal basis, and only
-    when `_certify_basis` rejects it is the LP solved again in Fractions
-    from the same start.
+    `cols`, `b`, `c` have the `_covering_lp` layout. Both lanes run the one
+    simplex phase from the feasible cover basis of `_cover_start`: the
+    float revised simplex proposes an optimal basis, and only when
+    `_certify_basis` rejects it is the LP solved again in Fractions from
+    the same start.
     """
     start = _cover_start(cols, len(b))
     guess = _simplex(cols, b, c, exact=False, start=start)
     try:
-        return _certify_basis(cols, b, c, guess.basis, guess.kept_rows)
+        return _certify_basis(cols, b, c, guess.basis)
     except _WarmStartFailed:
         return _simplex(cols, b, c, exact=True, start=start)
 
@@ -435,8 +379,6 @@ def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> tuple[_LPResult
     cols, b, c = _covering_lp(g.n, sets)
     k = len(sets)
     res = _solve_exact(cols, b, c)
-    if res.status != "optimal":
-        raise InternalError("covering LP cannot be infeasible")
     support = sorted(j for j in res.basis if j < k and res.x[j])
     x_den, x_int = _common_denominator([res.x[j] for j in support])
     y_den, y_int = _common_denominator(res.y)

@@ -9,6 +9,7 @@ so parsed distributions are always exact rationals.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -104,6 +105,25 @@ def _int(token: str, lineno: int) -> int:
         raise ParseError(f"line {lineno}: {token!r} is not an integer") from None
 
 
+def _check_exponent(token: str, lineno: int) -> None:
+    """Reject a decimal exponent whose power of ten is too long to print.
+
+    `Fraction("1e-k")` computes 10**k before anything else, which takes
+    hours for a 12-character token such as 1e-999999999. 10**|exp| has
+    |exp| + 1 digits, so an exponent past the limit Python already applies
+    to every integer token here (`sys.get_int_max_str_digits`, 0 meaning
+    unlimited) raises ParseError before `Fraction` is called.
+    """
+    limit = sys.get_int_max_str_digits()
+    _, e, exponent = token.lower().partition("e")
+    try:
+        too_long = bool(e and limit) and abs(int(exponent)) >= limit
+    except ValueError:
+        return  # not an exponent; `Fraction` rejects the token
+    if too_long:
+        raise ParseError(f"line {lineno}: {token!r} needs a power of ten over {limit} digits")
+
+
 def parse_distribution(text: str, n: int) -> tuple[Distribution, list[str]]:
     """Parse 'v p_v' lines into an exact distribution over n vertices.
 
@@ -128,6 +148,7 @@ def parse_distribution(text: str, n: int) -> tuple[Distribution, list[str]]:
             raise ParseError(f"line {lineno}: duplicate entry for vertex {v}")
         seen.add(v)
         token = parts[1]
+        _check_exponent(token, lineno)
         try:
             value = Fraction(token)
         except (ValueError, ZeroDivisionError):

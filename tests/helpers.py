@@ -13,7 +13,7 @@ import numpy as np
 
 from gelab.entropy import entropy
 from gelab.errors import CapExceeded, InternalError, NotRational
-from gelab.exactlp import FractionalColoring, _simplex, fractional_chromatic_number
+from gelab.exactlp import FractionalColoring, _cover_start, _simplex, fractional_chromatic_number
 from gelab.graphs import (
     SET_COUNT_CAP,
     Distribution,
@@ -204,12 +204,15 @@ def uniform_cover_feasible(
     """Rational weights on `family` covering every target vertex exactly once.
 
     The reference for "symmetric iff a uniform cover by maximum sets
-    exists": a feasibility LP of its own, independent of the covering LP
-    behind the verdicts, solved in Fractions by `_simplex` from its
-    artificial start. Returns None when no such weighting exists. Only
-    target rows are constrained; family sets may touch other vertices
-    freely. Raises ValueError when the family is empty or holds a set of
-    another graph.
+    exists": an LP of its own, independent of the covering LP behind the
+    verdicts, solved in Fractions with Bland's rule by `_simplex` from the
+    greedy cover start. Its rows are the target vertices and its columns
+    the family restricted to them, then -I; set S costs |S & T|, so the
+    objective is the total coverage sum_v cov(v) >= |T|, with equality
+    exactly when some cover is exact. Returns None when a target vertex
+    lies in no set or the optimum exceeds |T|. Only target rows are
+    constrained; family sets may touch other vertices freely. Raises
+    ValueError when the family is empty or holds a set of another graph.
     """
     family = list(family)
     if not family:
@@ -222,9 +225,14 @@ def uniform_cover_feasible(
         g._check_vertex(v)
     if not rows:
         return FractionalColoring({})
-    cols = _incidence(family, g.n).astype(np.int64)[:, rows]
-    res = _simplex(cols, [1] * len(rows), [0] * len(family), exact=True)
-    if res.status != "optimal":
+    M = _incidence(family, g.n).astype(np.int64)[:, rows]
+    if not M.any(axis=0).all():
+        return None
+    t = len(rows)
+    cols = np.concatenate([M, -np.eye(t, dtype=np.int64)])
+    cost = M.sum(axis=1).tolist() + [0] * t
+    res = _simplex(cols, [1] * t, cost, exact=True, start=_cover_start(cols, t))
+    if res.obj > t:
         return None
     weights: dict[IndependentSet, Fraction] = {}
     for j, s in enumerate(family):

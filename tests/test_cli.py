@@ -3,6 +3,8 @@
 import json
 import math
 import pathlib
+import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -92,6 +94,24 @@ class TestDistributionParsing:
     def test_duplicate_vertex(self):
         with pytest.raises(ParseError):
             parse_distribution("0 1/2\n0 1/2\n", 2)
+
+    def test_exponent_past_the_digit_limit_is_rejected(self):
+        # Fraction("1e-999999999") alone would compute 10**999999999 for hours
+        limit = sys.get_int_max_str_digits()
+        for token in ("1e-999999999", "1E+999999999", f"2.5e-{limit}"):
+            with pytest.raises(ParseError, match="power of ten"):
+                parse_distribution(f"0 {token}\n1 1\n", 2)
+        d, warnings = parse_distribution(f"0 1e-{limit - 1}\n1 1\n", 2)
+        assert warnings and d.weights[0] == Fraction(1, 10 ** (limit - 1) + 1)
+
+    def test_no_digit_limit_admits_any_exponent(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            d, _ = parse_distribution(f"0 1e-{limit}\n1 1\n", 2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert d.weights[0] == Fraction(1, 10**limit + 1)
 
 
 class TestCommands:
@@ -191,6 +211,11 @@ class TestExitCodes:
         assert main(["chif", files("bad", "garbage\n")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_huge_exponent_is_2(self, files, capsys):
+        dist = files("d", "0 1e-10000000\n1 1\n")
+        assert main(["maximizer", files("p3", P3), dist]) == 2
+        assert "power of ten" in capsys.readouterr().err
+
     def test_missing_file_is_2(self, capsys):
         assert main(["chif", "/nonexistent/file"]) == 2
 
@@ -288,7 +313,7 @@ class TestExitCodes:
 
         def negative_dual(cols, b, c):
             return exactlp._LPResult(
-                status="optimal", x=[0] * len(cols), y=[-1] * len(b), obj=0,
+                x=[0] * len(cols), y=[-1] * len(b), obj=0,
                 basis=list(range(len(cols))),
             )
 

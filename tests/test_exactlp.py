@@ -97,7 +97,7 @@ class TestFractionalChromatic:
 
 
 class TestColdExactFallback:
-    """The exact tableau answers whenever the float basis fails certification."""
+    """The exact revised simplex answers whenever the float basis fails certification."""
 
     @staticmethod
     def force_fallback(monkeypatch, mode):
@@ -111,7 +111,6 @@ class TestColdExactFallback:
             elif mode == "wrong-basis":
                 # the surplus columns: their basic solution x = -b is infeasible
                 res.basis = list(range(len(cols) - len(b), len(cols)))
-                res.kept_rows = list(range(len(b)))
             return res
 
         def certify_fails(*args):
@@ -146,7 +145,7 @@ class TestCoveringProof:
             assert len(x) == len(cols) and len(y) == len(b)
             # every column basic, so the proof reads every entry of x
             basis = list(range(len(x)))
-            return exactlp._LPResult(status="optimal", x=x, y=y, obj=obj, basis=basis)
+            return exactlp._LPResult(x=x, y=y, obj=obj, basis=basis)
 
         monkeypatch.setattr(exactlp, "_solve_exact", solve)
 
@@ -220,6 +219,16 @@ class TestUniformCoverFeasible:
         g = empty_graph(3)
         fc = uniform_cover_feasible(g, [IndependentSet(g, [0, 1, 2])], [0, 1, 2])
         assert fc is not None and fc.total == 1
+
+    def test_covering_family_without_exact_cover(self):
+        # {0,1} and {1,2} cover every row, but covering 0 and 2 covers 1 twice:
+        # the covering optimum is 4 > |T| = 3
+        g = empty_graph(3)
+        fam = [IndependentSet(g, [0, 1]), IndependentSet(g, [1, 2])]
+        assert uniform_cover_feasible(g, fam, [0, 1, 2]) is None
+        fc = uniform_cover_feasible(g, fam + [IndependentSet(g, [0, 2])], [0, 1, 2])
+        assert fc is not None and len(fc.weights) == 3
+        assert set(fc.weights.values()) == {Fraction(1, 2)}
 
     def test_family_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -515,9 +524,10 @@ class TestCertifyBasis:
 
     def test_optimal_basis_certifies(self):
         cols, b, c = self.lp()
-        guess = exactlp._simplex(cols, b, c, exact=False)
-        res = exactlp._certify_basis(cols, b, c, guess.basis, guess.kept_rows)
-        cold = exactlp._simplex(cols, b, c, exact=True)
+        start = exactlp._cover_start(cols, len(b))
+        guess = exactlp._simplex(cols, b, c, exact=False, start=start)
+        res = exactlp._certify_basis(cols, b, c, guess.basis)
+        cold = exactlp._simplex(cols, b, c, exact=True, start=start)
         half = Fraction(1, 2)
         assert res.x == [half] * 5 + [0] * 5 == cold.x
         assert res.y == [half] * 5 == cold.y
@@ -529,14 +539,14 @@ class TestCertifyBasis:
         assert min(x) >= 0 and rows == [1] * 5 and obj == 3 > Fraction(5, 2)
         cols, b, c = self.lp()
         with pytest.raises(exactlp._WarmStartFailed):
-            exactlp._certify_basis(cols, b, c, basis, list(range(5)))
+            exactlp._certify_basis(cols, b, c, basis)
 
     def test_singular_basis_is_rejected(self):
         basis = [self.column(s) for s in [(0, 2), (1, 3), (2, 4), ("s", 0), ("s", 2)]]
         assert self.reference(basis, range(5)) is None
         cols, b, c = self.lp()
         with pytest.raises(exactlp._WarmStartFailed):
-            exactlp._certify_basis(cols, b, c, basis, list(range(5)))
+            exactlp._certify_basis(cols, b, c, basis)
 
     def test_basis_violating_a_dropped_row_is_rejected(self):
         basis = [self.column(s) for s in [(0, 2), (0, 3), (1, 3), (1, 4)]]
@@ -544,11 +554,11 @@ class TestCertifyBasis:
         assert min(x) >= 0 and rows[:4] == [1] * 4 and rows[4] == 0
         cols, b, c = self.lp()
         with pytest.raises(exactlp._WarmStartFailed):
-            exactlp._certify_basis(cols, b, c, basis, [0, 1, 2, 3])
+            exactlp._certify_basis(cols, b, c, basis)
 
 
 class TestFloatBasisCertifies:
-    """Every float basis certifies, so the exact tableau is never reached."""
+    """Every float basis certifies, so the exact revised simplex is never reached."""
 
     def test_no_cold_exact_solve(self, monkeypatch):
         rng = random.Random(41)
@@ -580,11 +590,11 @@ class TestRevisedSimplex:
         rng = random.Random(1010)
         for _ in range(200):
             cols, b, c = self.covering_lp(rand_graph(rng, rng.randint(1, 12), rng.random()))
-            guess = exactlp._simplex(cols, b, c, exact=False)
-            cold = exactlp._simplex(cols, b, c, exact=True)
-            assert guess.status == cold.status == "optimal"
+            start = exactlp._cover_start(cols, len(b))
+            guess = exactlp._simplex(cols, b, c, exact=False, start=start)
+            cold = exactlp._simplex(cols, b, c, exact=True, start=start)
             assert abs(guess.obj - float(cold.obj)) < 1e-9
-            certified = exactlp._certify_basis(cols, b, c, guess.basis, guess.kept_rows)
+            certified = exactlp._certify_basis(cols, b, c, guess.basis)
             assert certified.obj == cold.obj
 
     def test_degenerate_families_certify_without_the_exact_lane(self, monkeypatch):
@@ -606,26 +616,12 @@ class TestRevisedSimplex:
             assert chi == chi_expected == coloring.total
         assert exact_calls == []
 
-    def test_infeasible_equality_lp(self):
-        # x0 = 1 and x0 = 2
-        cols = np.array([[1, 1]], dtype=np.int64)
-        assert exactlp._simplex(cols, [1, 2], [0], exact=True).status == "infeasible"
-
-    def test_duplicated_row_is_dropped(self):
-        # C5's covering LP has the unique optimum 1/2 on every set
-        cols, b, c = self.covering_lp(cycle_graph(5))
-        plain = exactlp._simplex(cols, b, c, exact=True)
-        doubled = exactlp._simplex(np.hstack([cols, cols[:, :1]]), b + b[:1], c, exact=True)
-        assert doubled.status == "optimal" and len(doubled.kept_rows) == len(b)
-        assert {0, len(b)} - set(doubled.kept_rows)
-        assert doubled.obj == plain.obj == Fraction(5, 2)
-        assert doubled.x == plain.x
-
     @pytest.mark.parametrize("exact", [False, True])
     def test_pivot_limit_raises(self, exact):
         cols, b, c = self.covering_lp(cycle_graph(5))
+        start = exactlp._cover_start(cols, len(b))
         with pytest.raises(InternalError, match="pivot limit"):
-            exactlp._simplex(cols, b, c, exact=exact, maxiter=1)
+            exactlp._simplex(cols, b, c, exact=exact, maxiter=1, start=start)
 
 
 def complete_multipartite(a: int, parts: int) -> Graph:
@@ -687,7 +683,7 @@ class TestCoverStart:
             cols, b, c = self.covering_lp(g)
             start = exactlp._cover_start(cols, len(b))
             res = exactlp._simplex(cols, b, c, exact=exact, maxiter=0, start=start)
-            assert res.status == "optimal" and res.obj == chi
+            assert res.obj == chi
 
     def test_lanes_agree_from_both_starts(self):
         rng = random.Random(2020)
@@ -695,10 +691,9 @@ class TestCoverStart:
             cols, b, c = self.covering_lp(rand_graph(rng, rng.randint(1, 12), rng.random()))
             start = exactlp._cover_start(cols, len(b))
             warm = exactlp._simplex(cols, b, c, exact=True, start=start)
-            cold = exactlp._simplex(cols, b, c, exact=True)
             guess = exactlp._simplex(cols, b, c, exact=False, start=start)
-            certified = exactlp._certify_basis(cols, b, c, guess.basis, guess.kept_rows)
-            assert warm.obj == cold.obj == certified.obj
+            certified = exactlp._certify_basis(cols, b, c, guess.basis)
+            assert warm.obj == certified.obj
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_start_that_is_not_the_inverse_is_rejected(self, exact):
