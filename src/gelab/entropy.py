@@ -111,6 +111,20 @@ def objective(p: Distribution, a) -> float:
     return total
 
 
+def _rounding_pad(q: np.ndarray, a: np.ndarray) -> float:
+    """A bound on the float rounding error of -sum q*lg a, the reported value.
+
+    Against the exact sum over the exact P, the computed sum is off by at
+    most (k + 9) * 2**-53 * sum q*|lg a| for k terms, to first order: the
+    rounding of each p_v to q_v (1), lg correct to 4 ulps (8), each product
+    (1), and the k-term sum (k - 1). The pad doubles that bound, which also
+    absorbs the rounding of this sum and the few-ulp difference between the
+    scanned point and the one re-synthesized from its decomposition. It is
+    0 when every coordinate is 1.
+    """
+    return (len(q) + 10) * 2.0**-52 * float(np.abs(q * np.log2(a)).sum())
+
+
 def _line_search(q: np.ndarray, a: np.ndarray, d: np.ndarray, gamma_max: float) -> float:
     """Exact step for min of -sum q*lg(a + gamma*d) on [0, gamma_max].
 
@@ -258,7 +272,7 @@ def entropy(
         scores = M @ (q / a)
         s_idx = int(np.argmax(scores))
         gap = (float(scores[s_idx]) - 1.0) / _LN2
-        if gap <= tol:
+        if gap <= tol and max(gap, 0.0) + 2 * _rounding_pad(q, a) <= tol:
             converged = True
             break
         new_a = _face_newton_step(q, M, lam, a, s_idx)
@@ -270,11 +284,15 @@ def entropy(
         iterations = max_iter
     lam /= lam.sum()
 
-    gap = max(gap, 0.0)
+    # the value is raised by the rounding pad and the gap widened by twice
+    # it, so [value - gap, value] holds the exact H and not just the float
+    # one; the pad is that of the point the last scan saw, as in the test above
+    pad = _rounding_pad(q, a)
+    gap = max(gap, 0.0) + 2 * pad
     # re-synthesize the point from its decomposition so the certificate is
     # internally consistent (incremental updates drift by a few ulps)
     a = lam @ M
-    value = float(-(q * np.log2(a)).sum()) + 0.0
+    value = float(-(q * np.log2(a)).sum()) + pad
 
     coords = [0.0] * g.n
     for j, old in enumerate(supp):

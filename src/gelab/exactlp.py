@@ -9,12 +9,16 @@ with each kept set basic at one of its private vertices and a surplus
 column elsewhere (`_cover_start`). That basis is its own inverse, and the
 simplex runs a single phase from it on the real objective: a covering LP
 always has a feasible basis, so none is searched for. Certification is
-fraction-free integer arithmetic over the common denominator det(B):
-Bareiss elimination gives det(B) x_B and det(B) y as integers, and
-feasibility against the full constraint system, nonnegativity, and
-reduced-cost optimality are all re-checked on those integers. Only when
-that certification fails is the LP solved again, from the same start, by
-the same revised simplex in Fractions, with Bland's rule. Whichever lane
+fraction-free integer arithmetic on the basis's set block. A basic surplus
+column is a unit vector, so B is block triangular: with K the basic sets
+and T the rows whose surplus is not basic, det B = +-det M_TK, and two
+|K| x |K| Bareiss solves on M_TK and its transpose give |det M_TK| x and
+|det M_TK| y as integers, the basic surpluses and the zero duals of their
+rows following directly. Feasibility against the full constraint system,
+nonnegativity, and reduced-cost optimality are all re-checked on those
+integers. Only when that certification fails is the LP solved again, from
+the same start, by the same revised simplex in Fractions, with Bland's
+rule. Whichever lane
 answered, `_solve_covering` proves primal and dual again on integers, so
 a bug in the pivoting itself cannot produce a wrong answer unnoticed.
 Where the optimum is not unique, which optimal coloring, b-fold multiset
@@ -72,8 +76,10 @@ def _simplex(cols, b, c, *, exact: bool, start, maxiter: int = _MAX_PIVOTS) -> _
     first pivot, B Binv = I and Binv b >= 0 are checked on integers, and
     InternalError is raised if either fails. From there a single phase
     pivots on the real objective. Exact mode pivots by Bland's rule (no
-    cycling) in Fractions; float mode uses Dantzig pricing and is only ever
-    used to guess a basis for the exact layer. The basis inverse B^-1
+    cycling) in Fractions; float mode uses Dantzig pricing (the most
+    negative reduced cost, the first of equals, found by one argmin per
+    pivot) in plain float64 arrays and is only ever used to guess a basis
+    for `_certify_basis`. The basis inverse B^-1
     (m x m) is held explicitly, as in the revised simplex of Dantzig &
     Orchard-Hays (1954). Each pivot prices every column at once as
     c - (c_B B^-1) A, one matvec; forms the entering column B^-1 a_q for
@@ -90,20 +96,26 @@ def _simplex(cols, b, c, *, exact: bool, start, maxiter: int = _MAX_PIVOTS) -> _
     xB = _exact_matvec(start[1], b)
     if not np.array_equal(_exact_matvec(cols[basis].T, start[1]), np.eye(m)) or np.any(xB < 0):
         raise InternalError("simplex start: Binv is not the basis inverse, or Binv b < 0")
-    Binv = start[1].astype(dtype) + zero
-    xB = xB.astype(dtype) + zero
+    Binv = start[1].astype(dtype)
+    xB = xB.astype(dtype)
+    if exact:  # ints to Fractions, so that every division below stays exact
+        Binv, xB = Binv + zero, xB + zero
     cost = np.array(c, dtype=dtype)
     pivots_left = maxiter
     while True:
         y = cost[basis] @ Binv
         red = cost - A @ y
-        neg = (red < -eps).nonzero()[0]
-        if not neg.size:
-            break
+        if exact:  # Bland: the first improving column
+            neg = (red < 0).nonzero()[0]
+            if not neg.size:
+                break
+            enter = neg[0]
+        else:  # Dantzig: the most negative, the first of equals
+            enter = red.argmin()
+            if red[enter] >= -eps:
+                break
         if not pivots_left:
             raise InternalError("simplex pivot limit exhausted")
-        # Bland: the first improving column; Dantzig: the most negative
-        enter = neg[0] if exact else neg[red[neg].argmin()]
         u = Binv @ A[enter]
         rows = (u > eps).nonzero()[0]
         if not rows.size:
@@ -199,26 +211,48 @@ def _exact_matvec(M, v) -> np.ndarray:
 def _certify_basis(cols, b, c, basis) -> _LPResult:
     """Exactly solve for a basis found in floats and certify its optimality.
 
-    All arithmetic is on integers over the common denominator det(B), from
-    two Bareiss solves: B x_B = b and B^T y = c_B, with B = cols[basis]^T
-    on every row. Raises _WarmStartFailed unless B is square and
-    nonsingular, x is nonnegative and, re-checked as a safety net,
-    satisfies every row, and every reduced cost c_j - y.a_j is nonnegative
-    and zero on the basis. Then x and y are feasible and complementary,
-    which proves both optimal whatever computed them, so a wrong float
-    answer can never leak through. Rationals are built only for the
-    nonzero outputs.
+    `cols`, `b`, `c` have the `_covering_lp` layout: the set columns, then
+    the surplus column -e_v of each of the m rows. The basis splits into K,
+    its set columns, and the surplus columns of the rows S; T holds the
+    other rows. With rows ordered T, S and columns K, S, B = cols[basis]^T
+    is block triangular, [[M_TK, 0], [M_SK, -I]], so det B = +-det M_TK and
+    B is nonsingular iff |K| = |T| and M_TK is. Two k x k Bareiss solves
+    then give the basic solution, k = |K|: M_TK x_K = b_T, and M_TK^T y_T =
+    c_K with y = 0 on S (c is 0 on a surplus column). Each basic surplus is
+    (M x)_v - b_v. All arithmetic is on integers over the common denominator
+    |det M_TK|. Raises _WarmStartFailed unless B is square and nonsingular,
+    x is nonnegative and, re-checked as a safety net, satisfies every row,
+    and every reduced cost c_j - y.a_j is nonnegative and zero on the
+    basis. Then x and y are feasible and complementary, which proves both
+    optimal whatever computed them, so a wrong float answer can never leak
+    through. Rationals are built only for the nonzero outputs.
     """
-    if len(basis) != len(b):
+    m = len(b)
+    k = len(cols) - m
+    in_S = np.zeros(m, dtype=bool)
+    in_S[[j - k for j in basis if j >= k]] = True
+    K = [j for j in basis if j < k]
+    T = np.flatnonzero(~in_S)
+    if len(basis) != m or len(K) != len(T):
         raise _WarmStartFailed
-    B = cols[basis].T
-    det, x_num = _bareiss_solve(B, b)
-    if any(v < 0 for v in x_num):
-        raise _WarmStartFailed
-    if _exact_matvec(B, x_num).tolist() != [det * v for v in b]:
+    M_K = cols[K].T
+    M_TK = M_K[T]
+    det, x_num = _bareiss_solve(M_TK, [b[v] for v in T])
+    num = dict(zip(K, x_num))
+    # det (M x - b) on every row: 0 on T, the basic surplus on S
+    for v, cov in enumerate(_exact_matvec(M_K, x_num).tolist()):
+        excess = cov - det * b[v]
+        if in_S[v]:
+            num[k + v] = excess
+        elif excess:
+            raise _WarmStartFailed
+    if any(v < 0 for v in num.values()):
         raise _WarmStartFailed
 
-    det_y, y_num = _bareiss_solve(B.T, [c[j] for j in basis])
+    det_y, y_T = _bareiss_solve(M_TK.T, [c[j] for j in K])
+    y_num = [0] * m
+    for v, val in zip(T.tolist(), y_T):
+        y_num[v] = val
     ya = _exact_matvec(cols, y_num)
     c_det = _exact_matvec(np.asarray(c, dtype=np.int64)[:, None], [det_y])  # c_j det_y
     if np.any(ya > c_det) or np.any(ya[basis] != c_det[basis]):
@@ -226,11 +260,11 @@ def _certify_basis(cols, b, c, basis) -> _LPResult:
 
     zero = Fraction(0)
     x = [zero] * len(cols)
-    for j, v in zip(basis, x_num):
+    for j, v in num.items():
         if v:
             x[j] = Fraction(v, det)
     y = [Fraction(v, det_y) if v else zero for v in y_num]
-    obj = Fraction(sum(c[j] * v for j, v in zip(basis, x_num)), det)
+    obj = Fraction(sum(c[j] * v for j, v in num.items()), det)
     return _LPResult(x=x, y=y, obj=obj, basis=list(basis))
 
 

@@ -3,6 +3,7 @@
 import importlib
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,14 @@ from helpers import (
 )
 
 LG_5_2 = math.log2(2.5)
+
+
+def lg40(x: Fraction, minus: Fraction = Fraction(0)) -> Decimal:
+    """lg x - minus, to 40 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lg = (Decimal(x.numerator).ln() - Decimal(x.denominator).ln()) / Decimal(2).ln()
+        return lg - Decimal(minus.numerator) / minus.denominator
 
 
 class TestObjective:
@@ -395,6 +404,25 @@ class TestBracket:
         assert res.value - res.gap <= exact + 1e-12
         assert exact <= res.value + 1e-12
         assert res.converged == (res.gap <= 1e-15)
+
+    @pytest.mark.parametrize(
+        "graph, h",
+        [pytest.param(complete_graph(n), lg40(Fraction(n)), id=f"K{n}") for n in range(2, 13)]
+        + [
+            pytest.param(cycle_graph(n), lg40(Fraction(n, n // 2)), id=f"C{n}")
+            for n in range(4, 16)
+        ]
+        + [pytest.param(kneser(5, 2), lg40(Fraction(5, 2)), id="K(5,2)")]
+        # the minimizer on P3 is a = (2/3, 1/3, 2/3)
+        + [pytest.param(path_graph(3), lg40(Fraction(3), minus=Fraction(2, 3)), id="P3")],
+    )
+    def test_bracket_holds_the_exact_value(self, graph, h):
+        # uniform P against closed forms at 40 digits (lg chi_f on the
+        # vertex-transitive graphs); with no rounding pad, K7 and C6 returned
+        # a value below H with gap 0
+        res = entropy(graph, Distribution.uniform(graph.n))
+        assert res.converged and res.gap <= 1e-9
+        assert Decimal(res.value) - Decimal(res.gap) <= h <= Decimal(res.value)
 
 
 class TestClosedForms:

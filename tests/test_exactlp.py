@@ -556,6 +556,64 @@ class TestCertifyBasis:
         with pytest.raises(exactlp._WarmStartFailed):
             exactlp._certify_basis(cols, b, c, basis)
 
+    @pytest.mark.parametrize(
+        "names",
+        [
+            [(0, 2), (0, 2), (1, 3), (2, 4), ("s", 3)],  # a set twice: M_TK singular
+            [(0, 2), (1, 3), (2, 4), ("s", 3), ("s", 3)],  # a surplus twice: |K| != |T|
+        ],
+    )
+    def test_repeated_column_is_rejected(self, names):
+        basis = [self.column(s) for s in names]
+        assert self.reference(basis, range(5)) is None
+        cols, b, c = self.lp()
+        with pytest.raises(exactlp._WarmStartFailed):
+            exactlp._certify_basis(cols, b, c, basis)
+
+    def test_surplus_only_basis_is_rejected(self):
+        # B = -I, so x = -b: every basic surplus is -1, with no set block at all
+        basis = [self.column(("s", v)) for v in range(5)]
+        x, _, _ = self.reference(basis, range(5))
+        assert x[5:] == [-1] * 5
+        cols, b, c = self.lp()
+        with pytest.raises(exactlp._WarmStartFailed):
+            exactlp._certify_basis(cols, b, c, basis)
+
+    def test_negative_basic_surplus_is_rejected(self):
+        # 02 and 13 leave vertex 4 uncovered: its surplus is -1; the rest is
+        # dual feasible (y = 1 on T = {0, 1}), so only the sign of x rejects it
+        basis = [self.column(s) for s in [(0, 2), (1, 3), ("s", 2), ("s", 3), ("s", 4)]]
+        x, _, _ = self.reference(basis, range(5))
+        assert min(x[:5]) >= 0 and x[5:] == [0, 0, 0, 0, -1]
+        cols, b, c = self.lp()
+        with pytest.raises(exactlp._WarmStartFailed):
+            exactlp._certify_basis(cols, b, c, basis)
+
+    @staticmethod
+    def full_reference(cols, b, c, basis):
+        """x, y and obj of `basis` from the Fraction LU of the whole m x m B."""
+        B = [[int(cols[j][r]) for j in basis] for r in range(len(b))]
+        x_B, y, _, _ = fraction_lu_solve(B, b, [c[j] for j in basis])
+        x = [Fraction(0)] * len(cols)
+        for j, v in zip(basis, x_B):
+            x[j] = v
+        return x, y, sum(c[j] * v for j, v in zip(basis, x_B))
+
+    def test_float_bases_match_the_full_fraction_solve(self, corpus7):
+        rng = random.Random(1515)
+        graphs = list(corpus7) + [kneser(7, 2), petersen(), triangle_union(5)]
+        graphs += [rand_graph(rng, rng.randint(2, 30), rng.random()) for _ in range(300)]
+        surplus_read = 0
+        for g in graphs:
+            cols, b, c = exactlp._covering_lp(g.n, enumerate_maximal_independent_sets(g))
+            start = exactlp._cover_start(cols, len(b))
+            basis = exactlp._simplex(cols, b, c, exact=False, start=start).basis
+            res = exactlp._certify_basis(cols, b, c, basis)
+            assert (res.x, res.y, res.obj) == self.full_reference(cols, b, c, basis)
+            assert res.basis == basis
+            surplus_read += any(res.x[len(cols) - g.n:])
+        assert surplus_read >= 500  # a positive basic surplus in most of them
+
 
 class TestFloatBasisCertifies:
     """Every float basis certifies, so the exact revised simplex is never reached."""
@@ -596,6 +654,19 @@ class TestRevisedSimplex:
             assert abs(guess.obj - float(cold.obj)) < 1e-9
             certified = exactlp._certify_basis(cols, b, c, guess.basis)
             assert certified.obj == cold.obj
+
+    def test_float_lane_enters_the_first_most_negative_column(self):
+        # min 4x0 + 3x1 + 2x2 + 2x3, x0 + x1 + x2 + x3 = 1, from basis {x0}:
+        # reduced costs 0, -1, -2, -2. Dantzig enters x2 (x3 ties, later)
+        # and is optimal after one pivot; Bland enters x1 and needs two.
+        cols = np.ones((4, 1), dtype=np.int64)
+        start = (np.array([0]), np.ones((1, 1), dtype=np.int64))
+        res = exactlp._simplex(cols, [1], [4, 3, 2, 2], exact=False, maxiter=1, start=start)
+        assert res.basis == [2] and res.obj == 2
+        with pytest.raises(InternalError, match="pivot limit"):
+            exactlp._simplex(cols, [1], [4, 3, 2, 2], exact=True, maxiter=1, start=start)
+        res = exactlp._simplex(cols, [1], [4, 3, 2, 2], exact=True, maxiter=2, start=start)
+        assert res.basis == [2] and res.obj == 2
 
     def test_degenerate_families_certify_without_the_exact_lane(self, monkeypatch):
         families = [(triangle_union(k), Fraction(3)) for k in range(2, 9)]
