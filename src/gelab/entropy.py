@@ -40,6 +40,7 @@ from .graphs import (
     Distribution,
     Graph,
     IndependentSet,
+    _bits,
     _greedy_cover_indices,
     _incidence,
     enumerate_maximal_independent_sets,
@@ -230,6 +231,18 @@ def _face_newton_step(
     return lam_w @ m_w
 
 
+def _lifted(g: Graph, sub: Graph, supp: tuple[int, ...], s: IndependentSet) -> IndependentSet:
+    """The set of `sub` = G[supp] that `s` is, as a set of `g`.
+
+    When supp is every vertex, `g.induced` returned `g` itself and `s` is
+    already a set of `g`. Otherwise its mask is mapped through supp and
+    checked again in `g` (`IndependentSet._from_mask`).
+    """
+    if sub is g:
+        return s
+    return IndependentSet._from_mask(g, sum(1 << supp[v] for v in _bits(s.mask)))
+
+
 def entropy(
     g: Graph,
     p: Distribution,
@@ -298,9 +311,7 @@ def entropy(
     for j, old in enumerate(supp):
         coords[old] = float(a[j])
     decomposition = tuple(
-        (IndependentSet(g, (supp[v] for v in sets[i].sorted_members())), float(lam[i]))
-        for i in range(len(sets))
-        if lam[i] > 0.0
+        (_lifted(g, sub, supp, sets[i]), float(lam[i])) for i in np.flatnonzero(lam > 0.0).tolist()
     )
     minimizer = PolytopePoint(coords=tuple(coords), decomposition=decomposition)
     return EntropyResult(

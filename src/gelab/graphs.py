@@ -26,8 +26,9 @@ SET_COUNT_CAP = 10**6
 
 It bounds every enumeration of maximal independent sets. It is checked as
 the sets are found, before anything else touches them: the family is then
-checked for independence once, in bulk, when it is enumerated and cached,
-and only after that sorted, wrapped or turned into a matrix. The vertex
+packed once (`_packed`), checked for independence in bulk on that pack and
+sorted on it, when it is enumerated and cached, and only after that wrapped
+or turned into a matrix (`_incidence`, from the same layout). The vertex
 cap alone does not bound memory: 13 disjoint triangles (39 vertices) have
 3**13 = 1.59M maximal independent sets.
 """
@@ -161,8 +162,11 @@ class IndependentSet:
     `mask` is the set: bit v is set iff v is a member. Every other view
     (`members`, `len`, `in`, `sorted_members`, the characteristic vector,
     the weight) is read off it; `members` is derived once and cached.
+    The two fields are slots, which `_trusted` fills directly; the cached
+    views live in the instance dict, made on first use.
     """
 
+    __slots__ = ("graph", "mask", "__dict__", "__weakref__")
     graph: Graph
     mask: int
 
@@ -175,6 +179,10 @@ class IndependentSet:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "mask", mask)
 
+    def __reduce__(self):
+        # frozen slots cannot be restored by setattr: rebuild through __init__
+        return IndependentSet, (self.graph, self.sorted_members())
+
     @classmethod
     def _from_mask(cls, graph: Graph, mask: int) -> "IndependentSet":
         """The set with bitmask `mask`, under the same checks as `__init__`.
@@ -185,15 +193,23 @@ class IndependentSet:
         if mask >> graph.n:
             raise VertexNotFound(f"mask {mask:#x} has a bit outside 0..{graph.n - 1}")
         _check_independent(graph, mask)
-        return cls._trusted(graph, mask)
+        return cls._trusted(graph, (mask,))[0]
 
     @classmethod
-    def _trusted(cls, graph: Graph, mask: int) -> "IndependentSet":
-        """The set with bitmask `mask`, unchecked: `mask` must be independent in `graph`."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "graph", graph)
-        object.__setattr__(obj, "mask", mask)
-        return obj
+    def _trusted(cls, graph: Graph, masks: Sequence[int]) -> list["IndependentSet"]:
+        """The sets of `graph` with bitmasks `masks`, unchecked: each must be independent.
+
+        Each field is written through its slot descriptor, past the frozen
+        `__setattr__`.
+        """
+        new, set_graph, set_mask = object.__new__, cls.graph.__set__, cls.mask.__set__
+        sets = []
+        for mask in masks:
+            s = new(cls)
+            set_graph(s, graph)
+            set_mask(s, mask)
+            sets.append(s)
+        return sets
 
     @cached_property
     def members(self) -> frozenset[int]:
@@ -326,8 +342,11 @@ def _maximal_independent_masks(adj: tuple[int, ...], n: int) -> list[int]:
     takes O(3**(n/3)) time, the Moon-Moser bound on the output size
     (Tomita, Tanaka & Takahashi, "The worst-case time complexity for
     generating all maximal cliques and computational experiments",
-    Theoretical Computer Science 363, 2006). Raises CapExceeded as soon as
-    more than SET_COUNT_CAP sets have been found.
+    Theoretical Computer Science 363, 2006). A branch whose candidate set
+    comes out empty is a leaf: it is emitted in the branch loop (when its X
+    is empty too) instead of recursing, so every call has a nonempty P.
+    Raises CapExceeded as soon as more than SET_COUNT_CAP sets have been
+    found.
     """
     full = (1 << n) - 1
     comp = [full & ~adj[v] & ~(1 << v) for v in range(n)]
@@ -335,12 +354,6 @@ def _maximal_independent_masks(adj: tuple[int, ...], n: int) -> list[int]:
     budget = SET_COUNT_CAP
 
     def expand(r: int, p: int, x: int) -> None:
-        if not p:
-            if not x:
-                if len(out) >= budget:
-                    raise CapExceeded(f"more than {budget} maximal independent sets")
-                out.append(r)
-            return
         pivot, best = -1, -1
         pux = p | x
         while pux:
@@ -355,7 +368,14 @@ def _maximal_independent_masks(adj: tuple[int, ...], n: int) -> list[int]:
             low = branch & -branch
             v = low.bit_length() - 1
             branch ^= low
-            expand(r | low, p & comp[v], x & comp[v])
+            near = comp[v]
+            cand = p & near
+            if cand:
+                expand(r | low, cand, x & near)
+            elif not x & near:
+                if len(out) >= budget:
+                    raise CapExceeded(f"more than {budget} maximal independent sets")
+                out.append(r | low)
             p ^= low
             x |= low
     if n:
@@ -365,63 +385,91 @@ def _maximal_independent_masks(adj: tuple[int, ...], n: int) -> list[int]:
     return out
 
 
-_REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_REV = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 """Bit reversal within a byte: `_REV[b]` has bit 7 - i set iff b has bit i."""
+
+_LIMB = (1 << 64) - 1
 
 
 @lru_cache(maxsize=2048)
 def _maximal_sets_cached(graph: Graph) -> tuple[int, ...]:
     """Bitmasks of the maximal independent sets, lexicographic by member list.
 
-    The family is checked once, in bulk, before it is sorted and cached
-    (`_check_family`); a family that fails raises InternalError and is not
-    cached. The sort key reads each mask as a bit string of fixed width
-    8 * ceil(n/8) from vertex 0 upward: its little-endian bytes, each
-    bit-reversed so that a byte's first bit is its lowest vertex. All keys
-    have the same width, so descending order puts first the set that holds
-    the first vertex where two sets differ. The sets form an antichain, so
-    no member list is a prefix of another, and that order is lexicographic
-    order of the member lists.
+    The family is packed and checked once, in bulk, before it is sorted and
+    cached (`_check_family`); a family that fails raises InternalError and
+    is not cached. The sort runs on those packed rows: `np.lexsort` reads
+    each row as a bit string of fixed width 8 * ceil(n/8) from vertex 0
+    upward, its bytes in order, each bit-reversed (`_REV`) so that a byte's
+    first bit is its lowest vertex. All keys have the same width, so
+    descending order puts first the set that holds the first vertex where
+    two sets differ. The sets form an antichain, so no member list is a
+    prefix of another, and that order is lexicographic order of the member
+    lists. A graph with no vertices has the one set (), with no bytes to
+    sort on.
     """
     masks = _maximal_independent_masks(graph._adj, graph.n)
-    _check_family(graph, masks)
-    width = (graph.n + 7) // 8
-    masks.sort(key=lambda m: m.to_bytes(width, "little").translate(_REV), reverse=True)
+    rows = _check_family(graph, masks)
+    if graph.n:
+        order = np.lexsort(_REV[rows].T[::-1])[::-1]
+        # permuted as an object array: a list of k index ints, alive at once,
+        # would leave the int pools they took fragmented
+        masks = np.array(masks, dtype=object)[order].tolist()
     return tuple(masks)
 
 
-def _check_family(graph: Graph, masks: Sequence[int]) -> None:
-    """Raise InternalError unless every mask is an independent set of `graph`.
+def _check_family(graph: Graph, masks: Sequence[int]) -> np.ndarray:
+    """The family packed (`_packed`), once every mask is checked independent in `graph`.
 
-    One bulk pass over an enumerated family, in place of a per-set check on
-    every wrap. The ints are range-checked first: packing drops bits at or
-    above n silently. Then the family is transposed into one int per vertex
-    v, whose bit i is set iff set i holds v, eight vertices at a time from
-    the packed rows (memory: the k x ceil(n/8) packed rows and k x 8 bits).
-    Every edge is tested with one AND of two such ints, 64 sets per word.
+    Raises InternalError otherwise. One bulk pass over an enumerated family,
+    in place of a per-set check on every wrap. The ints are range-checked
+    first: packing drops bits at or above n silently. Then the packed family
+    is transposed into one int per vertex v, whose bit i is set iff set i
+    holds v, one 64-vertex limb at a time (memory: the packed rows and
+    k x 64 bytes of bits). Every edge is tested with one AND of two such
+    ints, 64 sets per word. The packed rows are returned for the sort, so
+    the family is serialized once.
     """
     n = graph.n
     if masks and (min(masks) < 0 or max(masks) >> n):
         raise InternalError(f"enumerated set has a bit outside 0..{n - 1}")
     rows = _packed(masks, n)
-    holders = []
-    for j in range(rows.shape[1]):
-        bits = np.unpackbits(rows[:, j, None], axis=1, bitorder="little")  # vertices 8j..8j+7
-        holders += [int.from_bytes(col.tobytes(), "little") for col in np.packbits(bits, axis=0).T]
+    holders: list[int] = []
+    for j in range(0, rows.shape[1], 8):  # vertices 8j..8j+63
+        bits = np.unpackbits(rows[:, j : j + 8], axis=1, count=min(n - 8 * j, 64), bitorder="little")
+        held = np.packbits(bits, axis=0, bitorder="little")
+        raw, width = held.T.tobytes(), held.shape[0]  # per vertex: bit i of its bytes is set i
+        holders += [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
     for u, v in graph.edges:
         if holders[u] & holders[v]:
             raise InternalError(f"enumerated set contains the edge ({u}, {v})")
+    return rows
 
 
 def _packed(masks: Sequence[int], n: int) -> np.ndarray:
-    """uint8 matrix with one row per mask: its ceil(n/8) little-endian bytes."""
-    width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    """uint8 matrix with one row per mask: its ceil(n/8) little-endian bytes.
+
+    Built from 64-bit limbs, one `np.fromiter` pass per limb: each low limb
+    is cut off every mask in turn, and what is left (the top limb) fits 64
+    bits and is read as it is. So for n <= 64 the ints go to numpy in one
+    pass, as they are.
+    """
+    k = len(masks)
+    limbs = np.empty((k, (n + 63) // 64), dtype="<u8")
+    rest = masks
+    for j in range(limbs.shape[1] - 1):
+        limbs[:, j] = np.fromiter(map(_LIMB.__and__, rest), dtype="<u8", count=k)
+        rest = [m >> 64 for m in rest]
+    if n:  # no vertices, no limbs
+        limbs[:, -1] = np.fromiter(rest, dtype="<u8", count=k)
+    return limbs.view(np.uint8)[:, : (n + 7) // 8]
 
 
 def _incidence(sets: Sequence["IndependentSet"], n: int) -> np.ndarray:
-    """0/1 uint8 matrix with one row per set and one column per vertex."""
+    """0/1 uint8 matrix with one row per set and one column per vertex.
+
+    The rows are unpacked from `_packed`, the layout the family was checked
+    and sorted in.
+    """
     rows = _packed([s.mask for s in sets], n)
     return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
@@ -462,10 +510,10 @@ def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list
     than SET_COUNT_CAP maximal independent sets (the set budget, checked
     while the sets are found, so memory stays bounded by the budget). The
     family is checked for independence once, in bulk, when it is enumerated
-    and cached, so each set is wrapped here without a check of its own.
+    and cached, so each set is wrapped here without a check of its own
+    (`IndependentSet._trusted`).
     """
-    trusted = IndependentSet._trusted
-    return [trusted(g, mask) for mask in _maximal_sets_if_capped(g, cap)]
+    return IndependentSet._trusted(g, _maximal_sets_if_capped(g, cap))
 
 
 def alpha(g: Graph, cap: int | None = None) -> WeightedAlpha:

@@ -153,6 +153,22 @@ class TestEntropy:
         assert res_full.value == pytest.approx(res_sub.value, abs=1e-9)
         assert res_full.minimizer.coords[1] == 0.0
 
+    @pytest.mark.parametrize("zeros", [0, 3], ids=["full support", "three zeros"])
+    def test_decomposition_atoms_are_lifted_sets_of_g(self, zeros):
+        g = rand_graph(random.Random(11), 12, 0.35)
+        w = [0] * zeros + [1] * (g.n - zeros)
+        p = Distribution([Fraction(x, sum(w)) for x in w])
+        supp = p.support
+        sub, _ = g.induced(supp)
+        lifted = {
+            frozenset(supp[v] for v in s.members) for s in enumerate_maximal_independent_sets(sub)
+        }
+        res = entropy(g, p)
+        assert res.minimizer.decomposition
+        for s, _ in res.minimizer.decomposition:
+            assert s.graph == g and s == IndependentSet(g, s.members)
+            assert s.members in lifted
+
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             entropy(complete_graph(2), Distribution.uniform(2), tol=-1)

@@ -1,8 +1,11 @@
 """Graph core: enumeration, alpha, and weighted independent-set oracles."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
+import weakref
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
@@ -144,6 +147,13 @@ class TestEnumerateMaximal:
         assert got == brute_maximal_independent_sets(cycle_graph(5))
         assert got == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
 
+    @pytest.mark.usefixtures("fresh_cache")
+    def test_zero_vertex_graph_gives_the_empty_set(self):
+        # one set with no bytes to sort on: the family is returned as it is
+        g = Graph(0)
+        assert enumerate_maximal_independent_sets(g) == [IndependentSet(g, ())]
+        assert graphs_mod._maximal_sets_cached(g) == (0,)
+
     def test_cap_enforced(self):
         with pytest.raises(CapExceeded):
             enumerate_maximal_independent_sets(empty_graph(41))
@@ -256,6 +266,14 @@ class TestMaskPath:
             s.mask = 0b00101
         assert [f.name for f in fields(IndependentSet)] == ["graph", "mask"]
 
+    def test_pickles_copies_and_weakrefs(self):
+        g = cycle_graph(7)
+        for s in enumerate_maximal_independent_sets(g) + [IndependentSet._from_mask(g, 0)]:
+            for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+                assert twin == s and hash(twin) == hash(s) and twin.mask == s.mask
+                assert twin.members == s.members
+            assert weakref.ref(s)() is s
+
     def test_rejects_mask_with_an_edge(self):
         g = cycle_graph(5)
         with pytest.raises(ValueError):
@@ -280,6 +298,76 @@ class TestMaskPath:
         inc = _incidence(sets, n)
         assert inc.shape == (len(sets), n)
         assert inc.tolist() == [list(s.characteristic_vector()) for s in sets]
+
+
+def cocktail_party(n: int) -> Graph:
+    """K_n minus the perfect matching {i, i + n/2}: its maximal sets are those pairs."""
+    half = n // 2
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if j - i != half])
+
+
+# bit 63 alone, bits on both sides of the 64-bit limb boundary, a full
+# first limb, and masks reaching into the second and third limbs
+LIMB_MASKS = [
+    0,
+    1 << 63,
+    1 << 63 | 1 << 64,
+    1 << 31 | 1 << 64,
+    (1 << 64) - 1,
+    1 << 64,
+    ((1 << 80) - 1) ^ (1 << 63),
+    1 << 127 | 1 << 128 | 1,
+    (1 << 130) - 1,
+]
+
+
+class TestLimbBoundary:
+    """Packing, sorting and incidence rows for n on both sides of 64 bits."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 70, 80])
+    def test_cached_order_is_member_list_order(self, n):
+        for g in (rand_graph(random.Random(n), n, 0.6), cocktail_party(2 * (n // 2))):
+            masks = graphs_mod._maximal_sets_cached(g)
+            lists = [tuple(v for v in range(g.n) if m >> v & 1) for m in masks]
+            assert lists == sorted(lists)
+            assert sorted(masks) == sorted(graphs_mod._maximal_independent_masks(g._adj, g.n))
+            for m in masks:  # maximal: every vertex outside has a neighbour inside
+                assert all(g._adj[v] & m for v in range(g.n) if not m >> v & 1)
+            sets = enumerate_maximal_independent_sets(g, cap=g.n)
+            assert _incidence(sets, g.n).tolist() == [list(s.characteristic_vector()) for s in sets]
+
+    def test_cocktail_party_straddles_the_boundary(self):
+        g = cocktail_party(66)
+        sets = enumerate_maximal_independent_sets(g, cap=66)
+        assert [s.sorted_members() for s in sets] == [(i, i + 33) for i in range(33)]
+        assert fractional_chromatic_number(g, cap=66)[0] == 33
+
+    def test_corpus7_order_is_member_list_order(self, corpus7):
+        for g in corpus7:
+            lists = [s.sorted_members() for s in enumerate_maximal_independent_sets(g)]
+            assert lists == sorted(lists)
+
+    @pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 70, 80, 131])
+    def test_packed_is_the_to_bytes_layout(self, n):
+        masks = [m for m in LIMB_MASKS if m < 1 << n] + [(1 << n) - 1]
+        width = (n + 7) // 8
+        rows = graphs_mod._packed(masks, n)
+        assert rows.dtype == np.uint8 and rows.shape == (len(masks), width)
+        assert rows.tobytes() == b"".join(m.to_bytes(width, "little") for m in masks)
+
+    @pytest.mark.parametrize("n", [64, 65, 70, 131])
+    def test_incidence_rows_across_limbs(self, n):
+        g = empty_graph(n)  # every mask is independent
+        sets = [IndependentSet._from_mask(g, m) for m in LIMB_MASKS if m < 1 << n]
+        inc = _incidence(sets, n)
+        assert inc.shape == (len(sets), n)
+        assert inc.tolist() == [list(s.characteristic_vector()) for s in sets]
+
+    @pytest.mark.usefixtures("fresh_cache")
+    def test_check_finds_an_edge_across_limbs(self, monkeypatch):
+        add_to_enumeration(monkeypatch, 1 << 31 | 1 << 65)  # 31 and 65 are adjacent
+        with pytest.raises(InternalError, match=r"edge \(31, 65\)"):
+            enumerate_maximal_independent_sets(cocktail_party(66), cap=66)
 
 
 @pytest.fixture
