@@ -8,7 +8,9 @@ product is never below 1). Then any optimal fractional coloring x of G[S]
 is the certificate: 1 = sum_v p_v <= sum_T x_T P(T) <= alpha_P sum_T x_T = 1
 forces every vertex of S to be covered exactly once, by sets of P-weight
 alpha_P, so its sets taken r*x_T times, r the common denominator of x,
-cover S exactly r times. A graph is symmetric when the uniform
+cover S exactly r times. On a support of several parts, chi_f is the
+largest of the parts' and alpha_P the sum of theirs; both are solved part
+by part, chi_f still by one LP. A graph is symmetric when the uniform
 distribution maximizes, i.e. when chi_f = n / alpha: `is_symmetric` is one
 call of `is_entropy_maximizer` with the uniform distribution.
 """
@@ -26,7 +28,7 @@ from .exactlp import (
     fractional_chromatic_number,
     integralize_cover,
 )
-from .graphs import Distribution, Graph, IndependentSet, max_weighted_independent_set
+from .graphs import Distribution, Graph, IndependentSet, _parts_of, max_weighted_independent_set
 
 REASON_NO_UNIFORM_COVER = "NoUniformCover"
 
@@ -56,10 +58,15 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
     """Decide exactly whether P maximizes the entropy of G.
 
     Works on the support-induced subgraph: the verdict is
-    chi_f(G[supp P]) * alpha_P == 1 in exact rationals. On a yes, the
+    chi_f(G[supp P]) * alpha_P == 1 in exact rationals. Its parts
+    (`graphs._parts_of`) are found once and passed to both factors: chi_f
+    is the largest of the parts' and alpha_P the sum of theirs, and neither
+    is solved over the product of the parts' families. On a yes, the
     optimal fractional coloring covers the support exactly once (see the
     module docstring); lifted back to G and scaled by `integralize_cover`
-    to integers r*x, it is the r-fold cover certificate.
+    to integers r*x, it is the r-fold cover certificate. On a support of
+    several parts that coloring is the merged one of
+    `exactlp.fractional_chromatic_number`, whose sets are maximal.
     """
     if not p.exact:
         raise NotRational("exact-rational distribution required for the decision")
@@ -69,8 +76,9 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
     sub, _ = g.induced(supp)  # sub's vertex i is supp[i]
     # P-weights over a common denominator, so the set weights sum as ints
     den, scaled = _common_denominator(p.restricted_to(supp))
-    chi_supp, coloring = fractional_chromatic_number(sub, cap)
-    alpha_p = Fraction(max_weighted_independent_set(sub, scaled, cap).value, den)
+    parts = _parts_of(sub)
+    chi_supp, coloring = fractional_chromatic_number(sub, cap, _parts=parts)
+    alpha_p = Fraction(max_weighted_independent_set(sub, scaled, cap, _parts=parts).value, den)
     if chi_supp * alpha_p != 1:
         return MaximizerVerdict(
             is_maximizer=False,

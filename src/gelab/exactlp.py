@@ -21,9 +21,13 @@ the same start, by the same revised simplex in Fractions, with Bland's
 rule. Whichever lane
 answered, `_solve_covering` proves primal and dual again on integers, so
 a bug in the pivoting itself cannot produce a wrong answer unnoticed.
+A graph of several parts (`graphs._parts_of`) is one LP as well, over the
+concatenation of its parts' families, never over their product: the LP is
+block diagonal, chi_f is its largest block, and the block solutions are
+merged into the graph's coloring and dual (`_merge_blocks`).
 Where the optimum is not unique, which optimal coloring, b-fold multiset
-or dual vector is returned depends on the start and the pivoting; chi_f
-and every verdict do not.
+or dual vector is returned depends on the start and the pivoting, and on a
+graph of several parts on the merge; chi_f and every verdict do not.
 
 Every rational, inside the exact layer and at its boundary, is a
 `fractions.Fraction`."""
@@ -44,6 +48,9 @@ from .graphs import (
     _bits,
     _greedy_cover_indices,
     _incidence,
+    _lift,
+    _part_families,
+    _parts_of,
     enumerate_maximal_independent_sets,
 )
 
@@ -375,19 +382,25 @@ class CoverMultiset:
         return sum(self.multiplicities.values())
 
 
-def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fraction, FractionalColoring]:
+def fractional_chromatic_number(
+    g: Graph, cap: int | None = None, *, _parts: Sequence[int] | None = None
+) -> tuple[Fraction, FractionalColoring]:
     """Exact fractional chromatic number with an optimal fractional coloring.
 
     Solves the covering LP over *maximal* independent sets only; enlarging an
     independent set never hurts coverage, so the optimum is unchanged while
-    the column count shrinks. The coloring's coverage and a matching dual
-    (packing) solution are proved exactly by `_solve_covering`.
+    the column count shrinks. A graph with several parts (`_parts_of`) is
+    solved as one LP over the parts' own families (`_solve_parts`), never
+    over their product, and chi_f is the largest of the parts'. The
+    coloring's coverage and a matching dual (packing) solution are proved
+    exactly by `_solve_covering`, and a merged coloring once more by
+    `_merge_blocks`. `_parts` are g's parts, when the caller has computed
+    them already.
     """
     if g.n == 0:
         return Fraction(0), FractionalColoring({})
-    sets = enumerate_maximal_independent_sets(g, cap)
-    res, support = _solve_covering(g, sets)
-    return res.obj, FractionalColoring({sets[j]: res.x[j] for j in support})
+    chi, weights, _ = _solve_parts(g, cap, _parts)
+    return chi, FractionalColoring(weights)
 
 
 def _covering_lp(n: int, sets: Sequence[IndependentSet]):
@@ -425,17 +438,109 @@ def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> tuple[_LPResult
     return res, support
 
 
+def _solve_parts(g: Graph, cap: int | None, parts: Sequence[int] | None) -> tuple[Fraction, dict, list]:
+    """chi_f of g, an optimal coloring {set: weight} and an optimal dual, one entry per vertex.
+
+    On a disjoint union the covering LP splits: chi_f is the largest of the
+    parts' chi_f, and the maximal sets of g are the products of the parts'
+    (Scheinerman & Ullman, *Fractional Graph Theory*, 1997, ch. 3). So one
+    LP is solved over the concatenation of the parts' families
+    (`_part_families`), each set lifted to g's labels. The LP has one block
+    per part and its optimum is the sum of their chi_f; `_merge_blocks`
+    turns its solution into g's. A graph of one part is solved over its
+    own family, as it is.
+    """
+    if parts is None:
+        parts = _parts_of(g)
+    families = _part_families(g, parts, cap, enumerate_maximal_independent_sets)
+    if len(families) == 1:
+        sets = families[0][1]
+        res, support = _solve_covering(g, sets)
+        return res.obj, {sets[j]: res.x[j] for j in support}, res.y
+    sets, ends = [], []
+    for labels, family in families:
+        sets += IndependentSet._trusted(g, [_lift(s.mask, labels) for s in family])
+        ends.append(len(sets))
+    res, support = _solve_covering(g, sets)
+    return _merge_blocks(g, parts, sets, ends, res, support)
+
+
+def _merge_blocks(
+    g: Graph, parts: Sequence[int], sets, ends: Sequence[int], res: _LPResult, support: Sequence[int]
+) -> tuple[Fraction, dict, list]:
+    """g's chi_f, coloring and dual from the LP over its parts' families.
+
+    Block i holds columns ends[i-1]..ends[i]-1, the sets of part i. Every
+    block's x is a coloring of its part and its y a fractional clique, so
+    sum x_i >= chi_f(G_i) >= sum y_i; the two sides have equal totals, so
+    each block is optimal, which is re-checked on integers. chi_f(g) is the
+    largest block total. The coloring is the common refinement of the block
+    colorings, each scaled to that total: the blocks are laid side by side
+    on one interval of length chi_f, each set over a stretch of its scaled
+    weight, in column order, and each piece where no block changes set is
+    the union of the sets over it, maximal in g. The dual is y on the first
+    part that attains the maximum, 0 elsewhere. All of it is computed on
+    integers over one denominator, and the merged coloring's coverage and
+    total are re-checked on them before any Fraction is built.
+    """
+    d, x = _common_denominator([res.x[j] for j in support])
+    e, y = _common_denominator(res.y)
+    blocks = [[] for _ in parts]  # (mask, d x) per block, in column order
+    i = 0
+    for j, xj in zip(support, x):
+        while j >= ends[i]:
+            i += 1
+        blocks[i].append((sets[j].mask, xj))
+    totals = [sum(xj for _, xj in block) for block in blocks]
+    for part, total in zip(parts, totals):
+        if total * e != d * sum(y[v] for v in _bits(part)):
+            raise InternalError("internal LP error: a part's coloring and dual differ")
+    top = max(totals)
+    # every block scaled to total `width`, the stretch of chi_f = top / d
+    width = math.lcm(*totals)
+    queues = [
+        [(mask, xj * (width // total)) for mask, xj in block] for block, total in zip(blocks, totals)
+    ]
+    at = [0] * len(queues)
+    left = [queue[0][1] for queue in queues]
+    masks, lengths = [], []
+    while at[0] < len(queues[0]):  # every block ends at `width`
+        step = min(left)
+        mask = 0
+        for queue, a in zip(queues, at):
+            mask |= queue[a][0]
+        masks.append(mask)
+        lengths.append(step)
+        for b, queue in enumerate(queues):
+            left[b] -= step
+            if not left[b]:
+                at[b] += 1
+                if at[b] < len(queue):
+                    left[b] = queue[at[b]][1]
+    merged = IndependentSet._trusted(g, masks)
+    cover = _exact_matvec(_incidence(merged, g.n).T.astype(np.int64), lengths).tolist()
+    if sum(lengths) != width or any(c * top < d * width for c in cover):
+        raise InternalError("internal LP error: merged coloring not covering")
+    weights = {s: Fraction(k * top, d * width) for s, k in zip(merged, lengths)}
+    first = parts[totals.index(top)]
+    zero = Fraction(0)
+    dual = [yv if first >> v & 1 else zero for v, yv in enumerate(res.y)]
+    return Fraction(top, d), weights, dual
+
+
 def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fraction, dict[int, Fraction]]:
     """Optimal fractional clique: max sum(x) with sum over each maximal set <= 1.
 
     This is the dual solution of the covering LP behind
     `fractional_chromatic_number`, already verified exactly there
-    (nonnegative, packing-feasible, zero duality gap), so its value is chi_f.
+    (nonnegative, packing-feasible, zero duality gap), so its value is
+    chi_f. On a graph of several parts it is the dual on the first part of
+    largest chi_f, which packs into every maximal set of g.
     """
     if g.n == 0:
         return Fraction(0), {}
-    res, _ = _solve_covering(g, enumerate_maximal_independent_sets(g, cap))
-    return res.obj, {v: y for v, y in enumerate(res.y) if y != 0}
+    chi, _, y = _solve_parts(g, cap, None)
+    return chi, {v: yv for v, yv in enumerate(y) if yv != 0}
 
 
 def integralize_cover(fc: FractionalColoring) -> CoverMultiset:

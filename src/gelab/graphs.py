@@ -11,10 +11,12 @@ and shared freely across threads.
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .errors import CapExceeded, InternalError, VertexNotFound
 
 DEFAULT_CAP = 40
 SET_COUNT_CAP = 10**6
-"""Set budget: most sets one enumeration may produce before `CapExceeded`.
+"""Set budget: most maximal independent sets a graph may have before `CapExceeded`.
 
 It bounds every enumeration of maximal independent sets. It is checked as
 the sets are found, before anything else touches them: the family is then
@@ -30,7 +32,11 @@ packed once (`_packed`), checked for independence in bulk on that pack and
 sorted on it, when it is enumerated and cached, and only after that wrapped
 or turned into a matrix (`_incidence`, from the same layout). The vertex
 cap alone does not bound memory: 13 disjoint triangles (39 vertices) have
-3**13 = 1.59M maximal independent sets.
+3**13 = 1.59M maximal independent sets. The solvers that split a graph into
+its parts (`_parts_of`) enumerate each part alone, and raise the same
+`CapExceeded` once the product of the parts' family sizes, the size of the
+graph's own family, exceeds the budget (`_part_families`). It also bounds
+the sets the family memo holds (`_family_cache`).
 """
 
 
@@ -391,7 +397,61 @@ _REV = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 _LIMB = (1 << 64) - 1
 
 
-@lru_cache(maxsize=2048)
+_CacheInfo = namedtuple("_CacheInfo", "currsize sets")
+
+_MAX_FAMILIES = 2048
+
+
+def _family_cache(compute: Callable[[Graph], tuple[int, ...]]):
+    """`compute` memoized by graph, least recently used family first out.
+
+    The memo holds at most `_MAX_FAMILIES` families and at most
+    `SET_COUNT_CAP` sets in all, the budget read at each insertion: a family
+    may hold up to the budget on its own, so a bound on families alone does
+    not bound memory. A hit moves the family to the most recent end. The
+    lock guards the bookkeeping only, never `compute`: two threads that miss
+    on the same graph both compute it, and the first to finish inserts it.
+    A family whose computation raises (`_check_family`, the set budget) is
+    not cached. Like `functools.lru_cache`, the memo offers `cache_clear()`
+    and `cache_info()`, here (families held, sets held).
+    """
+    lock = threading.Lock()
+    families: OrderedDict[Graph, tuple[int, ...]] = OrderedDict()
+    held = 0
+
+    @wraps(compute)
+    def cached(graph: Graph) -> tuple[int, ...]:
+        nonlocal held
+        with lock:
+            family = families.get(graph)
+            if family is not None:
+                families.move_to_end(graph)
+                return family
+        family = compute(graph)
+        with lock:
+            if graph not in families:
+                families[graph] = family
+                held += len(family)
+                while len(families) > _MAX_FAMILIES or held > SET_COUNT_CAP:
+                    held -= len(families.popitem(last=False)[1])
+        return family
+
+    def cache_clear() -> None:
+        nonlocal held
+        with lock:
+            families.clear()
+            held = 0
+
+    def cache_info() -> _CacheInfo:
+        with lock:
+            return _CacheInfo(len(families), held)
+
+    cached.cache_clear = cache_clear
+    cached.cache_info = cache_info
+    return cached
+
+
+@_family_cache
 def _maximal_sets_cached(graph: Graph) -> tuple[int, ...]:
     """Bitmasks of the maximal independent sets, lexicographic by member list.
 
@@ -495,12 +555,84 @@ def _greedy_cover_indices(M: np.ndarray) -> list[int]:
     return chosen
 
 
-def _maximal_sets_if_capped(g: Graph, cap: int | None) -> tuple[int, ...]:
-    """The cached maximal-set bitmasks, after the vertex-cap check."""
+def _check_vertex_cap(g: Graph, cap: int | None) -> None:
     limit = resolve_cap(cap)
     if g.n > limit:
         raise CapExceeded(f"graph has {g.n} vertices, enumeration cap is {limit}")
+
+
+def _maximal_sets_if_capped(g: Graph, cap: int | None) -> tuple[int, ...]:
+    """The cached maximal-set bitmasks, after the vertex-cap check."""
+    _check_vertex_cap(g, cap)
     return _maximal_sets_cached(g)
+
+
+def _parts_of(g: Graph) -> list[int]:
+    """The parts of g as vertex bitmasks, ordered by lowest vertex.
+
+    A part is a component of g that has an edge, and the isolated vertices
+    join the first part; when g has no edge, its one part is every vertex.
+    A maximal independent set of g is one maximal set of each part, united,
+    and the isolated vertices lie in every maximal set of the first part.
+    Each component is grown from its lowest vertex by a bit-parallel
+    breadth-first search: a frontier's neighbours are the union of its
+    members' adjacency masks.
+    """
+    adj = g._adj
+    linked = 0  # the vertices with a neighbour
+    for a in adj:
+        linked |= a
+    parts: list[int] = []
+    rest = linked
+    while rest:
+        part = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~part
+            part |= frontier
+        parts.append(part)
+        rest &= ~part
+    isolated = ((1 << g.n) - 1) & ~linked
+    if not parts:
+        return [isolated]
+    parts[0] |= isolated
+    return parts
+
+
+def _part_families(g: Graph, parts: Sequence[int], cap: int | None, enumerate_sets: Callable) -> list:
+    """(labels, enumerate_sets(G[part], cap)) for each part of g, in order.
+
+    labels are the part's vertices in ascending order: vertex j of G[part]
+    is labels[j] in g (`_lift`). A single part is g itself, enumerated as
+    it is, with labels None. Raises CapExceeded when g has more vertices
+    than the vertex cap, or once the product of the family sizes so far
+    exceeds `SET_COUNT_CAP`, with the message a single enumeration of g
+    would raise: that product is the number of maximal sets of g.
+    """
+    if len(parts) == 1:
+        return [(None, enumerate_sets(g, cap))]
+    _check_vertex_cap(g, cap)
+    families, count = [], 1
+    for part in parts:
+        labels = list(_bits(part))
+        family = enumerate_sets(g.induced(labels)[0], cap)
+        count *= len(family)
+        if count > SET_COUNT_CAP:
+            raise CapExceeded(f"more than {SET_COUNT_CAP} maximal independent sets")
+        families.append((labels, family))
+    return families
+
+
+def _lift(mask: int, labels: Sequence[int]) -> int:
+    """A bitmask over G[part]'s vertices, relabelled to g's (`_part_families`)."""
+    lifted = 0
+    for j in _bits(mask):
+        lifted |= 1 << labels[j]
+    return lifted
 
 
 def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list[IndependentSet]:
@@ -527,13 +659,20 @@ def alpha(g: Graph, cap: int | None = None) -> WeightedAlpha:
     return max_weighted_independent_set(g, [1] * g.n, cap)
 
 
-def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = None) -> WeightedAlpha:
+def max_weighted_independent_set(
+    g: Graph, weights: Sequence, cap: int | None = None, *, _parts: Sequence[int] | None = None
+) -> WeightedAlpha:
     """Maximum total weight of an independent set, for nonnegative weights.
 
     The optimum over nonnegative weights is attained at a maximal independent
     set of the support-induced subgraph; the witness is reported within the
     support (zero-weight vertices are never added to it). Ties are broken by
-    the deterministic enumeration order.
+    the deterministic enumeration order: the witness is the first maximum.
+    The support-induced subgraph is solved part by part (`_parts_of`): each
+    part's first maximum is taken, and their union is the subgraph's own
+    first maximum, because two maximal sets are ordered at the first vertex
+    where they differ, and that vertex lies in one part. `_parts` are the
+    subgraph's parts, when the caller has computed them already.
     """
     if len(weights) != g.n:
         raise ValueError("weight vector length differs from vertex count")
@@ -545,12 +684,17 @@ def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = 
         return WeightedAlpha(value=zero, witness=IndependentSet(g, ()))
     sub, _ = g.induced(support)  # sub's vertex i is support[i]
     sub_weights = [weights[v] for v in support]
-    best_val = None
-    best_set = None
-    for mask in _maximal_sets_if_capped(sub, cap):
-        val = sum(sub_weights[v] for v in _bits(mask))
-        if best_val is None or val > best_val:
-            best_val = val
-            best_set = mask
+    parts = _parts_of(sub) if _parts is None else _parts
+    best_set = 0
+    for labels, family in _part_families(sub, parts, cap, _maximal_sets_if_capped):
+        part_weights = sub_weights if labels is None else [sub_weights[v] for v in labels]
+        best_val = best_mask = None
+        for mask in family:
+            val = sum(part_weights[v] for v in _bits(mask))
+            if best_val is None or val > best_val:
+                best_val = val
+                best_mask = mask
+        best_set |= best_mask if labels is None else _lift(best_mask, labels)
+    best_val = sum(sub_weights[v] for v in _bits(best_set))
     witness = IndependentSet(g, (support[v] for v in _bits(best_set)))
     return WeightedAlpha(value=best_val, witness=witness)

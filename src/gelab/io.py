@@ -51,7 +51,7 @@ def _parse_edge_list(text: str) -> Graph:
         if parts[0] == "n":
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: malformed vertex-count header")
-            declared_n = _int(parts[1], lineno)
+            declared_n = _vertex_count(parts[1], lineno)
             continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
@@ -63,8 +63,6 @@ def _parse_edge_list(text: str) -> Graph:
     n = declared_n if declared_n is not None else max_label + 1
     if max_label >= n:
         raise ParseError(f"edge label {max_label} exceeds declared vertex count {n}")
-    if n < 0:
-        raise ParseError("graph has no vertices and no header")
     return Graph(n, edges)
 
 
@@ -79,7 +77,7 @@ def _parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) < 4 or parts[1] not in ("edge", "edges", "col"):
                 raise ParseError(f"line {lineno}: malformed DIMACS problem line")
-            n = _int(parts[2], lineno)
+            n = _vertex_count(parts[2], lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before problem line")
@@ -103,6 +101,13 @@ def _int(token: str, lineno: int) -> int:
         return int(token)
     except ValueError:
         raise ParseError(f"line {lineno}: {token!r} is not an integer") from None
+
+
+def _vertex_count(token: str, lineno: int) -> int:
+    n = _int(token, lineno)
+    if n < 0:
+        raise ParseError(f"line {lineno}: negative vertex count {n}")
+    return n
 
 
 def _check_exponent(token: str, lineno: int) -> None:

@@ -69,6 +69,16 @@ class TestGraphParsing:
                 parse_graph(text)
 
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("n -5\n", 1), ("# header\nn -1\n0 1\n", 2), ("p edge -3 0\n", 1), ("c x\np edge -1 0\n", 2)],
+    )
+    def test_negative_vertex_count(self, text, line):
+        # no edge at all: the header alone is wrong, and is named as such
+        with pytest.raises(ParseError, match=f"^line {line}: negative vertex count -"):
+            parse_graph(text)
+
+
 class TestDistributionParsing:
     def test_rationals(self):
         d, warnings = parse_distribution("0 1/3\n1 2/3\n", 2)
@@ -215,6 +225,11 @@ class TestExitCodes:
         dist = files("d", "0 1e-10000000\n1 1\n")
         assert main(["maximizer", files("p3", P3), dist]) == 2
         assert "power of ten" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["n -5\n", "p edge -3 0\n"])
+    def test_negative_vertex_count_is_2(self, files, capsys, text):
+        assert main(["chif", files("negative", text)]) == 2
+        assert "negative vertex count" in capsys.readouterr().err
 
     def test_missing_file_is_2(self, capsys):
         assert main(["chif", "/nonexistent/file"]) == 2

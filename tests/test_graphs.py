@@ -1,10 +1,12 @@
 """Graph core: enumeration, alpha, and weighted independent-set oracles."""
 
+import concurrent.futures
 import copy
 import itertools
 import math
 import pickle
 import random
+import sys
 import weakref
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
@@ -444,6 +446,57 @@ class TestFamilyCheck:
         IndependentSet._from_mask(g, sets[0].mask)
         assert len(per_set) == 1
 
+
+@pytest.mark.usefixtures("fresh_cache")
+class TestFamilyCacheBudget:
+    """The family cache evicts least recently used families past SET_COUNT_CAP sets."""
+
+    def test_evicts_oldest_past_the_budget_and_a_hit_reorders(self, monkeypatch):
+        monkeypatch.setattr(graphs_mod, "SET_COUNT_CAP", 10)
+        searches = count_calls(monkeypatch, "_maximal_independent_masks")
+        k2, k3, k4, k5 = (complete_graph(k) for k in (2, 3, 4, 5))  # k maximal sets each
+        cache = graphs_mod._maximal_sets_cached
+        for g in (k4, k3, k2):
+            cache(g)
+        assert cache.cache_info() == (3, 9) and len(searches) == 3
+        cache(k4)  # a hit: no search, and k4 becomes the most recent
+        assert len(searches) == 3
+        cache(k5)  # 14 sets: k3, then k2 go, oldest first
+        assert cache.cache_info() == (2, 9) and len(searches) == 4
+        cache(k4)  # a hit: k4 is now more recent than k5
+        assert len(searches) == 4
+        cache(k3)  # evicted before: searched again, and k5 goes
+        assert cache.cache_info() == (2, 7) and len(searches) == 5
+        cache(k4)
+        assert len(searches) == 5
+        cache(k5)
+        assert len(searches) == 6
+
+    def test_budget_is_read_at_each_insertion(self, monkeypatch):
+        cache = graphs_mod._maximal_sets_cached
+        for k in (3, 4, 5):
+            cache(complete_graph(k))
+        assert cache.cache_info() == (3, 12)
+        monkeypatch.setattr(graphs_mod, "SET_COUNT_CAP", 10)
+        cache(complete_graph(2))
+        assert cache.cache_info() == (2, 7)
+
+    def test_concurrent_callers_agree_and_the_count_stays_exact(self):
+        # more threads than cores, switching often: a lost update of the
+        # held-set count or a torn reorder would show in cache_info
+        graphs = [rand_graph(random.Random(seed), 10, 0.3) for seed in range(12)]
+        expected = [brute_maximal_independent_sets(g) for g in graphs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(graphs_mod._maximal_sets_cached, graphs * 20, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, masks in enumerate(got):
+            assert [tuple(graphs_mod._bits(m)) for m in masks] == expected[i % 12]
+        info = graphs_mod._maximal_sets_cached.cache_info()
+        assert info == (12, sum(len(e) for e in expected))
 
 
 class TestAlpha:

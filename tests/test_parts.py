@@ -1,0 +1,249 @@
+"""Graphs of several parts: chi_f and alpha_P solved over the parts' families.
+
+Every answer is compared with the reference the single-family solvers give,
+the covering LP over *every* maximal independent set of the graph (the
+product of the parts' families) and the first maximum in its enumeration
+order.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from gelab import exactlp
+from gelab import graphs as graphs_mod
+from gelab.characterize import is_entropy_maximizer, is_symmetric
+from gelab.exactlp import (
+    _common_denominator,
+    _solve_covering,
+    b_fold_realization,
+    fractional_chromatic_dual,
+    fractional_chromatic_number,
+)
+from gelab.graphs import (
+    Distribution,
+    Graph,
+    _bits,
+    _parts_of,
+    alpha,
+    cycle_graph,
+    enumerate_maximal_independent_sets,
+    max_weighted_independent_set,
+)
+from gelab.oracle import verify_certificate
+
+from helpers import petersen, rand_graph, rand_rational_distribution, triangle_union
+
+
+def random_union(rng: random.Random) -> Graph:
+    """2-4 random G(n, p) parts and 0-3 isolated vertices, labels shuffled."""
+    blocks = [rand_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9)) for _ in range(rng.randint(2, 4))]
+    n = sum(b.n for b in blocks) + rng.randint(0, 3)
+    n = min(n, 30)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, offset = [], 0
+    for b in blocks:
+        edges += [(label[offset + u], label[offset + v]) for u, v in b.edges]
+        offset += b.n
+    return Graph(n, edges)
+
+
+UNIONS = [random_union(random.Random(seed)) for seed in range(200)]
+
+
+def reference_chi(g: Graph):
+    """The covering LP over every maximal set of g: (result, support, family)."""
+    family = enumerate_maximal_independent_sets(g)
+    res, support = _solve_covering(g, family)
+    return res, support, family
+
+
+def reference_alpha(g: Graph, weights):
+    """(value, witness mask) of the first maximum in g's enumeration order."""
+    support = [v for v in range(g.n) if weights[v] > 0]
+    sub, _ = g.induced(support)
+    best = None
+    for s in enumerate_maximal_independent_sets(sub):
+        val = sum(weights[support[v]] for v in _bits(s.mask))
+        if best is None or val > best[0]:
+            best = (val, sum(1 << support[v] for v in _bits(s.mask)))
+    return best
+
+
+def reference_maximizer(g: Graph, p: Distribution):
+    supp = p.support
+    sub, _ = g.induced(supp)
+    chi = reference_chi(sub)[0].obj
+    alpha_p = reference_alpha(g, p.weights)[0]
+    return chi * alpha_p == 1, chi, alpha_p
+
+
+def test_unions_have_several_parts():
+    counts = [len(_parts_of(g)) for g in UNIONS]
+    assert all(g.n <= 30 for g in UNIONS)
+    assert sum(c >= 2 for c in counts) >= 180
+
+
+class TestParts:
+    def test_components_with_an_edge_by_lowest_vertex_isolated_in_the_first(self):
+        g = Graph(8, [(5, 7), (1, 3), (3, 6)])
+        assert _parts_of(g) == [1 << 1 | 1 << 3 | 1 << 6 | 1 << 0 | 1 << 2 | 1 << 4, 1 << 5 | 1 << 7]
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_edgeless_graph_is_one_part(self, n):
+        assert _parts_of(Graph(n)) == [(1 << n) - 1]
+
+    @pytest.mark.parametrize("g", UNIONS[:60])
+    def test_parts_partition_the_vertices_and_no_edge_crosses(self, g):
+        parts = _parts_of(g)
+        assert sum(parts) == (1 << g.n) - 1
+        assert all(a & b == 0 for i, a in enumerate(parts) for b in parts[i + 1:])
+        for u, v in g.edges:
+            assert [p for p in parts if p >> u & 1] == [p for p in parts if p >> v & 1]
+
+
+@pytest.mark.parametrize("g", UNIONS, ids=[f"union{i}" for i in range(len(UNIONS))])
+def test_union_against_the_product_family(g):
+    ref, _, family = reference_chi(g)
+    maximal = {s.mask for s in family}
+
+    chi, coloring = fractional_chromatic_number(g)
+    assert chi == ref.obj == coloring.total
+    assert all(s.mask in maximal for s in coloring.weights)
+    assert all(w > 0 for w in coloring.weights.values())
+    assert all(coloring.coverage(v) >= 1 for v in range(g.n))
+
+    value, y = fractional_chromatic_dual(g)
+    assert value == chi == sum(y.values())
+    assert all(w > 0 for w in y.values())
+    d, y_int = _common_denominator([y.get(v, Fraction(0)) for v in range(g.n)])
+    assert all(sum(y_int[v] for v in _bits(s.mask)) <= d for s in family)
+    # the dual lives on the first part of largest chi_f
+    part_chi = [reference_chi(g.induced(list(_bits(part)))[0])[0].obj for part in _parts_of(g)]
+    first = _parts_of(g)[part_chi.index(chi)]
+    assert all(first >> v & 1 for v in y)
+
+    cm = b_fold_realization(g)
+    assert Fraction(cm.size, cm.fold) == chi and cm.covered == frozenset(range(g.n))
+    assert all(g.is_independent(s.members) for s in cm.multiplicities)
+
+    verdict = is_symmetric(g)
+    ref_alpha = reference_alpha(g, [1] * g.n)
+    assert verdict.chi_f == chi and verdict.n_over_alpha == Fraction(g.n, ref_alpha[0])
+    assert verdict.is_symmetric == (chi * ref_alpha[0] == g.n)
+    a = alpha(g)
+    assert (a.value, a.witness.mask) == ref_alpha
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_maximizer_and_alpha_p_against_the_product_family(seed):
+    rng = random.Random(seed)
+    g = UNIONS[seed]
+    p = rand_rational_distribution(rng, g.n, m_max=3 * g.n, strict=False)
+    verdict = is_entropy_maximizer(g, p)
+    yes, chi, alpha_p = reference_maximizer(g, p)
+    assert (verdict.is_maximizer, verdict.chi_f_support, verdict.alpha_p) == (yes, chi, alpha_p)
+    w = max_weighted_independent_set(g, p.weights)
+    assert (w.value, w.witness.mask) == reference_alpha(g, p.weights)
+
+
+YES_UNIONS = {
+    "triangles4": triangle_union(4),
+    "C5+C5": Graph(10, cycle_graph(5).edges + tuple((u + 5, v + 5) for u, v in cycle_graph(5).edges)),
+    "C5+Petersen": Graph(15, cycle_graph(5).edges + tuple((u + 5, v + 5) for u, v in petersen().edges)),
+}
+
+
+@pytest.mark.parametrize("g", YES_UNIONS.values(), ids=YES_UNIONS.keys())
+def test_symmetric_unions_carry_a_valid_certificate(g):
+    verdict = is_symmetric(g)
+    assert verdict.is_symmetric and len(_parts_of(g)) >= 2
+    assert verify_certificate(g, Distribution.uniform(g.n), verdict.certificate)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_part_graphs_answer_as_the_product_family(seed):
+    rng = random.Random(1000 + seed)
+    g = rand_graph(rng, rng.randint(3, 14), rng.uniform(0.3, 0.8))
+    while len(_parts_of(g)) != 1:
+        g = rand_graph(rng, rng.randint(3, 14), rng.uniform(0.3, 0.8))
+    ref, support, family = reference_chi(g)
+    chi, coloring = fractional_chromatic_number(g)
+    assert chi == ref.obj
+    assert coloring.weights == {family[j]: ref.x[j] for j in support}
+    assert list(coloring.weights) == [family[j] for j in support]
+    assert fractional_chromatic_dual(g) == (ref.obj, {v: y for v, y in enumerate(ref.y) if y})
+
+
+def test_triangle_union_never_enumerates_the_product(monkeypatch):
+    real = graphs_mod._maximal_independent_masks
+    sizes = []
+
+    def spy(adj, n):
+        masks = real(adj, n)
+        sizes.append(len(masks))
+        return masks
+
+    graphs_mod._maximal_sets_cached.cache_clear()
+    monkeypatch.setattr(graphs_mod, "_maximal_independent_masks", spy)
+    try:
+        chi, coloring = fractional_chromatic_number(triangle_union(12))
+    finally:
+        graphs_mod._maximal_sets_cached.cache_clear()
+    assert chi == 3 and coloring.total == 3
+    assert sizes and max(sizes) <= 3
+
+
+def test_set_budget_is_the_product_of_the_parts(monkeypatch):
+    g = triangle_union(5)  # 3**5 = 243 maximal sets, 3 per part
+    monkeypatch.setattr(graphs_mod, "SET_COUNT_CAP", 242)
+    with pytest.raises(graphs_mod.CapExceeded, match="more than 242 maximal independent sets"):
+        fractional_chromatic_number(g)
+    with pytest.raises(graphs_mod.CapExceeded, match="more than 242 maximal independent sets"):
+        alpha(g)
+    monkeypatch.setattr(graphs_mod, "SET_COUNT_CAP", 243)
+    assert fractional_chromatic_number(g)[0] == 3
+
+
+def test_vertex_cap_is_on_the_whole_graph():
+    g = triangle_union(14)  # 42 vertices, parts of 3
+    with pytest.raises(graphs_mod.CapExceeded, match="graph has 42 vertices"):
+        fractional_chromatic_number(g)
+    with pytest.raises(graphs_mod.CapExceeded, match="graph has 42 vertices"):
+        alpha(g)
+
+
+def test_merged_coloring_is_rechecked(monkeypatch):
+    # the LP matrix is built first, then the merged coloring's: a merge that
+    # leaves vertex 0 uncovered must raise
+    real = exactlp._incidence
+    calls = []
+
+    def incidence(sets, n):
+        rows = real(sets, n)
+        calls.append(n)
+        if len(calls) == 2:
+            rows[:, 0] = 0
+        return rows
+
+    monkeypatch.setattr(exactlp, "_incidence", incidence)
+    with pytest.raises(exactlp.InternalError, match="merged coloring not covering"):
+        fractional_chromatic_number(triangle_union(2))
+    assert len(calls) == 2
+
+
+def test_blocks_are_rechecked_against_their_duals(monkeypatch):
+    # two disjoint edges; columns {0}, {1}, {2}, {3}. Equal totals, but the
+    # first block's coloring sums to 3 and its dual to 2
+    f = Fraction
+
+    def solve(g, sets):
+        x = [f(2), f(1), f(1), f(1)] + [f(0)] * 4
+        y = [f(1), f(1), f(3, 2), f(3, 2)]
+        return exactlp._LPResult(x=x, y=y, obj=f(5), basis=list(range(4))), [0, 1, 2, 3]
+
+    monkeypatch.setattr(exactlp, "_solve_covering", solve)
+    with pytest.raises(exactlp.InternalError, match="a part's coloring and dual differ"):
+        fractional_chromatic_number(Graph(4, [(0, 1), (2, 3)]))
