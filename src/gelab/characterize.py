@@ -21,14 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRational
-from .exactlp import (
-    CoverMultiset,
-    FractionalColoring,
-    _common_denominator,
-    fractional_chromatic_number,
-    integralize_cover,
-)
-from .graphs import Distribution, Graph, IndependentSet, _parts_of, max_weighted_independent_set
+from .exactlp import CoverMultiset, FractionalColoring, fractional_chromatic_number, integralize_cover
+from .graphs import Distribution, Graph, _lifted, max_weighted_independent_set
 
 REASON_NO_UNIFORM_COVER = "NoUniformCover"
 
@@ -57,28 +51,25 @@ class SymmetryVerdict:
 def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> MaximizerVerdict:
     """Decide exactly whether P maximizes the entropy of G.
 
-    Works on the support-induced subgraph: the verdict is
-    chi_f(G[supp P]) * alpha_P == 1 in exact rationals. Its parts
-    (`graphs._parts_of`) are found once and passed to both factors: chi_f
-    is the largest of the parts' and alpha_P the sum of theirs, and neither
-    is solved over the product of the parts' families. On a yes, the
-    optimal fractional coloring covers the support exactly once (see the
-    module docstring); lifted back to G and scaled by `integralize_cover`
-    to integers r*x, it is the r-fold cover certificate. On a support of
-    several parts that coloring is the merged one of
-    `exactlp.fractional_chromatic_number`, whose sets are maximal.
+    Works on the support-induced subgraph G[supp P], with P restricted to
+    it: the verdict is chi_f(G[supp P]) * alpha_P == 1 in exact rationals.
+    Both factors split that subgraph into its parts (`graphs._part_families`):
+    chi_f is the largest of the parts' and alpha_P the sum of theirs, and
+    neither is solved over the product of the parts' families. On a yes,
+    the optimal fractional coloring covers the support exactly once (see
+    the module docstring); lifted back to G (`graphs._lifted`) and scaled
+    by `integralize_cover` to integers r*x, it is the r-fold cover
+    certificate. On a support of several parts that coloring is the merged
+    one of `exactlp.fractional_chromatic_number`, whose sets are maximal.
     """
     if not p.exact:
         raise NotRational("exact-rational distribution required for the decision")
     if p.n != g.n:
         raise ValueError("distribution length differs from vertex count")
     supp = p.support
-    sub, _ = g.induced(supp)  # sub's vertex i is supp[i]
-    # P-weights over a common denominator, so the set weights sum as ints
-    den, scaled = _common_denominator(p.restricted_to(supp))
-    parts = _parts_of(sub)
-    chi_supp, coloring = fractional_chromatic_number(sub, cap, _parts=parts)
-    alpha_p = Fraction(max_weighted_independent_set(sub, scaled, cap, _parts=parts).value, den)
+    sub = g.induced(supp)
+    chi_supp, coloring = fractional_chromatic_number(sub, cap)
+    alpha_p = max_weighted_independent_set(sub, p.restricted_to(supp), cap).value
     if chi_supp * alpha_p != 1:
         return MaximizerVerdict(
             is_maximizer=False,
@@ -87,12 +78,7 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
             certificate=None,
             reason=REASON_NO_UNIFORM_COVER,
         )
-    lifted = FractionalColoring(
-        {
-            IndependentSet(g, (supp[v] for v in s.sorted_members())): w
-            for s, w in coloring.weights.items()
-        }
-    )
+    lifted = FractionalColoring({_lifted(g, supp, s): w for s, w in coloring.weights.items()})
     return MaximizerVerdict(
         is_maximizer=True,
         chi_f_support=chi_supp,

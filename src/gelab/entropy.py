@@ -40,9 +40,9 @@ from .graphs import (
     Distribution,
     Graph,
     IndependentSet,
-    _bits,
     _greedy_cover_indices,
     _incidence,
+    _lifted,
     enumerate_maximal_independent_sets,
 )
 
@@ -231,18 +231,6 @@ def _face_newton_step(
     return lam_w @ m_w
 
 
-def _lifted(g: Graph, sub: Graph, supp: tuple[int, ...], s: IndependentSet) -> IndependentSet:
-    """The set of `sub` = G[supp] that `s` is, as a set of `g`.
-
-    When supp is every vertex, `g.induced` returned `g` itself and `s` is
-    already a set of `g`. Otherwise its mask is mapped through supp and
-    checked again in `g` (`IndependentSet._from_mask`).
-    """
-    if sub is g:
-        return s
-    return IndependentSet._from_mask(g, sum(1 << supp[v] for v in _bits(s.mask)))
-
-
 def entropy(
     g: Graph,
     p: Distribution,
@@ -268,7 +256,7 @@ def entropy(
     if p.n != g.n:
         raise ValueError("distribution length differs from vertex count")
     supp = p.support
-    sub, _ = g.induced(supp)  # sub's vertex i is supp[i]
+    sub = g.induced(supp)
     k = sub.n
     sets = enumerate_maximal_independent_sets(sub, cap)
     M = _incidence(sets, k).astype(np.float64)
@@ -311,7 +299,7 @@ def entropy(
     for j, old in enumerate(supp):
         coords[old] = float(a[j])
     decomposition = tuple(
-        (_lifted(g, sub, supp, sets[i]), float(lam[i])) for i in np.flatnonzero(lam > 0.0).tolist()
+        (_lifted(g, supp, sets[i]), float(lam[i])) for i in np.flatnonzero(lam > 0.0).tolist()
     )
     minimizer = PolytopePoint(coords=tuple(coords), decomposition=decomposition)
     return EntropyResult(

@@ -46,12 +46,10 @@ from .graphs import (
     Graph,
     IndependentSet,
     _bits,
+    _common_denominator,
     _greedy_cover_indices,
     _incidence,
-    _lift,
     _part_families,
-    _parts_of,
-    enumerate_maximal_independent_sets,
 )
 
 _FLOAT_EPS = 1e-9
@@ -188,16 +186,6 @@ def _bareiss_solve(M, rhs) -> tuple[int, list[int]]:
     if prev < 0:
         return -prev, [-v for v in num]
     return prev, num
-
-
-def _common_denominator(values) -> tuple[int, list[int]]:
-    """(d, [d*v ...]) for rationals `values`, d the lcm of their denominators.
-
-    `values` is iterated twice. Every d*v is a Python int, so sums and
-    comparisons of the values run on integers over one denominator d.
-    """
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _exact_matvec(M, v) -> np.ndarray:
@@ -343,9 +331,6 @@ class FractionalColoring:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "total", sum(weights.values(), Fraction(0)))
 
-    def coverage(self, v: int) -> Fraction:
-        return sum((w for s, w in self.weights.items() if v in s), Fraction(0))
-
     def covered_vertices(self) -> frozenset[int]:
         mask = 0
         for s in self.weights:
@@ -382,24 +367,21 @@ class CoverMultiset:
         return sum(self.multiplicities.values())
 
 
-def fractional_chromatic_number(
-    g: Graph, cap: int | None = None, *, _parts: Sequence[int] | None = None
-) -> tuple[Fraction, FractionalColoring]:
+def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fraction, FractionalColoring]:
     """Exact fractional chromatic number with an optimal fractional coloring.
 
     Solves the covering LP over *maximal* independent sets only; enlarging an
     independent set never hurts coverage, so the optimum is unchanged while
-    the column count shrinks. A graph with several parts (`_parts_of`) is
+    the column count shrinks. A graph with several parts (`graphs._parts_of`) is
     solved as one LP over the parts' own families (`_solve_parts`), never
     over their product, and chi_f is the largest of the parts'. The
     coloring's coverage and a matching dual (packing) solution are proved
     exactly by `_solve_covering`, and a merged coloring once more by
-    `_merge_blocks`. `_parts` are g's parts, when the caller has computed
-    them already.
+    `_merge_blocks`.
     """
     if g.n == 0:
         return Fraction(0), FractionalColoring({})
-    chi, weights, _ = _solve_parts(g, cap, _parts)
+    chi, weights, _ = _solve_parts(g, cap)
     return chi, FractionalColoring(weights)
 
 
@@ -438,31 +420,28 @@ def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> tuple[_LPResult
     return res, support
 
 
-def _solve_parts(g: Graph, cap: int | None, parts: Sequence[int] | None) -> tuple[Fraction, dict, list]:
+def _solve_parts(g: Graph, cap: int | None) -> tuple[Fraction, dict, list]:
     """chi_f of g, an optimal coloring {set: weight} and an optimal dual, one entry per vertex.
 
     On a disjoint union the covering LP splits: chi_f is the largest of the
     parts' chi_f, and the maximal sets of g are the products of the parts'
     (Scheinerman & Ullman, *Fractional Graph Theory*, 1997, ch. 3). So one
     LP is solved over the concatenation of the parts' families
-    (`_part_families`), each set lifted to g's labels. The LP has one block
-    per part and its optimum is the sum of their chi_f; `_merge_blocks`
-    turns its solution into g's. A graph of one part is solved over its
-    own family, as it is.
+    (`_part_families`, sets of g). The LP has one block per part and its
+    optimum is the sum of their chi_f; `_merge_blocks` turns its solution
+    into g's. A graph of one part is solved over its own family, as it is.
     """
-    if parts is None:
-        parts = _parts_of(g)
-    families = _part_families(g, parts, cap, enumerate_maximal_independent_sets)
+    families = _part_families(g, cap)
     if len(families) == 1:
         sets = families[0][1]
         res, support = _solve_covering(g, sets)
         return res.obj, {sets[j]: res.x[j] for j in support}, res.y
     sets, ends = [], []
-    for labels, family in families:
-        sets += IndependentSet._trusted(g, [_lift(s.mask, labels) for s in family])
+    for _, family in families:
+        sets += family
         ends.append(len(sets))
     res, support = _solve_covering(g, sets)
-    return _merge_blocks(g, parts, sets, ends, res, support)
+    return _merge_blocks(g, [part for part, _ in families], sets, ends, res, support)
 
 
 def _merge_blocks(
@@ -539,7 +518,7 @@ def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fractio
     """
     if g.n == 0:
         return Fraction(0), {}
-    chi, _, y = _solve_parts(g, cap, None)
+    chi, _, y = _solve_parts(g, cap)
     return chi, {v: yv for v, yv in enumerate(y) if yv != 0}
 
 

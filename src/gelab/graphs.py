@@ -10,6 +10,7 @@ and shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import OrderedDict, namedtuple
@@ -116,24 +117,23 @@ class Graph:
             mask |= 1 << v
         return all(self._adj[v] & mask == 0 for v in _bits(mask))
 
-    def induced(self, keep: Sequence[int]) -> tuple["Graph", dict[int, int]]:
-        """Subgraph induced by `keep`, relabelled 0..k-1 in `keep`'s sorted order.
+    def induced(self, keep: Sequence[int]) -> "Graph":
+        """Subgraph induced by `keep`: its vertex i is the i-th smallest vertex of `keep`.
 
-        Returns the subgraph and the old->new label map. When `keep` is every
-        vertex, the subgraph is the graph itself and the map the identity.
+        When `keep` is every vertex, the subgraph is the graph itself.
         """
         order = sorted(set(keep))
         for v in order:
             self._check_vertex(v)
-        relabel = {old: new for new, old in enumerate(order)}
         if len(order) == self.n:
-            return self, relabel
+            return self
+        relabel = {old: new for new, old in enumerate(order)}
         edges = [
             (relabel[u], relabel[v])
             for u, v in self.edges
             if u in relabel and v in relabel
         ]
-        return Graph(len(order), edges), relabel
+        return Graph(len(order), edges)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -561,12 +561,6 @@ def _check_vertex_cap(g: Graph, cap: int | None) -> None:
         raise CapExceeded(f"graph has {g.n} vertices, enumeration cap is {limit}")
 
 
-def _maximal_sets_if_capped(g: Graph, cap: int | None) -> tuple[int, ...]:
-    """The cached maximal-set bitmasks, after the vertex-cap check."""
-    _check_vertex_cap(g, cap)
-    return _maximal_sets_cached(g)
-
-
 def _parts_of(g: Graph) -> list[int]:
     """The parts of g as vertex bitmasks, ordered by lowest vertex.
 
@@ -603,36 +597,61 @@ def _parts_of(g: Graph) -> list[int]:
     return parts
 
 
-def _part_families(g: Graph, parts: Sequence[int], cap: int | None, enumerate_sets: Callable) -> list:
-    """(labels, enumerate_sets(G[part], cap)) for each part of g, in order.
+def _part_families(g: Graph, cap: int | None) -> list[tuple[int, list[IndependentSet]]]:
+    """(part, its maximal sets as sets of g) for each part of g (`_parts_of`), in order.
 
-    labels are the part's vertices in ascending order: vertex j of G[part]
-    is labels[j] in g (`_lift`). A single part is g itself, enumerated as
-    it is, with labels None. Raises CapExceeded when g has more vertices
-    than the vertex cap, or once the product of the family sizes so far
-    exceeds `SET_COUNT_CAP`, with the message a single enumeration of g
-    would raise: that product is the number of maximal sets of g.
+    Every family is read through `enumerate_maximal_independent_sets`. A
+    single part is g itself, and its family is g's own list. Otherwise each
+    part is enumerated alone, as G[part], and each of its sets is lifted
+    once to g's labels (`_lift`); a set of one part is independent in g, as
+    no edge leaves a part. Raises CapExceeded when g has more vertices than
+    the vertex cap, or once the product of the family sizes so far exceeds
+    `SET_COUNT_CAP`, with the message a single enumeration of g would
+    raise: that product is the number of maximal sets of g.
     """
+    parts = _parts_of(g)
     if len(parts) == 1:
-        return [(None, enumerate_sets(g, cap))]
+        return [(parts[0], enumerate_maximal_independent_sets(g, cap))]
     _check_vertex_cap(g, cap)
     families, count = [], 1
     for part in parts:
         labels = list(_bits(part))
-        family = enumerate_sets(g.induced(labels)[0], cap)
+        family = enumerate_maximal_independent_sets(g.induced(labels), cap)
         count *= len(family)
         if count > SET_COUNT_CAP:
             raise CapExceeded(f"more than {SET_COUNT_CAP} maximal independent sets")
-        families.append((labels, family))
+        families.append((part, IndependentSet._trusted(g, [_lift(s.mask, labels) for s in family])))
     return families
 
 
 def _lift(mask: int, labels: Sequence[int]) -> int:
-    """A bitmask over G[part]'s vertices, relabelled to g's (`_part_families`)."""
+    """A bitmask over G[labels]'s vertices, relabelled to g's: bit j goes to labels[j]."""
     lifted = 0
     for j in _bits(mask):
         lifted |= 1 << labels[j]
     return lifted
+
+
+def _lifted(g: Graph, labels: Sequence[int], s: IndependentSet) -> IndependentSet:
+    """The set of `g.induced(labels)` that `s` is, as a set of g.
+
+    When `labels` is every vertex, `g.induced` returned g itself, and `s` is
+    returned as it is. Otherwise its mask is lifted (`_lift`) and checked
+    again in g (`IndependentSet._from_mask`).
+    """
+    if s.graph is g:
+        return s
+    return IndependentSet._from_mask(g, _lift(s.mask, labels))
+
+
+def _common_denominator(values) -> tuple[int, list[int]]:
+    """(d, [d*v ...]) for rationals `values`, d the lcm of their denominators.
+
+    `values` is iterated twice. Every d*v is a Python int, so sums and
+    comparisons of the values run on integers over one denominator d.
+    """
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list[IndependentSet]:
@@ -645,7 +664,8 @@ def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list
     and cached, so each set is wrapped here without a check of its own
     (`IndependentSet._trusted`).
     """
-    return IndependentSet._trusted(g, _maximal_sets_if_capped(g, cap))
+    _check_vertex_cap(g, cap)
+    return IndependentSet._trusted(g, _maximal_sets_cached(g))
 
 
 def alpha(g: Graph, cap: int | None = None) -> WeightedAlpha:
@@ -659,42 +679,51 @@ def alpha(g: Graph, cap: int | None = None) -> WeightedAlpha:
     return max_weighted_independent_set(g, [1] * g.n, cap)
 
 
-def max_weighted_independent_set(
-    g: Graph, weights: Sequence, cap: int | None = None, *, _parts: Sequence[int] | None = None
-) -> WeightedAlpha:
-    """Maximum total weight of an independent set, for nonnegative weights.
+def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = None) -> WeightedAlpha:
+    """Maximum total weight of an independent set, for finite nonnegative weights.
 
     The optimum over nonnegative weights is attained at a maximal independent
     set of the support-induced subgraph; the witness is reported within the
     support (zero-weight vertices are never added to it). Ties are broken by
     the deterministic enumeration order: the witness is the first maximum.
-    The support-induced subgraph is solved part by part (`_parts_of`): each
-    part's first maximum is taken, and their union is the subgraph's own
-    first maximum, because two maximal sets are ordered at the first vertex
-    where they differ, and that vertex lies in one part. `_parts` are the
-    subgraph's parts, when the caller has computed them already.
+    Set weights are compared exactly: integer weights as they are, any
+    others as integers over their common denominator (`_common_denominator`),
+    each float read exactly as `Fraction(float)`. So the value is exact for
+    rational weights, and for float weights it is the exact maximum rounded
+    once. The support-induced subgraph is solved part by part
+    (`_part_families`): each part's first maximum is taken, and their union
+    is the subgraph's own first maximum, because two maximal sets are
+    ordered at the first vertex where they differ, and that vertex lies in
+    one part.
     """
     if len(weights) != g.n:
         raise ValueError("weight vector length differs from vertex count")
-    if any(not w >= 0 for w in weights):  # NaN fails this too
-        raise ValueError("weights must be nonnegative")
-    support = [v for v in range(g.n) if weights[v] > 0]
+    ints = all(isinstance(w, int) for w in weights)
+    rational = ints or all(isinstance(w, (int, Fraction)) for w in weights)
+    if not rational and any(not 0 <= w < math.inf for w in weights):  # NaN fails this too
+        raise ValueError("weights must be finite and nonnegative")
+    if ints:
+        den, scaled = 1, weights
+    else:  # signs and set weights are then compared on integers, never as Fractions
+        den, scaled = _common_denominator(weights if rational else [Fraction(w) for w in weights])
+    if any(w < 0 for w in scaled):
+        raise ValueError("weights must be finite and nonnegative")
+    support = [v for v in range(g.n) if scaled[v] > 0]
     if not support:
         zero = weights[0] * 0 if g.n else 0
         return WeightedAlpha(value=zero, witness=IndependentSet(g, ()))
-    sub, _ = g.induced(support)  # sub's vertex i is support[i]
-    sub_weights = [weights[v] for v in support]
-    parts = _parts_of(sub) if _parts is None else _parts
-    best_set = 0
-    for labels, family in _part_families(sub, parts, cap, _maximal_sets_if_capped):
-        part_weights = sub_weights if labels is None else [sub_weights[v] for v in labels]
-        best_val = best_mask = None
-        for mask in family:
-            val = sum(part_weights[v] for v in _bits(mask))
-            if best_val is None or val > best_val:
-                best_val = val
-                best_mask = mask
-        best_set |= best_mask if labels is None else _lift(best_mask, labels)
-    best_val = sum(sub_weights[v] for v in _bits(best_set))
-    witness = IndependentSet(g, (support[v] for v in _bits(best_set)))
-    return WeightedAlpha(value=best_val, witness=witness)
+    sub = g.induced(support)
+    scaled = [scaled[v] for v in support]
+    best_set = total = 0
+    for _, family in _part_families(sub, cap):
+        best_val = best_mask = 0  # every set weight is positive
+        for s in family:
+            val = sum(scaled[v] for v in _bits(s.mask))
+            if val > best_val:
+                best_val, best_mask = val, s.mask
+        best_set |= best_mask
+        total += best_val
+    if not ints:  # int / int is the exact quotient, rounded once
+        total = Fraction(total, den) if rational else total / den
+    witness = _lifted(g, support, IndependentSet._from_mask(sub, best_set))
+    return WeightedAlpha(value=total, witness=witness)

@@ -174,7 +174,7 @@ def entropy_equals_log_chi_f(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    sub, _ = g.induced(p.support)
+    sub = g.induced(p.support)
     chi = fractional_chromatic_number(sub, cap)[0]
     res = entropy(g, p, cap=cap)
     return abs(res.value - math.log2(chi)) <= tol + res.gap
@@ -196,6 +196,11 @@ def linear_minimization_oracle(g: Graph, gradient, cap: int | None = None) -> In
         return enumerate_maximal_independent_sets(g, cap)[0]
     weights = [-float(gv) for gv in gradient]
     return max_weighted_independent_set(g, weights, cap).witness
+
+
+def coverage(fc: FractionalColoring, v: int) -> Fraction:
+    """Total weight of the sets of `fc` that hold vertex v."""
+    return sum((w for s, w in fc.weights.items() if v in s), Fraction(0))
 
 
 def uniform_cover_feasible(
@@ -240,7 +245,7 @@ def uniform_cover_feasible(
             weights[s] = weights.get(s, Fraction(0)) + res.x[j]
     fc = FractionalColoring(weights)
     for v in rows:
-        if fc.coverage(v) != 1:
+        if coverage(fc, v) != 1:
             raise InternalError("internal LP error: cover not exactly uniform")
     return fc
 

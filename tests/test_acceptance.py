@@ -91,7 +91,7 @@ def test_criterion_3_simonyi_upper_bound():
         n = rng.randint(2, 12)
         g = rand_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.7]))
         p = rand_rational_distribution(rng, n, strict=rng.random() < 0.5)
-        sub, _ = g.induced(p.support)
+        sub = g.induced(p.support)
         chi = fractional_chromatic_number(sub)[0]
         res = entropy(g, p)
         slack = res.value - math.log2(chi)

@@ -147,7 +147,7 @@ class TestEntropy:
     def test_result_depends_only_on_support_subgraph(self):
         g = path_graph(4)
         p = Distribution([Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0)])
-        sub, _ = g.induced([0, 2])
+        sub = g.induced([0, 2])
         res_full = entropy(g, p)
         res_sub = entropy(sub, Distribution.uniform(2))
         assert res_full.value == pytest.approx(res_sub.value, abs=1e-9)
@@ -159,7 +159,7 @@ class TestEntropy:
         w = [0] * zeros + [1] * (g.n - zeros)
         p = Distribution([Fraction(x, sum(w)) for x in w])
         supp = p.support
-        sub, _ = g.induced(supp)
+        sub = g.induced(supp)
         lifted = {
             frozenset(supp[v] for v in s.members) for s in enumerate_maximal_independent_sets(sub)
         }
@@ -515,7 +515,7 @@ class TestEntropyLaws:
         for _ in range(20):
             g = rand_graph(rng, rng.randint(2, 9), rng.random())
             p = rand_rational_distribution(rng, g.n, strict=False)
-            sub, _ = g.induced(p.support)
+            sub = g.induced(p.support)
             chi, _ = fractional_chromatic_number(sub)
             res = entropy(g, p)
             assert res.value <= math.log2(chi) + 1e-9 + res.gap

@@ -26,7 +26,7 @@ from gelab.graphs import (
     path_graph,
 )
 
-from helpers import kneser, petersen, rand_graph, triangle_union, uniform_cover_feasible
+from helpers import coverage, kneser, petersen, rand_graph, triangle_union, uniform_cover_feasible
 
 # a division by zero or a NaN in the float lane fails here instead of
 # passing silently as a cold exact fallback
@@ -74,7 +74,7 @@ class TestFractionalChromatic:
     def test_coverage_is_verified(self):
         _, coloring = fractional_chromatic_number(rand_graph(random.Random(0), 9, 0.4))
         for v in range(9):
-            assert coloring.coverage(v) >= 1
+            assert coverage(coloring, v) >= 1
 
     def test_sandwich_bounds(self):
         rng = random.Random(5)
@@ -132,7 +132,7 @@ class TestColdExactFallback:
         for g, chi_expected in zip(graphs, expected):
             chi, coloring = fractional_chromatic_number(g)
             assert chi == chi_expected and coloring.total == chi
-            assert all(coloring.coverage(v) >= 1 for v in range(g.n))
+            assert all(coverage(coloring, v) >= 1 for v in range(g.n))
         assert len(exact_calls) == len(graphs)
 
 
@@ -209,7 +209,7 @@ class TestUniformCoverFeasible:
         fam = enumerate_maximal_independent_sets(g)
         fc = uniform_cover_feasible(g, fam, range(5))
         assert fc is not None
-        assert all(fc.coverage(v) == 1 for v in range(5))
+        assert all(coverage(fc, v) == 1 for v in range(5))
 
     def test_uncovered_vertex_infeasible(self):
         g = complete_graph(2)
@@ -238,7 +238,7 @@ class TestUniformCoverFeasible:
         g = path_graph(3)
         fam = [IndependentSet(g, [0, 2])]
         fc = uniform_cover_feasible(g, fam, [0])
-        assert fc is not None and fc.coverage(0) == 1
+        assert fc is not None and coverage(fc, 0) == 1
 
     def test_set_of_larger_graph_rejected(self):
         g = empty_graph(5)

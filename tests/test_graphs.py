@@ -39,7 +39,7 @@ from gelab.oracle import (
     brute_maximal_independent_sets,
 )
 
-from helpers import enumerate_maximum_weighted_independent_sets, rand_graph, triangle_union
+from helpers import complete_bipartite, enumerate_maximum_weighted_independent_sets, rand_graph, triangle_union
 
 
 def members(sets):
@@ -75,17 +75,23 @@ class TestGraphType:
 
     def test_induced_subgraph_relabels(self):
         g = cycle_graph(5)
-        sub, relabel = g.induced([1, 2, 4])
+        sub = g.induced([1, 2, 4])
         assert sub.n == 3
-        assert relabel == {1: 0, 2: 1, 4: 2}
         assert sub.edges == ((0, 1),)
+        # vertex i of the subgraph is the i-th smallest kept vertex: the
+        # edges among the kept vertices, relabelled in that order
+        g = Graph(7, [(5, 1), (1, 3), (3, 6), (0, 2), (2, 5)])
+        order = [1, 3, 5, 6]
+        sub = g.induced([6, 3, 1, 5, 3])
+        assert sub.n == 4
+        assert sub.edges == ((0, 1), (0, 2), (1, 3))
+        kept = [(u, v) for u, v in g.edges if u in order and v in order]
+        assert sorted((order[u], order[v]) for u, v in sub.edges) == kept
 
     def test_induced_on_every_vertex_is_the_graph(self):
         g = cycle_graph(5)
-        sub, relabel = g.induced(range(g.n))
-        assert sub is g
-        assert relabel == {v: v for v in range(5)}
-        assert g.induced([4, 3, 2, 1, 0, 0])[0] is g
+        assert g.induced(range(g.n)) is g
+        assert g.induced([4, 3, 2, 1, 0, 0]) is g
 
     def test_independent_set_validates(self):
         g = path_graph(3)
@@ -564,6 +570,26 @@ class TestMaxWeighted:
     def test_nan_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             max_weighted_independent_set(path_graph(3), [math.nan, 0.5, 0.4])
+
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            max_weighted_independent_set(path_graph(3), [Fraction(1, 2), math.inf, 0.4])
+
+    def test_float_ties_keep_the_first_maximum(self):
+        # sides {0, 1, 2} and {3, 4}: both weigh exactly 1 + 2**-52, but the
+        # float sum of the first side rounds down to 1.0
+        g = complete_bipartite(3, 2)
+        w = [1.0, 2.0**-53, 2.0**-53, 1.0, 2.0**-52]
+        res = max_weighted_independent_set(g, w)
+        assert res.witness.sorted_members() == (0, 1, 2)
+        assert res.value == 1.0 + 2.0**-52
+        ref = max_weighted_independent_set(g, [Fraction(x) for x in w])
+        assert ref.witness == res.witness and ref.value == Fraction(1) + Fraction(1, 2**52)
+
+    def test_float_value_is_the_exact_maximum_rounded_once(self):
+        res = max_weighted_independent_set(empty_graph(3), [1.0, 2.0**-53, 2.0**-53])
+        assert isinstance(res.value, float) and res.value == 1.0 + 2.0**-52
+        assert max_weighted_independent_set(empty_graph(2), [1, Fraction(1, 3)]).value == Fraction(4, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_n=7), st.data())

@@ -33,7 +33,7 @@ from gelab.graphs import (
 )
 from gelab.oracle import verify_certificate
 
-from helpers import petersen, rand_graph, rand_rational_distribution, triangle_union
+from helpers import coverage, petersen, rand_graph, rand_rational_distribution, triangle_union
 
 
 def random_union(rng: random.Random) -> Graph:
@@ -63,7 +63,7 @@ def reference_chi(g: Graph):
 def reference_alpha(g: Graph, weights):
     """(value, witness mask) of the first maximum in g's enumeration order."""
     support = [v for v in range(g.n) if weights[v] > 0]
-    sub, _ = g.induced(support)
+    sub = g.induced(support)
     best = None
     for s in enumerate_maximal_independent_sets(sub):
         val = sum(weights[support[v]] for v in _bits(s.mask))
@@ -74,7 +74,7 @@ def reference_alpha(g: Graph, weights):
 
 def reference_maximizer(g: Graph, p: Distribution):
     supp = p.support
-    sub, _ = g.induced(supp)
+    sub = g.induced(supp)
     chi = reference_chi(sub)[0].obj
     alpha_p = reference_alpha(g, p.weights)[0]
     return chi * alpha_p == 1, chi, alpha_p
@@ -113,7 +113,7 @@ def test_union_against_the_product_family(g):
     assert chi == ref.obj == coloring.total
     assert all(s.mask in maximal for s in coloring.weights)
     assert all(w > 0 for w in coloring.weights.values())
-    assert all(coloring.coverage(v) >= 1 for v in range(g.n))
+    assert all(coverage(coloring, v) >= 1 for v in range(g.n))
 
     value, y = fractional_chromatic_dual(g)
     assert value == chi == sum(y.values())
@@ -121,7 +121,7 @@ def test_union_against_the_product_family(g):
     d, y_int = _common_denominator([y.get(v, Fraction(0)) for v in range(g.n)])
     assert all(sum(y_int[v] for v in _bits(s.mask)) <= d for s in family)
     # the dual lives on the first part of largest chi_f
-    part_chi = [reference_chi(g.induced(list(_bits(part)))[0])[0].obj for part in _parts_of(g)]
+    part_chi = [reference_chi(g.induced(list(_bits(part))))[0].obj for part in _parts_of(g)]
     first = _parts_of(g)[part_chi.index(chi)]
     assert all(first >> v & 1 for v in y)
 
@@ -161,6 +161,21 @@ def test_symmetric_unions_carry_a_valid_certificate(g):
     verdict = is_symmetric(g)
     assert verdict.is_symmetric and len(_parts_of(g)) >= 2
     assert verify_certificate(g, Distribution.uniform(g.n), verdict.certificate)
+
+
+def test_partial_support_of_two_parts_carries_its_certificate():
+    # C6 on {0, 1, 3, 4} is the two edges 0-1 and 3-4
+    g = cycle_graph(6)
+    q = Fraction(1, 4)
+    p = Distribution([q, q, 0, q, q, 0])
+    assert len(_parts_of(g.induced(p.support))) == 2
+    verdict = is_entropy_maximizer(g, p)
+    assert verdict.is_maximizer and verdict.chi_f_support == 2 and verdict.alpha_p == Fraction(1, 2)
+    cm = verdict.certificate
+    assert cm.fold == 1 and cm.covered == frozenset({0, 1, 3, 4})
+    assert sorted((s.sorted_members(), k) for s, k in cm.multiplicities.items()) == [((0, 3), 1), ((1, 4), 1)]
+    assert all(s.graph is g for s in cm.multiplicities)
+    assert verify_certificate(g, p, cm)
 
 
 @pytest.mark.parametrize("seed", range(40))
