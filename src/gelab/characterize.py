@@ -69,7 +69,7 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
     supp = p.support
     sub = g.induced(supp)
     chi_supp, coloring = fractional_chromatic_number(sub, cap)
-    alpha_p = max_weighted_independent_set(sub, p.restricted_to(supp), cap).value
+    alpha_p = max_weighted_independent_set(sub, [p[v] for v in supp], cap).value
     if chi_supp * alpha_p != 1:
         return MaximizerVerdict(
             is_maximizer=False,

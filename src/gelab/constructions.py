@@ -7,12 +7,10 @@ carried across.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidK, NotRational, VertexSetMismatch, ZeroWeightVertex
-from .graphs import Distribution, Graph
+from .graphs import Distribution, Graph, _common_denominator
 
 
 def union(f: Graph, g: Graph) -> Graph:
@@ -110,14 +108,11 @@ def blow_up(g: Graph, p: Distribution) -> tuple[Graph, BlowupSpec]:
         raise NotRational("blow-up needs an exact rational distribution")
     if p.n != g.n:
         raise ValueError("distribution length differs from vertex count")
-    zeros = [v for v in range(g.n) if p[v] == 0]
+    m, counts = _common_denominator(p.weights)
+    zeros = [v for v, c in enumerate(counts) if not c]
     if zeros:
         raise ZeroWeightVertex(f"vertices {zeros} have zero weight")
-    m = 1
-    for v in range(g.n):
-        m = math.lcm(m, Fraction(p[v]).denominator)
-    counts = tuple(int(p[v] * m) for v in range(g.n))
-    spec = BlowupSpec(counts, m)
+    spec = BlowupSpec(tuple(counts), m)
     edges = []
     for u, v in g.edges:
         for cu in spec.block(u):

@@ -253,6 +253,8 @@ def entropy(
     """
     if not tol > 0:  # NaN fails this too
         raise ValueError("tolerance must be positive")
+    if max_iter < 0:
+        raise ValueError("iteration cap must be nonnegative")
     if p.n != g.n:
         raise ValueError("distribution length differs from vertex count")
     supp = p.support

@@ -325,11 +325,12 @@ class FractionalColoring:
     total: Fraction
 
     def __init__(self, weights: dict):
-        weights = {s: Fraction(w) for s, w in weights.items() if w != 0}
-        if any(w < 0 for w in weights.values()):
+        weights = {s: Fraction(w) for s, w in weights.items() if w}
+        den, nums = _common_denominator(weights.values())
+        if any(w < 0 for w in nums):
             raise ValueError("negative weight in fractional coloring")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "total", sum(weights.values(), Fraction(0)))
+        object.__setattr__(self, "total", Fraction(sum(nums), den))
 
     def covered_vertices(self) -> frozenset[int]:
         mask = 0

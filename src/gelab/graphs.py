@@ -284,10 +284,11 @@ class Distribution:
         exact = all(isinstance(w, (int, Fraction)) for w in weights)
         if exact:
             weights = tuple(Fraction(w) for w in weights)
-            if any(w < 0 for w in weights):
+            den, nums = _common_denominator(weights)
+            if any(w < 0 for w in nums):
                 raise ValueError("negative probability weight")
-            if sum(weights) != 1:
-                raise ValueError(f"rational weights sum to {sum(weights)}, not 1")
+            if sum(nums) != den:
+                raise ValueError(f"rational weights sum to {Fraction(sum(nums), den)}, not 1")
         else:
             weights = tuple(float(w) for w in weights)
             if any(not w >= 0 for w in weights):  # NaN fails this too
@@ -313,14 +314,11 @@ class Distribution:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(v for v, w in enumerate(self.weights) if w > 0)
+        # every weight is validated nonnegative and not NaN: nonzero is positive
+        return tuple(v for v, w in enumerate(self.weights) if w)
 
     def __getitem__(self, v: int):
         return self.weights[v]
-
-    def restricted_to(self, keep: Sequence[int]) -> tuple:
-        """Weights re-indexed by `keep`'s sorted order (no renormalization)."""
-        return tuple(self.weights[v] for v in sorted(keep))
 
 
 @dataclass(frozen=True)
@@ -648,7 +646,11 @@ def _common_denominator(values) -> tuple[int, list[int]]:
     """(d, [d*v ...]) for rationals `values`, d the lcm of their denominators.
 
     `values` is iterated twice. Every d*v is a Python int, so sums and
-    comparisons of the values run on integers over one denominator d.
+    comparisons of the values run on integers over one denominator d. It is
+    the library's one way to check, sum and scale exact weights: those of a
+    `Distribution`, a parsed distribution file, a blow-up's copy counts,
+    `max_weighted_independent_set`'s set weights, and the colorings, duals
+    and covers of `exactlp`.
     """
     d = math.lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ParseError
-from .graphs import Distribution, Graph
+from .graphs import Distribution, Graph, _common_denominator
 
 EDGE_LIST = "edge-list"
 DIMACS = "dimacs"
@@ -163,16 +163,17 @@ def parse_distribution(text: str, n: int) -> tuple[Distribution, list[str]]:
         if "." in token or "e" in token.lower():
             any_decimal = True
         weights[v] = value
-    total = sum(weights)
+    den, nums = _common_denominator(weights)
+    mass = sum(nums)
     warnings: list[str] = []
-    if total == 0:
+    if mass == 0:
         raise ParseError("distribution has zero total mass")
-    if total != 1:
-        if any_decimal:
-            weights = [w / total for w in weights]
-            warnings.append(f"decimal weights summed to {total}; renormalized")
+    if mass != den:
+        if any_decimal:  # w / total is (w * den) / mass
+            weights = [Fraction(k, mass) for k in nums]
+            warnings.append(f"decimal weights summed to {Fraction(mass, den)}; renormalized")
         else:
-            raise ParseError(f"rational weights must sum to 1 exactly, got {total}")
+            raise ParseError(f"rational weights must sum to 1 exactly, got {Fraction(mass, den)}")
     return Distribution(weights), warnings
 
 

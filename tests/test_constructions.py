@@ -120,6 +120,12 @@ class TestBlowUp:
         assert spec.counts == (1, 2) and spec.m == 3
         assert list(spec.block(1)) == [1, 2]
 
+    def test_mixed_denominators_share_their_lcm(self):
+        p = Distribution([Fraction(1, 4), Fraction(1, 6), Fraction(7, 12)])
+        g, spec = blow_up(path_graph(3), p)
+        assert spec.m == 12 and spec.counts == (3, 2, 7)
+        assert g.n == 12 and len(g.edges) == 3 * 2 + 2 * 7
+
     def test_uniform_is_identity(self):
         g = rand_graph(random.Random(3), 5, 0.5)
         blown, spec = blow_up(g, Distribution.uniform(5))

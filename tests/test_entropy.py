@@ -413,6 +413,10 @@ class TestBracket:
             assert ref <= res.value + 1e-8
             assert res.converged == (res.gap <= 1e-9)
 
+    def test_negative_iteration_cap_rejected(self):
+        with pytest.raises(ValueError, match="iteration cap must be nonnegative"):
+            entropy(cycle_graph(5), Distribution.uniform(5), max_iter=-3)
+
     @pytest.mark.parametrize("graph, alpha", [(cycle_graph(5), 2), (petersen(), 4)])
     def test_tiny_tolerance_returns_a_valid_bracket(self, graph, alpha):
         res = entropy(graph, Distribution.uniform(graph.n), tol=1e-15, max_iter=2000)

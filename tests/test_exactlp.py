@@ -272,6 +272,15 @@ class TestIntegralize:
         cm = integralize_cover(fc)
         assert cm.fold == 1 and cm.size == 1
 
+    def test_coloring_total_over_mixed_denominators(self):
+        g = empty_graph(3)
+        a, b, c, full = (IndependentSet(g, m) for m in ([0], [1], [2], [0, 1, 2]))
+        fc = FractionalColoring({a: Fraction(1, 4), b: Fraction(5, 6), c: Fraction(2, 9), full: 0})
+        assert fc.total == Fraction(47, 36) and type(fc.total) is Fraction
+        assert fc.weights == {a: Fraction(1, 4), b: Fraction(5, 6), c: Fraction(2, 9)}
+        with pytest.raises(ValueError, match="negative weight in fractional coloring"):
+            FractionalColoring({a: Fraction(1, 4), b: Fraction(-1, 6), c: Fraction(2, 9)})
+
     def test_not_uniform_raises(self):
         g = empty_graph(2)
         fc = FractionalColoring(

@@ -108,6 +108,8 @@ class TestDistribution:
     def test_support(self):
         p = Distribution([Fraction(1, 2), Fraction(0), Fraction(1, 2)])
         assert p.support == (0, 2)
+        tiny = Fraction(1, 10**40)
+        assert Distribution([tiny, Fraction(0), 1 - tiny]).support == (0, 2)
 
     def test_float_sum_tolerance(self):
         Distribution([0.25, 0.75])
@@ -117,6 +119,10 @@ class TestDistribution:
     def test_rational_sum_must_be_exact(self):
         with pytest.raises(ValueError):
             Distribution([Fraction(1, 3), Fraction(1, 3)])
+        over = 1 + Fraction(1, 10**30)
+        with pytest.raises(ValueError) as err:
+            Distribution([Fraction(1, 2), over - Fraction(1, 2)])
+        assert str(err.value) == f"rational weights sum to {over}, not 1"
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_uniform_needs_a_vertex(self, n):
@@ -510,6 +516,7 @@ class TestAlpha:
         assert alpha(cycle_graph(5)).value == 2
         assert alpha(complete_graph(7)).value == 1
         assert alpha(empty_graph(5)).value == 5
+        assert type(alpha(cycle_graph(5)).value) is int
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
