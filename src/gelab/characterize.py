@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import NotRational
 from .exactlp import CoverMultiset, FractionalColoring, fractional_chromatic_number, integralize_cover
-from .graphs import Distribution, Graph, _lifted, max_weighted_independent_set
+from .graphs import Distribution, Graph, _check_vertex_cap, _lifted, max_weighted_independent_set
 
 REASON_NO_UNIFORM_COVER = "NoUniformCover"
 
@@ -94,9 +94,11 @@ def is_symmetric(g: Graph, cap: int | None = None) -> SymmetryVerdict:
     One call of `is_entropy_maximizer` with the uniform distribution: then
     alpha_P = alpha/n, so the verdict is chi_f == n/alpha, and on a yes the
     certificate covers every vertex exactly once with maximum independent
-    sets.
+    sets. The vertex cap is checked first, before the uniform distribution
+    on all n vertices is built.
     """
     if g.n == 0:
         raise ValueError("symmetry of the empty graph is undefined")
+    _check_vertex_cap(g, cap)
     v = is_entropy_maximizer(g, Distribution.uniform(g.n), cap)
     return SymmetryVerdict(v.is_maximizer, v.chi_f_support, 1 / v.alpha_p, v.certificate)

@@ -203,8 +203,8 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_substitute(args) -> int:
-    g = _load_graph(args, "graph")
-    f = parse_graph(_read(args.inner), getattr(args, "format", None))
+    g = _load_graph(args)
+    f = _load_graph(args, "inner")
     sub = substitute(g, args.vertex, f)
     comments = [f"substitution of a {f.n}-vertex graph for vertex {args.vertex}"]
     comments += [f"g {old} -> {new}" for old, new in sorted(sub.outer_map.items())]
@@ -225,8 +225,8 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_union(args) -> int:
-    f = _load_graph(args, "graph")
-    g = parse_graph(_read(args.other), getattr(args, "format", None))
+    f = _load_graph(args)
+    g = _load_graph(args, "other")
     return _emit_graph(args, union(f, g), ["union of two graphs on a shared vertex set"])
 
 
@@ -309,9 +309,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -35,8 +35,10 @@ Every rational, inside the exact layer and at its boundary, is a
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -378,10 +380,10 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
     over their product, and chi_f is the largest of the parts'. The
     coloring's coverage and a matching dual (packing) solution are proved
     exactly by `_solve_covering`, and a merged coloring once more by
-    `_merge_blocks`.
+    `_merge_blocks`. On the graph with no vertices the one maximal set is
+    the empty set, whose LP has no rows and optimum 0, so chi_f is 0 with
+    the empty coloring.
     """
-    if g.n == 0:
-        return Fraction(0), FractionalColoring({})
     chi, weights, _ = _solve_parts(g, cap)
     return chi, FractionalColoring(weights)
 
@@ -457,11 +459,13 @@ def _merge_blocks(
     largest block total. The coloring is the common refinement of the block
     colorings, each scaled to that total: the blocks are laid side by side
     on one interval of length chi_f, each set over a stretch of its scaled
-    weight, in column order, and each piece where no block changes set is
-    the union of the sets over it, maximal in g. The dual is y on the first
-    part that attains the maximum, 0 elsewhere. All of it is computed on
-    integers over one denominator, and the merged coloring's coverage and
-    total are re-checked on them before any Fraction is built.
+    weight, in column order. One sweep cuts the interval at the end of every
+    stretch of every block; the piece from one cut to the next is the union
+    of the sets whose stretches hold it, one per block (found by bisecting
+    that block's running stretch ends), and is maximal in g. The dual is y
+    on the first part that attains the maximum, 0 elsewhere. All of it is
+    computed on integers over one denominator, and the merged coloring's
+    coverage and total are re-checked on them before any Fraction is built.
     """
     d, x = _common_denominator([res.x[j] for j in support])
     e, y = _common_denominator(res.y)
@@ -478,25 +482,19 @@ def _merge_blocks(
     top = max(totals)
     # every block scaled to total `width`, the stretch of chi_f = top / d
     width = math.lcm(*totals)
-    queues = [
-        [(mask, xj * (width // total)) for mask, xj in block] for block, total in zip(blocks, totals)
+    stops = [
+        list(accumulate(xj * (width // total) for _, xj in block))
+        for block, total in zip(blocks, totals)
     ]
-    at = [0] * len(queues)
-    left = [queue[0][1] for queue in queues]
     masks, lengths = [], []
-    while at[0] < len(queues[0]):  # every block ends at `width`
-        step = min(left)
+    start = 0
+    for cut in sorted(set().union(*stops)):  # the last cut is `width`
         mask = 0
-        for queue, a in zip(queues, at):
-            mask |= queue[a][0]
+        for block, block_stops in zip(blocks, stops):
+            mask |= block[bisect_right(block_stops, start)][0]
         masks.append(mask)
-        lengths.append(step)
-        for b, queue in enumerate(queues):
-            left[b] -= step
-            if not left[b]:
-                at[b] += 1
-                if at[b] < len(queue):
-                    left[b] = queue[at[b]][1]
+        lengths.append(cut - start)
+        start = cut
     merged = IndependentSet._trusted(g, masks)
     cover = _exact_matvec(_incidence(merged, g.n).T.astype(np.int64), lengths).tolist()
     if sum(lengths) != width or any(c * top < d * width for c in cover):
@@ -517,8 +515,6 @@ def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fractio
     chi_f. On a graph of several parts it is the dual on the first part of
     largest chi_f, which packs into every maximal set of g.
     """
-    if g.n == 0:
-        return Fraction(0), {}
     chi, _, y = _solve_parts(g, cap)
     return chi, {v: yv for v, yv in enumerate(y) if yv != 0}
 
@@ -550,8 +546,6 @@ def b_fold_realization(g: Graph, cap: int | None = None) -> CoverMultiset:
     m / gcd(r, m) is a b-fold coloring witnessing chi_f.
     """
     chi, fc = fractional_chromatic_number(g, cap)
-    if g.n == 0:
-        return CoverMultiset({}, 1, frozenset())
     r, counts = _common_denominator(fc.weights.values())
     mult = dict(zip(fc.weights, counts))
     for v in range(g.n):

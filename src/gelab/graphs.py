@@ -696,7 +696,11 @@ def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = 
     (`_part_families`): each part's first maximum is taken, and their union
     is the subgraph's own first maximum, because two maximal sets are
     ordered at the first vertex where they differ, and that vertex lies in
-    one part.
+    one part. All-zero weights (and no weights, on the graph with no
+    vertices) have an empty support, and G[()] has one maximal set, the
+    empty one: the value is 0 of the kind any value of those weights has
+    (int for int weights, Fraction for other rationals, float otherwise),
+    with the empty witness.
     """
     if len(weights) != g.n:
         raise ValueError("weight vector length differs from vertex count")
@@ -711,14 +715,11 @@ def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = 
     if any(w < 0 for w in scaled):
         raise ValueError("weights must be finite and nonnegative")
     support = [v for v in range(g.n) if scaled[v] > 0]
-    if not support:
-        zero = weights[0] * 0 if g.n else 0
-        return WeightedAlpha(value=zero, witness=IndependentSet(g, ()))
     sub = g.induced(support)
     scaled = [scaled[v] for v in support]
     best_set = total = 0
     for _, family in _part_families(sub, cap):
-        best_val = best_mask = 0  # every set weight is positive
+        best_val = best_mask = 0  # G[()]'s empty set weighs 0, any other set more
         for s in family:
             val = sum(scaled[v] for v in _bits(s.mask))
             if val > best_val:

@@ -10,12 +10,13 @@ from gelab.characterize import (
     is_entropy_maximizer,
     is_symmetric,
 )
-from gelab.errors import NotRational
+from gelab.errors import CapExceeded, NotRational
 from gelab.exactlp import b_fold_realization
 from gelab.graphs import (
     Distribution,
     complete_graph,
     cycle_graph,
+    empty_graph,
     path_graph,
 )
 from gelab.oracle import verify_certificate
@@ -82,6 +83,15 @@ class TestIsSymmetric:
         assert not is_symmetric(path_graph(3)).is_symmetric
         assert is_symmetric(complete_graph(1)).is_symmetric
         assert is_symmetric(complete_graph(6)).is_symmetric
+
+    def test_vertex_cap_is_checked_before_the_uniform_distribution(self, monkeypatch):
+        def fail(n):
+            raise AssertionError("uniform distribution built before the vertex cap")
+
+        monkeypatch.delenv("GELAB_CAP", raising=False)
+        monkeypatch.setattr(Distribution, "uniform", staticmethod(fail))
+        with pytest.raises(CapExceeded, match="graph has 41 vertices"):
+            is_symmetric(empty_graph(41))
 
     def test_p3_values(self):
         v = is_symmetric(path_graph(3))

@@ -234,6 +234,11 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         assert main(["chif", "/nonexistent/file"]) == 2
 
+    @pytest.mark.parametrize("command", [["union"], ["substitute", "0"]])
+    def test_missing_second_file_is_2(self, files, capsys, command):
+        assert main([command[0], files("c5", C5), *command[1:], "/nonexistent/file"]) == 2
+        assert "cannot read /nonexistent/file" in capsys.readouterr().err
+
     def test_cap_exceeded_is_4(self, files, capsys):
         edges = "\n".join(f"{i} {i+1}" for i in range(41))
         assert main(["chif", files("big", edges)]) == 4

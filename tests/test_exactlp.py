@@ -67,6 +67,10 @@ class TestFractionalChromatic:
     def test_zero_vertices(self):
         chi, coloring = fractional_chromatic_number(Graph(0))
         assert chi == 0 and not coloring.weights
+        # the LP over the one maximal set, the empty one: no rows, optimum 0
+        assert fractional_chromatic_dual(Graph(0)) == (0, {})
+        cm = b_fold_realization(Graph(0))
+        assert cm.multiplicities == {} and cm.fold == 1 and cm.covered == frozenset()
 
     def test_petersen(self):
         assert fractional_chromatic_number(petersen())[0] == Fraction(5, 2)

@@ -552,6 +552,19 @@ class TestMaxWeighted:
         res = max_weighted_independent_set(cycle_graph(5), [0] * 5)
         assert res.value == 0 and res.witness.sorted_members() == ()
 
+    @pytest.mark.parametrize(
+        "zero, kind",
+        [(0, int), (0.0, float), (Fraction(0), Fraction), ("mixed", Fraction)],
+    )
+    @pytest.mark.parametrize("g", [Graph(0), cycle_graph(5), empty_graph(4)], ids=["n0", "c5", "edgeless4"])
+    def test_all_zero_weights_of_every_kind(self, g, zero, kind):
+        # G[()] has one maximal set, the empty one: value 0 of the weights' kind
+        weights = ([0, Fraction(0)] * g.n)[: g.n] if zero == "mixed" else [zero] * g.n
+        res = max_weighted_independent_set(g, weights)
+        assert res.value == 0 and res.witness.sorted_members() == ()
+        assert res.witness.graph is g
+        assert type(res.value) is (int if g.n == 0 else kind)
+
     def test_witness_stays_in_support(self):
         g = empty_graph(4)
         res = max_weighted_independent_set(g, [Fraction(1), 0, 0, 0])

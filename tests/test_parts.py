@@ -104,6 +104,22 @@ class TestParts:
             assert [p for p in parts if p >> u & 1] == [p for p in parts if p >> v & 1]
 
 
+def test_c5_plus_k2_merged_coloring():
+    # C5 on 0-4 and the edge 5-6: chi_f 5/2 and 2, so the K2 block is scaled
+    # to 5/2 and cuts the stretch of (1, 3) where it changes from {5} to {6}
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])
+    chi, coloring = fractional_chromatic_number(g)
+    assert chi == Fraction(5, 2)
+    assert [(s.sorted_members(), w) for s, w in coloring.weights.items()] == [
+        ((0, 2, 5), Fraction(1, 2)),
+        ((0, 3, 5), Fraction(1, 2)),
+        ((1, 3, 5), Fraction(1, 4)),
+        ((1, 3, 6), Fraction(1, 4)),
+        ((1, 4, 6), Fraction(1, 2)),
+        ((2, 4, 6), Fraction(1, 2)),
+    ]
+
+
 @pytest.mark.parametrize("g", UNIONS, ids=[f"union{i}" for i in range(len(UNIONS))])
 def test_union_against_the_product_family(g):
     ref, _, family = reference_chi(g)
