@@ -22,7 +22,9 @@ from fractions import Fraction
 
 from .errors import NotRational
 from .exactlp import CoverMultiset, FractionalColoring, fractional_chromatic_number, integralize_cover
-from .graphs import Distribution, Graph, _check_vertex_cap, _lifted, max_weighted_independent_set
+from .graphs import (
+    Distribution, Graph, IndependentSet, _check_vertex_cap, _lift, max_weighted_independent_set
+)
 
 REASON_NO_UNIFORM_COVER = "NoUniformCover"
 
@@ -57,7 +59,7 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
     chi_f is the largest of the parts' and alpha_P the sum of theirs, and
     neither is solved over the product of the parts' families. On a yes,
     the optimal fractional coloring covers the support exactly once (see
-    the module docstring); lifted back to G (`graphs._lifted`) and scaled
+    the module docstring); lifted back to G (`graphs._lift`) and scaled
     by `integralize_cover` to integers r*x, it is the r-fold cover
     certificate. On a support of several parts that coloring is the merged
     one of `exactlp.fractional_chromatic_number`, whose sets are maximal.
@@ -78,7 +80,8 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
             certificate=None,
             reason=REASON_NO_UNIFORM_COVER,
         )
-    lifted = FractionalColoring({_lifted(g, supp, s): w for s, w in coloring.weights.items()})
+    sets = [IndependentSet._from_mask(g, _lift(s.mask, supp)) for s in coloring.weights]
+    lifted = FractionalColoring(dict(zip(sets, coloring.weights.values())))
     return MaximizerVerdict(
         is_maximizer=True,
         chi_f_support=chi_supp,

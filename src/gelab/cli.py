@@ -26,7 +26,7 @@ from .constructions import GadgetSpec, blow_up, hardness_gadget, substitute, uni
 from .entropy import DEFAULT_TOL, entropy
 from .errors import CapExceeded, GelabError, InternalError, ParseError
 from .exactlp import fractional_chromatic_number
-from .graphs import Distribution, Graph
+from .graphs import Distribution, Graph, _check_vertex_cap
 from .io import format_graph, format_rational, parse_distribution, parse_graph
 from .oracle import brute_entropy
 
@@ -86,6 +86,8 @@ def _certificate_text(cm) -> str:
 
 def cmd_entropy(args) -> int:
     g = _load_graph(args)
+    if args.dist is None:  # the support is every vertex: cap it before P is built on them
+        _check_vertex_cap(g, args.cap)
     p = _load_distribution(args, g)
     result = entropy(g, p, tol=args.tol, cap=args.cap)
     oracle_value = None

@@ -42,7 +42,7 @@ from .graphs import (
     IndependentSet,
     _greedy_cover_indices,
     _incidence,
-    _lifted,
+    _lift,
     enumerate_maximal_independent_sets,
 )
 
@@ -260,8 +260,9 @@ def entropy(
     supp = p.support
     sub = g.induced(supp)
     k = sub.n
+    # the public list, where perfbench counts sets; other solvers read cached masks
     sets = enumerate_maximal_independent_sets(sub, cap)
-    M = _incidence(sets, k).astype(np.float64)
+    M = _incidence([s.mask for s in sets], k).astype(np.float64)
     q = np.array([float(p[v]) for v in supp])
 
     cover = _greedy_cover_indices(M)  # a full cover: the start point is strictly positive
@@ -301,7 +302,8 @@ def entropy(
     for j, old in enumerate(supp):
         coords[old] = float(a[j])
     decomposition = tuple(
-        (_lifted(g, supp, sets[i]), float(lam[i])) for i in np.flatnonzero(lam > 0.0).tolist()
+        (IndependentSet._from_mask(g, _lift(sets[i].mask, supp)), float(lam[i]))
+        for i in np.flatnonzero(lam > 0.0).tolist()
     )
     minimizer = PolytopePoint(coords=tuple(coords), decomposition=decomposition)
     return EntropyResult(

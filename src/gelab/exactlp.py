@@ -388,17 +388,17 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
     return chi, FractionalColoring(weights)
 
 
-def _covering_lp(n: int, sets: Sequence[IndependentSet]):
+def _covering_lp(n: int, masks: Sequence[int]):
     """(cols, b, c) of min sum x_S with every vertex covered at least once.
 
-    The columns are the sets, then one surplus column -e_v per vertex.
+    The columns are the sets (bitmasks), then one surplus column -e_v per vertex.
     """
-    cols = np.concatenate([_incidence(sets, n).astype(np.int64), -np.eye(n, dtype=np.int64)])
-    return cols, [1] * n, [1] * len(sets) + [0] * n
+    cols = np.concatenate([_incidence(masks, n).astype(np.int64), -np.eye(n, dtype=np.int64)])
+    return cols, [1] * n, [1] * len(masks) + [0] * n
 
 
-def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> tuple[_LPResult, list[int]]:
-    """Solve the covering LP over `sets` and prove the answer, from either lane.
+def _solve_covering(g: Graph, masks: Sequence[int]) -> tuple[_LPResult, list[int]]:
+    """Solve the covering LP over the set bitmasks `masks` and prove the answer, from either lane.
 
     On integers over one common denominator per side: x >= 0 covers every
     vertex, y >= 0 packs into every set, and sum x = sum y = obj. The primal
@@ -406,10 +406,10 @@ def _solve_covering(g: Graph, sets: Sequence[IndependentSet]) -> tuple[_LPResult
     solution): a zero weight adds nothing to coverage or sum, and a
     negative one is nonzero. Both lanes set x off the basis to zero, so the
     support is read from the basis: the set indices in it with nonzero x.
-    Returns the result and that support, in ascending order.
+    Returns the result and that support, indices into `masks`, ascending.
     """
-    cols, b, c = _covering_lp(g.n, sets)
-    k = len(sets)
+    cols, b, c = _covering_lp(g.n, masks)
+    k = len(masks)
     res = _solve_exact(cols, b, c)
     support = sorted(j for j in res.basis if j < k and res.x[j])
     x_den, x_int = _common_denominator([res.x[j] for j in support])
@@ -430,25 +430,27 @@ def _solve_parts(g: Graph, cap: int | None) -> tuple[Fraction, dict, list]:
     parts' chi_f, and the maximal sets of g are the products of the parts'
     (Scheinerman & Ullman, *Fractional Graph Theory*, 1997, ch. 3). So one
     LP is solved over the concatenation of the parts' families
-    (`_part_families`, sets of g). The LP has one block per part and its
-    optimum is the sum of their chi_f; `_merge_blocks` turns its solution
-    into g's. A graph of one part is solved over its own family, as it is.
+    (`_part_families`, bitmasks over g). The LP has one block per part and
+    its optimum is the sum of their chi_f; `_merge_blocks` turns its
+    solution into g's. A graph of one part is solved over its own family,
+    as it is. Only the sets of the returned coloring are wrapped.
     """
     families = _part_families(g, cap)
     if len(families) == 1:
-        sets = families[0][1]
-        res, support = _solve_covering(g, sets)
-        return res.obj, {sets[j]: res.x[j] for j in support}, res.y
-    sets, ends = [], []
+        masks = families[0][1]
+        res, support = _solve_covering(g, masks)
+        sets = IndependentSet._trusted(g, [masks[j] for j in support])
+        return res.obj, {s: res.x[j] for s, j in zip(sets, support)}, res.y
+    masks, ends = [], []
     for _, family in families:
-        sets += family
-        ends.append(len(sets))
-    res, support = _solve_covering(g, sets)
-    return _merge_blocks(g, [part for part, _ in families], sets, ends, res, support)
+        masks += family
+        ends.append(len(masks))
+    res, support = _solve_covering(g, masks)
+    return _merge_blocks(g, [part for part, _ in families], masks, ends, res, support)
 
 
 def _merge_blocks(
-    g: Graph, parts: Sequence[int], sets, ends: Sequence[int], res: _LPResult, support: Sequence[int]
+    g: Graph, parts: Sequence[int], masks, ends: Sequence[int], res: _LPResult, support: Sequence[int]
 ) -> tuple[Fraction, dict, list]:
     """g's chi_f, coloring and dual from the LP over its parts' families.
 
@@ -465,7 +467,7 @@ def _merge_blocks(
     that block's running stretch ends), and is maximal in g. The dual is y
     on the first part that attains the maximum, 0 elsewhere. All of it is
     computed on integers over one denominator, and the merged coloring's
-    coverage and total are re-checked on them before any Fraction is built.
+    coverage and total are re-checked on them before any set or Fraction is built.
     """
     d, x = _common_denominator([res.x[j] for j in support])
     e, y = _common_denominator(res.y)
@@ -474,7 +476,7 @@ def _merge_blocks(
     for j, xj in zip(support, x):
         while j >= ends[i]:
             i += 1
-        blocks[i].append((sets[j].mask, xj))
+        blocks[i].append((masks[j], xj))
     totals = [sum(xj for _, xj in block) for block in blocks]
     for part, total in zip(parts, totals):
         if total * e != d * sum(y[v] for v in _bits(part)):
@@ -486,20 +488,20 @@ def _merge_blocks(
         list(accumulate(xj * (width // total) for _, xj in block))
         for block, total in zip(blocks, totals)
     ]
-    masks, lengths = [], []
+    merged, lengths = [], []
     start = 0
     for cut in sorted(set().union(*stops)):  # the last cut is `width`
         mask = 0
         for block, block_stops in zip(blocks, stops):
             mask |= block[bisect_right(block_stops, start)][0]
-        masks.append(mask)
+        merged.append(mask)
         lengths.append(cut - start)
         start = cut
-    merged = IndependentSet._trusted(g, masks)
     cover = _exact_matvec(_incidence(merged, g.n).T.astype(np.int64), lengths).tolist()
     if sum(lengths) != width or any(c * top < d * width for c in cover):
         raise InternalError("internal LP error: merged coloring not covering")
-    weights = {s: Fraction(k * top, d * width) for s, k in zip(merged, lengths)}
+    sets = IndependentSet._trusted(g, merged)
+    weights = {s: Fraction(k * top, d * width) for s, k in zip(sets, lengths)}
     first = parts[totals.index(top)]
     zero = Fraction(0)
     dual = [yv if first >> v & 1 else zero for v, yv in enumerate(res.y)]

@@ -30,8 +30,9 @@ SET_COUNT_CAP = 10**6
 It bounds every enumeration of maximal independent sets. It is checked as
 the sets are found, before anything else touches them: the family is then
 packed once (`_packed`), checked for independence in bulk on that pack and
-sorted on it, when it is enumerated and cached, and only after that wrapped
-or turned into a matrix (`_incidence`, from the same layout). The vertex
+sorted on it, when it is enumerated and cached. Only then do the solvers
+read its bitmasks, scanned or turned into a matrix (`_incidence`, from the
+same layout); a set is wrapped only when a result returns it. The vertex
 cap alone does not bound memory: 13 disjoint triangles (39 vertices) have
 3**13 = 1.59M maximal independent sets. The solvers that split a graph into
 its parts (`_parts_of`) enumerate each part alone, and raise the same
@@ -283,7 +284,7 @@ class Distribution:
             raise ValueError("distribution needs at least one vertex")
         exact = all(isinstance(w, (int, Fraction)) for w in weights)
         if exact:
-            weights = tuple(Fraction(w) for w in weights)
+            weights = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in weights)
             den, nums = _common_denominator(weights)
             if any(w < 0 for w in nums):
                 raise ValueError("negative probability weight")
@@ -522,14 +523,13 @@ def _packed(masks: Sequence[int], n: int) -> np.ndarray:
     return limbs.view(np.uint8)[:, : (n + 7) // 8]
 
 
-def _incidence(sets: Sequence["IndependentSet"], n: int) -> np.ndarray:
-    """0/1 uint8 matrix with one row per set and one column per vertex.
+def _incidence(masks: Sequence[int], n: int) -> np.ndarray:
+    """0/1 uint8 matrix with one row per set bitmask and one column per vertex.
 
     The rows are unpacked from `_packed`, the layout the family was checked
     and sorted in.
     """
-    rows = _packed([s.mask for s in sets], n)
-    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+    return np.unpackbits(_packed(masks, n), axis=1, count=n, bitorder="little")
 
 
 def _greedy_cover_indices(M: np.ndarray) -> list[int]:
@@ -595,30 +595,30 @@ def _parts_of(g: Graph) -> list[int]:
     return parts
 
 
-def _part_families(g: Graph, cap: int | None) -> list[tuple[int, list[IndependentSet]]]:
-    """(part, its maximal sets as sets of g) for each part of g (`_parts_of`), in order.
+def _part_families(g: Graph, cap: int | None) -> list[tuple[int, Sequence[int]]]:
+    """(part, its maximal sets as bitmasks over g) for each part of g (`_parts_of`), in order.
 
-    Every family is read through `enumerate_maximal_independent_sets`. A
-    single part is g itself, and its family is g's own list. Otherwise each
-    part is enumerated alone, as G[part], and each of its sets is lifted
-    once to g's labels (`_lift`); a set of one part is independent in g, as
-    no edge leaves a part. Raises CapExceeded when g has more vertices than
-    the vertex cap, or once the product of the family sizes so far exceeds
-    `SET_COUNT_CAP`, with the message a single enumeration of g would
-    raise: that product is the number of maximal sets of g.
+    Solvers read these masks and wrap only the sets a result returns. The
+    vertex cap is checked on g once, and each family is read from the memo
+    (`_maximal_sets_cached`): a single part's is g's own, and otherwise each
+    part is enumerated alone, as G[part], its masks lifted to g's labels
+    (`_lift`); no edge leaves a part, so they are independent in g. Raises
+    CapExceeded when g has more vertices than the vertex cap, or once the
+    product of the family sizes so far exceeds `SET_COUNT_CAP`, with the
+    message one enumeration of g would raise: that product is g's count.
     """
+    _check_vertex_cap(g, cap)
     parts = _parts_of(g)
     if len(parts) == 1:
-        return [(parts[0], enumerate_maximal_independent_sets(g, cap))]
-    _check_vertex_cap(g, cap)
+        return [(parts[0], _maximal_sets_cached(g))]
     families, count = [], 1
     for part in parts:
         labels = list(_bits(part))
-        family = enumerate_maximal_independent_sets(g.induced(labels), cap)
+        family = _maximal_sets_cached(g.induced(labels))
         count *= len(family)
         if count > SET_COUNT_CAP:
             raise CapExceeded(f"more than {SET_COUNT_CAP} maximal independent sets")
-        families.append((part, IndependentSet._trusted(g, [_lift(s.mask, labels) for s in family])))
+        families.append((part, [_lift(mask, labels) for mask in family]))
     return families
 
 
@@ -628,18 +628,6 @@ def _lift(mask: int, labels: Sequence[int]) -> int:
     for j in _bits(mask):
         lifted |= 1 << labels[j]
     return lifted
-
-
-def _lifted(g: Graph, labels: Sequence[int], s: IndependentSet) -> IndependentSet:
-    """The set of `g.induced(labels)` that `s` is, as a set of g.
-
-    When `labels` is every vertex, `g.induced` returned g itself, and `s` is
-    returned as it is. Otherwise its mask is lifted (`_lift`) and checked
-    again in g (`IndependentSet._from_mask`).
-    """
-    if s.graph is g:
-        return s
-    return IndependentSet._from_mask(g, _lift(s.mask, labels))
 
 
 def _common_denominator(values) -> tuple[int, list[int]]:
@@ -664,7 +652,8 @@ def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list
     while the sets are found, so memory stays bounded by the budget). The
     family is checked for independence once, in bulk, when it is enumerated
     and cached, so each set is wrapped here without a check of its own
-    (`IndependentSet._trusted`).
+    (`IndependentSet._trusted`). Of the solvers only `entropy` reads this
+    list; the others read the cached masks (`_part_families`).
     """
     _check_vertex_cap(g, cap)
     return IndependentSet._trusted(g, _maximal_sets_cached(g))
@@ -720,13 +709,13 @@ def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = 
     best_set = total = 0
     for _, family in _part_families(sub, cap):
         best_val = best_mask = 0  # G[()]'s empty set weighs 0, any other set more
-        for s in family:
-            val = sum(scaled[v] for v in _bits(s.mask))
+        for mask in family:
+            val = sum(scaled[v] for v in _bits(mask))
             if val > best_val:
-                best_val, best_mask = val, s.mask
+                best_val, best_mask = val, mask
         best_set |= best_mask
         total += best_val
     if not ints:  # int / int is the exact quotient, rounded once
         total = Fraction(total, den) if rational else total / den
-    witness = _lifted(g, support, IndependentSet._from_mask(sub, best_set))
+    witness = IndependentSet._from_mask(g, _lift(best_set, support))
     return WeightedAlpha(value=total, witness=witness)

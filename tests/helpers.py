@@ -230,7 +230,7 @@ def uniform_cover_feasible(
         g._check_vertex(v)
     if not rows:
         return FractionalColoring({})
-    M = _incidence(family, g.n).astype(np.int64)[:, rows]
+    M = _incidence([s.mask for s in family], g.n).astype(np.int64)[:, rows]
     if not M.any(axis=0).all():
         return None
     t = len(rows)

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 from gelab.cli import main
-from gelab.graphs import cycle_graph
+from gelab.graphs import Distribution, cycle_graph
 from gelab.io import (
     format_graph,
     parse_distribution,
@@ -265,6 +265,15 @@ class TestExitCodes:
         finally:
             graphs_mod._maximal_sets_cached.cache_clear()
         assert "internal error: enumerated set contains the edge (0, 1)" in capsys.readouterr().err
+
+    def test_entropy_vertex_cap_is_checked_before_the_uniform_distribution(self, files, capsys, monkeypatch):
+        def fail(n):
+            raise AssertionError("uniform distribution built before the vertex cap")
+
+        monkeypatch.delenv("GELAB_CAP", raising=False)
+        monkeypatch.setattr(Distribution, "uniform", staticmethod(fail))
+        assert main(["entropy", files("edgeless", "n 41\n")]) == 4
+        assert "graph has 41 vertices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["entropy", "blowup"])
     def test_zero_vertex_uniform_is_2(self, files, capsys, command):

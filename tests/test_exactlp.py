@@ -512,7 +512,7 @@ class TestCertifyBasis:
         g = cycle_graph(5)
         sets = enumerate_maximal_independent_sets(g)
         assert [s.sorted_members() for s in sets] == cls.SETS
-        return exactlp._covering_lp(g.n, sets)
+        return exactlp._covering_lp(g.n, [s.mask for s in sets])
 
     @classmethod
     def column(cls, name):
@@ -618,7 +618,7 @@ class TestCertifyBasis:
         graphs += [rand_graph(rng, rng.randint(2, 30), rng.random()) for _ in range(300)]
         surplus_read = 0
         for g in graphs:
-            cols, b, c = exactlp._covering_lp(g.n, enumerate_maximal_independent_sets(g))
+            cols, b, c = exactlp._covering_lp(g.n, [s.mask for s in enumerate_maximal_independent_sets(g)])
             start = exactlp._cover_start(cols, len(b))
             basis = exactlp._simplex(cols, b, c, exact=False, start=start).basis
             res = exactlp._certify_basis(cols, b, c, basis)
@@ -655,7 +655,7 @@ class TestRevisedSimplex:
 
     @staticmethod
     def covering_lp(g):
-        return exactlp._covering_lp(g.n, enumerate_maximal_independent_sets(g))
+        return exactlp._covering_lp(g.n, [s.mask for s in enumerate_maximal_independent_sets(g)])
 
     def test_lanes_agree_and_float_basis_certifies(self):
         rng = random.Random(1010)
@@ -719,7 +719,7 @@ class TestCoverStart:
 
     @staticmethod
     def covering_lp(g):
-        return exactlp._covering_lp(g.n, enumerate_maximal_independent_sets(g))
+        return exactlp._covering_lp(g.n, [s.mask for s in enumerate_maximal_independent_sets(g)])
 
     def check_start(self, g):
         cols, b, c = self.covering_lp(g)

@@ -135,6 +135,12 @@ class TestDistribution:
             assert p == Distribution([Fraction(1, n)] * n)
             assert all(type(w) is Fraction for w in p.weights)
 
+    def test_fraction_weights_are_kept_as_they_are(self):
+        half = Fraction(1, 2)
+        p = Distribution([half, 0, Fraction(1, 2)])
+        assert p.weights[0] is half
+        assert p.weights == (half, 0, half) and all(type(w) is Fraction for w in p.weights)
+
     def test_nan_weight_rejected(self):
         with pytest.raises(ValueError, match="negative probability weight"):
             Distribution([math.nan, 0.5, 0.5])
@@ -309,7 +315,7 @@ class TestMaskPath:
     def test_incidence_rows_are_characteristic_vectors(self, n):
         g = rand_graph(random.Random(n), n, 0.4)
         sets = enumerate_maximal_independent_sets(g)
-        inc = _incidence(sets, n)
+        inc = _incidence([s.mask for s in sets], n)
         assert inc.shape == (len(sets), n)
         assert inc.tolist() == [list(s.characteristic_vector()) for s in sets]
 
@@ -348,7 +354,8 @@ class TestLimbBoundary:
             for m in masks:  # maximal: every vertex outside has a neighbour inside
                 assert all(g._adj[v] & m for v in range(g.n) if not m >> v & 1)
             sets = enumerate_maximal_independent_sets(g, cap=g.n)
-            assert _incidence(sets, g.n).tolist() == [list(s.characteristic_vector()) for s in sets]
+            inc = _incidence([s.mask for s in sets], g.n)
+            assert inc.tolist() == [list(s.characteristic_vector()) for s in sets]
 
     def test_cocktail_party_straddles_the_boundary(self):
         g = cocktail_party(66)
@@ -373,7 +380,7 @@ class TestLimbBoundary:
     def test_incidence_rows_across_limbs(self, n):
         g = empty_graph(n)  # every mask is independent
         sets = [IndependentSet._from_mask(g, m) for m in LIMB_MASKS if m < 1 << n]
-        inc = _incidence(sets, n)
+        inc = _incidence([s.mask for s in sets], n)
         assert inc.shape == (len(sets), n)
         assert inc.tolist() == [list(s.characteristic_vector()) for s in sets]
 
@@ -690,7 +697,7 @@ def test_sixteen_vertex_brute_force_equivalence():
 class TestGreedyCover:
     def test_covers_with_first_maxima(self):
         # C5's maximal sets 02 03 13 14 24: 02, then 13 (first to add two), then 14
-        M = _incidence(enumerate_maximal_independent_sets(cycle_graph(5)), 5)
+        M = _incidence([s.mask for s in enumerate_maximal_independent_sets(cycle_graph(5))], 5)
         assert graphs_mod._greedy_cover_indices(M.astype(np.int64)) == [0, 2, 3]
         assert graphs_mod._greedy_cover_indices(M.astype(np.float64)) == [0, 2, 3]
 

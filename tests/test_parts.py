@@ -56,7 +56,7 @@ UNIONS = [random_union(random.Random(seed)) for seed in range(200)]
 def reference_chi(g: Graph):
     """The covering LP over every maximal set of g: (result, support, family)."""
     family = enumerate_maximal_independent_sets(g)
-    res, support = _solve_covering(g, family)
+    res, support = _solve_covering(g, [s.mask for s in family])
     return res, support, family
 
 
@@ -225,6 +225,28 @@ def test_triangle_union_never_enumerates_the_product(monkeypatch):
         graphs_mod._maximal_sets_cached.cache_clear()
     assert chi == 3 and coloring.total == 3
     assert sizes and max(sizes) <= 3
+
+
+@pytest.mark.parametrize("g", [rand_graph(random.Random(4), 30, 0.2), triangle_union(4)], ids=["gnp30", "4K3"])
+@pytest.mark.parametrize(
+    "solve",
+    [fractional_chromatic_number, lambda g: max_weighted_independent_set(g, [1] * g.n), is_symmetric],
+    ids=["chi_f", "mwis", "symmetric"],
+)
+def test_only_returned_sets_are_wrapped(monkeypatch, g, solve):
+    # the solvers read the families as bitmasks: an IndependentSet is built
+    # only for a set a result returns (`_from_mask` builds through `_trusted`)
+    real = graphs_mod.IndependentSet._trusted.__func__
+    built = []
+
+    def trusted(cls, graph, masks):
+        sets = real(cls, graph, masks)
+        built.append(len(sets))
+        return sets
+
+    monkeypatch.setattr(graphs_mod.IndependentSet, "_trusted", classmethod(trusted))
+    solve(g)
+    assert 0 < sum(built) <= g.n
 
 
 def test_set_budget_is_the_product_of_the_parts(monkeypatch):
