@@ -8,9 +8,15 @@ for the best polytope vertex against the current gradient, takes an exact
 line-search step, and reads off a duality-gap certificate bounding how far
 the current value can be from the true optimum.
 
-Each iteration makes one full scan of every maximal independent set (the
-oracle and the gap) and then one step: a Newton step on the face spanned by
-the active sets plus the oracle's set. This is simplicial decomposition
+The support-induced subgraph is solved part by part (its components with
+an edge, the isolated vertices in the first): H(G,P) = sum_i P(V_i) *
+H(G_i, P_i), with P_i the restriction of P to part i renormalized
+(Simonyi, "Graph entropy: a survey", DIMACS Series 20, 1995), so each part
+is minimized over its own maximal independent sets, never over their
+product. On each part, each iteration makes one full scan of every
+maximal independent set of the part (the oracle and the gap) and then one
+step: a Newton step on the face spanned by the active sets plus the
+oracle's set. This is simplicial decomposition
 (Von Hohenbalken, Math. Programming 1977) with a single Newton step per
 round on the mixture weights: on a face the objective is a log-likelihood
 over mixture weights, which Newton's method minimizes in a few steps (Wang,
@@ -21,7 +27,8 @@ Newton direction may shrink any active set to zero, so sets the optimum
 does not need leave the decomposition. The step takes the exact minimizer
 along its direction, found by safeguarded Newton on the derivative, and
 never increases the objective. The reported certificate is the standard
-toward-step duality gap of the last scan.
+toward-step duality gap of the last scan, each part's weighted by its
+mass P(V_i).
 
 Everything is computed on the subgraph induced by the support of P; the
 minimum provably depends on nothing else. Logarithms are base 2 throughout,
@@ -40,9 +47,12 @@ from .graphs import (
     Distribution,
     Graph,
     IndependentSet,
+    _common_denominator,
     _greedy_cover_indices,
     _incidence,
     _lift,
+    _refinement,
+    _split_families,
     enumerate_maximal_independent_sets,
 )
 
@@ -84,8 +94,9 @@ class PolytopePoint:
 class EntropyResult:
     """Entropy value in bits with its minimizer and suboptimality certificate.
 
-    The true optimum lies in [value - gap, value]; `converged` is False when
-    the iteration cap was reached before the gap dropped below tolerance.
+    The true optimum lies in [value - gap, value]; `converged` is True
+    exactly when gap <= tol. `iterations` counts scan-and-step rounds over
+    all parts of the support (see `entropy`).
     """
 
     value: float
@@ -112,8 +123,8 @@ def objective(p: Distribution, a) -> float:
     return total
 
 
-def _rounding_pad(q: np.ndarray, a: np.ndarray) -> float:
-    """A bound on the float rounding error of -sum q*lg a, the reported value.
+def _rounding_pad(q: np.ndarray, a: np.ndarray, k: int) -> float:
+    """A bound on the float rounding error of -sum q*lg a, the reported value, over k terms.
 
     Against the exact sum over the exact P, the computed sum is off by at
     most (k + 9) * 2**-53 * sum q*|lg a| for k terms, to first order: the
@@ -123,7 +134,7 @@ def _rounding_pad(q: np.ndarray, a: np.ndarray) -> float:
     scanned point and the one re-synthesized from its decomposition. It is
     0 when every coordinate is 1.
     """
-    return (len(q) + 10) * 2.0**-52 * float(np.abs(q * np.log2(a)).sum())
+    return (k + 10) * 2.0**-52 * float(np.abs(q * np.log2(a)).sum())
 
 
 def _line_search(q: np.ndarray, a: np.ndarray, d: np.ndarray, gamma_max: float) -> float:
@@ -231,6 +242,47 @@ def _face_newton_step(
     return lam_w @ m_w
 
 
+def _minimize(
+    q: np.ndarray, M: np.ndarray, tol: float, max_iter: int, terms: int
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """The scan-and-step loop on one part: (mixture weights, point, gap, steps).
+
+    `q` is the part's renormalized P and M the incidence matrix of its
+    maximal sets. Starts at the uniform mixture of a greedy cover, so every
+    coordinate is positive. Each round scans every set once for the
+    oracle's set and the duality gap <grad, a - s>, stops once that gap
+    and twice the rounding pad of `terms` terms (the whole support's count,
+    so the part's share of the final pad) fit in `tol`, and otherwise takes
+    one Newton step on the face of the active sets plus the oracle's set
+    (`_face_newton_step`). Stops early if the step cannot move. `steps`
+    counts the steps taken; a loop that reaches `max_iter` returns the gap
+    of its last scan (inf when it made none), still valid at the returned
+    point, since no step increases the objective. The point is
+    re-synthesized from the weights, which sum to one.
+    """
+    cover = _greedy_cover_indices(M)
+    lam = np.zeros(len(M))
+    lam[cover] = 1.0 / len(cover)
+    a = lam @ M
+    gap = math.inf
+    for steps in range(max_iter):
+        scores = M @ (q / a)
+        s_idx = int(np.argmax(scores))
+        gap = (float(scores[s_idx]) - 1.0) / _LN2
+        if gap <= tol and max(gap, 0.0) + 2 * _rounding_pad(q, a, terms) <= tol:
+            break
+        new_a = _face_newton_step(q, M, lam, a, s_idx)
+        if new_a is a:  # no descent on the face: stop at this scan's gap
+            break
+        a = new_a
+    else:
+        steps = max_iter
+    lam /= lam.sum()
+    # incremental updates drift by a few ulps: the point is the one its
+    # decomposition gives, so the certificate is internally consistent
+    return lam, lam @ M, max(gap, 0.0), steps
+
+
 def entropy(
     g: Graph,
     p: Distribution,
@@ -240,16 +292,26 @@ def entropy(
 ) -> EntropyResult:
     """Minimize the entropy objective over VP(G) with a certified gap.
 
-    Runs on the support-induced subgraph. Each iteration scans every
-    maximal independent set once for the oracle's set and the duality gap
-    <grad, a - s>, and stops once that gap falls to `tol` (bits), so the
-    returned value differs from the true H(G,P) by at most `gap`. Otherwise
-    it takes one Newton step on the face of the active sets plus the
-    oracle's set (`_face_newton_step`). `iterations` counts those
-    scan-and-step rounds (the final, converging scan takes no step and is
-    not counted) and `max_iter` caps them; a run that reaches the cap
-    returns unconverged, with the gap of its last scan. Stops early,
-    unconverged, if the step cannot move while the gap is still above `tol`.
+    Runs on the support-induced subgraph, part by part (`graphs._parts_of`):
+    H(G,P) = sum_i P(V_i) * H(G_i, P_i), with P_i the restriction of P to
+    part i renormalized, and the minimizer is the product of the parts'
+    minimizers. Each part runs `_minimize` on its own maximal sets: each
+    iteration scans every maximal independent set of the part once for the
+    oracle's set and the duality gap, and stops once that gap falls to
+    `tol` (bits); otherwise it takes one Newton step on the face of the
+    active sets plus the oracle's set (`_face_newton_step`). `iterations`
+    counts those scan-and-step rounds over all parts (a part's final,
+    converging scan takes no step and is not counted), and `max_iter` caps
+    that total: the parts run in order, each on what the earlier ones left,
+    and a part left with no rounds is not scanned. A part whose step cannot
+    move stops there, with the gap of its scan. The coordinates are the
+    parts' points side by side and the decomposition the common refinement
+    of their mixtures (`graphs._refinement`). `value` and its rounding pad
+    are computed once on that point, over the whole support. `gap` is the
+    P(V_i)-weighted sum of the parts' gaps plus twice that pad, so the true
+    H(G,P) lies in [value - gap, value], and `converged` is True exactly
+    when gap <= tol. The set budget is the product of the parts' family
+    sizes, as for chi_f (`graphs._split_families`).
     """
     if not tol > 0:  # NaN fails this too
         raise ValueError("tolerance must be positive")
@@ -258,58 +320,45 @@ def entropy(
     if p.n != g.n:
         raise ValueError("distribution length differs from vertex count")
     supp = p.support
-    sub = g.induced(supp)
-    k = sub.n
-    # the public list, where perfbench counts sets; other solvers read cached masks
-    sets = enumerate_maximal_independent_sets(sub, cap)
-    M = _incidence([s.mask for s in sets], k).astype(np.float64)
+    k = len(supp)
+    # the public list of each part, where perfbench counts sets; other solvers read cached masks
+    split = _split_families(g.induced(supp), cap, lambda part: enumerate_maximal_independent_sets(part, cap))
     q = np.array([float(p[v]) for v in supp])
+    # exact weights as integers over one denominator: each renormalized
+    # weight and each part's share is then one correctly rounded quotient
+    weight = _common_denominator([p[v] for v in supp])[1] if p.exact else list(q)
+    total = sum(weight)
 
-    cover = _greedy_cover_indices(M)  # a full cover: the start point is strictly positive
-    lam = np.zeros(len(sets))
-    lam[cover] = 1.0 / len(cover)
-    a = lam @ M
-
-    gap = math.inf
-    converged = False
-    for iterations in range(max_iter):
-        scores = M @ (q / a)
-        s_idx = int(np.argmax(scores))
-        gap = (float(scores[s_idx]) - 1.0) / _LN2
-        if gap <= tol and max(gap, 0.0) + 2 * _rounding_pad(q, a) <= tol:
-            converged = True
-            break
-        new_a = _face_newton_step(q, M, lam, a, s_idx)
-        if new_a is a:  # no descent on the face: stop, unconverged, at this scan's gap
-            break
-        a = new_a
-    else:
-        # best-so-far is still a valid upper bound; gap reports its quality
-        iterations = max_iter
-    lam /= lam.sum()
+    a = np.empty(k)
+    blocks = []
+    gap = 0.0
+    iterations = 0
+    for _, labels, family in split:
+        mass = sum(weight[j] for j in labels)
+        q_part = np.array([weight[j] / mass for j in labels])
+        M = _incidence([s.mask for s in family], len(labels)).astype(np.float64)
+        lam, a[labels], part_gap, steps = _minimize(q_part, M, tol, max_iter - iterations, k)
+        iterations += steps
+        gap += mass / total * part_gap
+        owners = [supp[j] for j in labels]
+        active = np.flatnonzero(lam > 0.0).tolist()
+        blocks.append([(_lift(family[i].mask, owners), float(lam[i])) for i in active])
 
     # the value is raised by the rounding pad and the gap widened by twice
-    # it, so [value - gap, value] holds the exact H and not just the float
-    # one; the pad is that of the point the last scan saw, as in the test above
-    pad = _rounding_pad(q, a)
-    gap = max(gap, 0.0) + 2 * pad
-    # re-synthesize the point from its decomposition so the certificate is
-    # internally consistent (incremental updates drift by a few ulps)
-    a = lam @ M
+    # it, so [value - gap, value] holds the exact H and not just the float one
+    pad = _rounding_pad(q, a, k)
+    gap += 2 * pad
     value = float(-(q * np.log2(a)).sum()) + pad
 
     coords = [0.0] * g.n
-    for j, old in enumerate(supp):
-        coords[old] = float(a[j])
-    decomposition = tuple(
-        (IndependentSet._from_mask(g, _lift(sets[i].mask, supp)), float(lam[i]))
-        for i in np.flatnonzero(lam > 0.0).tolist()
-    )
+    for j, v in enumerate(supp):
+        coords[v] = float(a[j])
+    decomposition = tuple((IndependentSet._from_mask(g, mask), w) for mask, w in _refinement(blocks))
     minimizer = PolytopePoint(coords=tuple(coords), decomposition=decomposition)
     return EntropyResult(
         value=value,
         minimizer=minimizer,
         gap=gap,
         iterations=iterations,
-        converged=converged,
+        converged=gap <= tol,
     )

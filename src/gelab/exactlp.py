@@ -35,10 +35,8 @@ Every rational, inside the exact layer and at its boundary, is a
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,6 +50,7 @@ from .graphs import (
     _greedy_cover_indices,
     _incidence,
     _part_families,
+    _refinement,
 )
 
 _FLOAT_EPS = 1e-9
@@ -459,12 +458,8 @@ def _merge_blocks(
     sum x_i >= chi_f(G_i) >= sum y_i; the two sides have equal totals, so
     each block is optimal, which is re-checked on integers. chi_f(g) is the
     largest block total. The coloring is the common refinement of the block
-    colorings, each scaled to that total: the blocks are laid side by side
-    on one interval of length chi_f, each set over a stretch of its scaled
-    weight, in column order. One sweep cuts the interval at the end of every
-    stretch of every block; the piece from one cut to the next is the union
-    of the sets whose stretches hold it, one per block (found by bisecting
-    that block's running stretch ends), and is maximal in g. The dual is y
+    colorings, each scaled to that total, in column order (`_refinement`):
+    each piece is a union of one set per block, so maximal in g. The dual is y
     on the first part that attains the maximum, 0 elsewhere. All of it is
     computed on integers over one denominator, and the merged coloring's
     coverage and total are re-checked on them before any set or Fraction is built.
@@ -484,19 +479,11 @@ def _merge_blocks(
     top = max(totals)
     # every block scaled to total `width`, the stretch of chi_f = top / d
     width = math.lcm(*totals)
-    stops = [
-        list(accumulate(xj * (width // total) for _, xj in block))
-        for block, total in zip(blocks, totals)
-    ]
-    merged, lengths = [], []
-    start = 0
-    for cut in sorted(set().union(*stops)):  # the last cut is `width`
-        mask = 0
-        for block, block_stops in zip(blocks, stops):
-            mask |= block[bisect_right(block_stops, start)][0]
-        merged.append(mask)
-        lengths.append(cut - start)
-        start = cut
+    pieces = _refinement(
+        [[(mask, xj * (width // total)) for mask, xj in block] for block, total in zip(blocks, totals)]
+    )
+    merged = [mask for mask, _ in pieces]
+    lengths = [length for _, length in pieces]
     cover = _exact_matvec(_incidence(merged, g.n).T.astype(np.int64), lengths).tolist()
     if sum(lengths) != width or any(c * top < d * width for c in cover):
         raise InternalError("internal LP error: merged coloring not covering")

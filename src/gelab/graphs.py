@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 import os
 import threading
+from bisect import bisect_right
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,10 +36,10 @@ sorted on it, when it is enumerated and cached. Only then do the solvers
 read its bitmasks, scanned or turned into a matrix (`_incidence`, from the
 same layout); a set is wrapped only when a result returns it. The vertex
 cap alone does not bound memory: 13 disjoint triangles (39 vertices) have
-3**13 = 1.59M maximal independent sets. The solvers that split a graph into
-its parts (`_parts_of`) enumerate each part alone, and raise the same
+3**13 = 1.59M maximal independent sets. Every solver splits a graph into
+its parts (`_parts_of`), enumerates each part alone, and raises the same
 `CapExceeded` once the product of the parts' family sizes, the size of the
-graph's own family, exceeds the budget (`_part_families`). It also bounds
+graph's own family, exceeds the budget (`_split_families`). It also bounds
 the sets the family memo holds (`_family_cache`).
 """
 
@@ -595,31 +597,47 @@ def _parts_of(g: Graph) -> list[int]:
     return parts
 
 
-def _part_families(g: Graph, cap: int | None) -> list[tuple[int, Sequence[int]]]:
-    """(part, its maximal sets as bitmasks over g) for each part of g (`_parts_of`), in order.
+def _split_families(
+    g: Graph, cap: int | None, read: Callable[[Graph], Sequence]
+) -> list[tuple[int, list[int], Sequence]]:
+    """(part, its labels, read(G[part])) for each part of g (`_parts_of`), in order.
 
-    Solvers read these masks and wrap only the sets a result returns. The
-    vertex cap is checked on g once, and each family is read from the memo
-    (`_maximal_sets_cached`): a single part's is g's own, and otherwise each
-    part is enumerated alone, as G[part], its masks lifted to g's labels
-    (`_lift`); no edge leaves a part, so they are independent in g. Raises
-    CapExceeded when g has more vertices than the vertex cap, or once the
-    product of the family sizes so far exceeds `SET_COUNT_CAP`, with the
-    message one enumeration of g would raise: that product is g's count.
+    The one owner of the set budget across parts. `read` returns a part's
+    maximal sets, as cached masks (`_part_families`) or as the public list
+    (`entropy`), over G[part]'s labels: vertex j of G[part] is labels[j] of
+    g. A single part's G[part] is g itself. The vertex cap is checked on g
+    once. Raises CapExceeded when g has more vertices than the vertex cap,
+    or once the product of the family sizes so far exceeds `SET_COUNT_CAP`,
+    with the message one enumeration of g would raise: that product is g's
+    count.
     """
     _check_vertex_cap(g, cap)
     parts = _parts_of(g)
-    if len(parts) == 1:
-        return [(parts[0], _maximal_sets_cached(g))]
-    families, count = [], 1
+    split, count = [], 1
     for part in parts:
         labels = list(_bits(part))
-        family = _maximal_sets_cached(g.induced(labels))
+        family = read(g.induced(labels) if len(parts) > 1 else g)
         count *= len(family)
         if count > SET_COUNT_CAP:
             raise CapExceeded(f"more than {SET_COUNT_CAP} maximal independent sets")
-        families.append((part, [_lift(mask, labels) for mask in family]))
-    return families
+        split.append((part, labels, family))
+    return split
+
+
+def _part_families(g: Graph, cap: int | None) -> list[tuple[int, Sequence[int]]]:
+    """(part, its maximal sets as bitmasks over g) for each part of g (`_parts_of`), in order.
+
+    Solvers read these masks and wrap only the sets a result returns. Each
+    family is read from the memo (`_maximal_sets_cached`) under the checks
+    of `_split_families`: a single part's is g's own, and otherwise each
+    part is enumerated alone, as G[part], its masks lifted to g's labels
+    (`_lift`); no edge leaves a part, so they are independent in g.
+    """
+    split = _split_families(g, cap, _maximal_sets_cached)
+    if len(split) == 1:
+        part, _, family = split[0]
+        return [(part, family)]
+    return [(part, [_lift(mask, labels) for mask in family]) for part, labels, family in split]
 
 
 def _lift(mask: int, labels: Sequence[int]) -> int:
@@ -628,6 +646,37 @@ def _lift(mask: int, labels: Sequence[int]) -> int:
     for j in _bits(mask):
         lifted |= 1 << labels[j]
     return lifted
+
+
+def _refinement(blocks: Sequence[Sequence[tuple[int, object]]]) -> list[tuple[int, object]]:
+    """The common refinement of mixtures on disjoint parts, as (mask, weight) pieces.
+
+    Each block is one part's mixture: (bitmask, weight) pairs with positive
+    weights, in order, every block of the same total. The blocks are laid
+    side by side on one interval, each set over a stretch of its weight.
+    One sweep cuts the interval at the end of every stretch of every block;
+    the piece from one cut to the next is the union of the sets whose
+    stretches hold it, one per block (found by bisecting that block's
+    running stretch ends). A piece's point lies in one set per block, so
+    each vertex keeps the weight its block gave it. Integer weights (the
+    colorings of `exactlp`) give exact pieces. Float totals (`entropy`'s
+    mixtures) may differ in their last places, so every block's last
+    stretch ends at the largest total; running sums of nonnegative floats
+    never decrease, so the stretch ends stay sorted.
+    """
+    stops = [list(accumulate(w for _, w in block)) for block in blocks]
+    end = max(block_stops[-1] for block_stops in stops)
+    for block_stops in stops:
+        block_stops[-1] = end
+    pieces = []
+    start = 0
+    for cut in sorted(set().union(*stops)):
+        mask = 0
+        for block, block_stops in zip(blocks, stops):
+            mask |= block[bisect_right(block_stops, start)][0]
+        pieces.append((mask, cut - start))
+        start = cut
+    return pieces
 
 
 def _common_denominator(values) -> tuple[int, list[int]]:
@@ -653,7 +702,8 @@ def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list
     family is checked for independence once, in bulk, when it is enumerated
     and cached, so each set is wrapped here without a check of its own
     (`IndependentSet._trusted`). Of the solvers only `entropy` reads this
-    list; the others read the cached masks (`_part_families`).
+    list, once for each part of its support (`_split_families`); the
+    others read the cached masks (`_part_families`).
     """
     _check_vertex_cap(g, cap)
     return IndependentSet._trusted(g, _maximal_sets_cached(g))

@@ -69,6 +69,15 @@ def triangle_union(k: int) -> Graph:
     return Graph(3 * k, [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))])
 
 
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side: the vertices of each follow those of the one before."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return Graph(offset, edges)
+
+
 def complement(g: Graph) -> Graph:
     return Graph(g.n, [
         (u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.has_edge(u, v)
@@ -103,6 +112,30 @@ def rand_chordal(rng: random.Random, n: int, keep: float) -> Graph:
             join = {w for w in joined[u] | {u} if rng.random() < keep}
         joined.append(join)
         edges += [(w, v) for w in join]
+    return Graph(n, edges)
+
+
+def rand_comparability(rng: random.Random, n: int, p_edge: float, posets: int = 1) -> Graph:
+    """Comparability graph of a random poset on range(n): a perfect graph.
+
+    The labels are shuffled and cut into `posets` runs, pairwise
+    incomparable, so the graph has no edge between two runs. On each run,
+    every pair i < j not yet comparable is made i < j with probability
+    `p_edge`, with everything above j; walking i downward keeps the order
+    transitively closed.
+    """
+    labels = list(range(n))
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(1, n), posets - 1))
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        run = labels[lo:hi]
+        above = [0] * len(run)
+        for i in reversed(range(len(run))):
+            for j in range(i + 1, len(run)):
+                if not above[i] >> j & 1 and rng.random() < p_edge:
+                    above[i] |= 1 << j | above[j]
+        edges += [(run[i], run[j]) for i in range(len(run)) for j in _bits(above[i])]
     return Graph(n, edges)
 
 

@@ -22,6 +22,7 @@ from gelab.exactlp import fractional_chromatic_number
 from gelab.graphs import (
     Distribution,
     IndependentSet,
+    _parts_of,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -34,12 +35,14 @@ from helpers import (
     circulant,
     complement,
     continuity_delta,
+    disjoint_union,
     kneser,
     linear_minimization_oracle,
     perturb_within,
     petersen,
     rand_bipartite,
     rand_chordal,
+    rand_comparability,
     rand_graph,
     rand_rational_distribution,
     rand_spanning_subgraph,
@@ -490,6 +493,44 @@ class TestClosedForms:
             res, co = entropy(g, p), entropy(complement(g), p)
             assert res.converged and co.converged
             assert abs(res.value + co.value - h_p) <= res.gap + co.gap + 1e-9
+
+    def test_comparability_graph_identity_on_random_posets(self):
+        # comparability graphs are perfect. Half the posets are unions of
+        # incomparable runs: H(G) then runs part by part, while the
+        # complement, a join, is connected and runs over one family
+        rng = random.Random(16)
+        split = 0
+        for t in range(6):
+            n = rng.randint(20, 40)
+            g = rand_comparability(rng, n, rng.uniform(0.1, 0.4), posets=1 + t % 3)
+            p = rand_rational_distribution(rng, n, m_max=3 * n)
+            split += len(_parts_of(g)) >= 2
+            assert len(_parts_of(complement(g))) == 1
+            h_p = -sum(float(w) * math.log2(float(w)) for w in p.weights if w)
+            res, co = entropy(g, p), entropy(complement(g), p)
+            assert res.converged and co.converged
+            assert abs(res.value + co.value - h_p) <= res.gap + co.gap + 1e-9
+        assert split >= 3
+
+    def test_union_of_vertex_transitive_parts_and_an_isolated_vertex(self):
+        # H = sum (n_i / n) lg(n_i / alpha_i) over K(6,2), C9, K4 and K1
+        parts = [(kneser(6, 2), 5), (cycle_graph(9), 4), (complete_graph(4), 1), (empty_graph(1), 1)]
+        graph = disjoint_union(*(part for part, _ in parts))
+        n = graph.n
+        with localcontext() as ctx:
+            ctx.prec = 40
+            h = sum(Decimal(part.n) / n * lg40(Fraction(part.n, alpha)) for part, alpha in parts)
+        res = entropy(graph, Distribution.uniform(n))
+        assert res.converged and res.gap <= 1e-9
+        assert Decimal(res.value) - Decimal(res.gap) <= h <= Decimal(res.value)
+
+    def test_support_that_splits_a_connected_graph(self):
+        # C6 on {0, 1, 3, 4} is the two edges 0-1 and 3-4: exactly one bit
+        q = Fraction(1, 4)
+        res = entropy(cycle_graph(6), Distribution([q, q, 0, q, q, 0]))
+        assert res.converged
+        assert Decimal(res.value) - Decimal(res.gap) <= 1 <= Decimal(res.value)
+        assert res.minimizer.coords == pytest.approx((0.5, 0.5, 0.0, 0.5, 0.5, 0.0), abs=1e-12)
 
 
 class TestEntropyLaws:

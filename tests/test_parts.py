@@ -1,19 +1,22 @@
-"""Graphs of several parts: chi_f and alpha_P solved over the parts' families.
+"""Graphs of several parts: chi_f, alpha_P and entropy solved over the parts' families.
 
 Every answer is compared with the reference the single-family solvers give,
 the covering LP over *every* maximal independent set of the graph (the
-product of the parts' families) and the first maximum in its enumeration
-order.
+product of the parts' families), the first maximum in its enumeration
+order, and the entropy loop run on that whole family.
 """
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gelab import exactlp
 from gelab import graphs as graphs_mod
 from gelab.characterize import is_entropy_maximizer, is_symmetric
+from gelab.entropy import _minimize, entropy
 from gelab.exactlp import (
     _common_denominator,
     _solve_covering,
@@ -25,6 +28,7 @@ from gelab.graphs import (
     Distribution,
     Graph,
     _bits,
+    _incidence,
     _parts_of,
     alpha,
     cycle_graph,
@@ -208,7 +212,9 @@ def test_one_part_graphs_answer_as_the_product_family(seed):
     assert fractional_chromatic_dual(g) == (ref.obj, {v: y for v, y in enumerate(ref.y) if y})
 
 
-def test_triangle_union_never_enumerates_the_product(monkeypatch):
+@pytest.fixture
+def enumerated_sizes(monkeypatch):
+    """The size of every family enumerated while the test runs, from a cold memo."""
     real = graphs_mod._maximal_independent_masks
     sizes = []
 
@@ -219,12 +225,43 @@ def test_triangle_union_never_enumerates_the_product(monkeypatch):
 
     graphs_mod._maximal_sets_cached.cache_clear()
     monkeypatch.setattr(graphs_mod, "_maximal_independent_masks", spy)
-    try:
-        chi, coloring = fractional_chromatic_number(triangle_union(12))
-    finally:
-        graphs_mod._maximal_sets_cached.cache_clear()
+    yield sizes
+    graphs_mod._maximal_sets_cached.cache_clear()
+
+
+def test_triangle_union_never_enumerates_the_product(enumerated_sizes):
+    chi, coloring = fractional_chromatic_number(triangle_union(12))
     assert chi == 3 and coloring.total == 3
-    assert sizes and max(sizes) <= 3
+    assert enumerated_sizes and max(enumerated_sizes) <= 3
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_entropy_against_the_product_family(seed):
+    # the reference runs the same scan-and-step loop on every maximal set of
+    # G[supp P] with P as it is: both brackets hold H, so they overlap. Odd
+    # seeds take P as floats, renormalized per part in floats
+    rng = random.Random(seed)
+    g = UNIONS[seed]
+    p = rand_rational_distribution(rng, g.n, m_max=3 * g.n, strict=False)
+    if seed % 2:
+        p = Distribution([float(w) for w in p.weights])
+    supp = p.support
+    family = enumerate_maximal_independent_sets(g.induced(supp))
+    q = np.array([float(p[v]) for v in supp])
+    M = _incidence([s.mask for s in family], len(supp)).astype(np.float64)
+    _, a, ref_gap, _ = _minimize(q, M, 1e-9, 10**6, len(supp))
+    ref = float(-(q * np.log2(a)).sum())
+    res = entropy(g, p)
+    assert res.converged and ref_gap <= 1e-9
+    assert abs(res.value - ref) <= res.gap + ref_gap + 1e-12
+
+
+def test_entropy_on_triangle_union_never_enumerates_the_product(enumerated_sizes):
+    g = triangle_union(12)
+    res = entropy(g, Distribution.uniform(g.n))
+    assert enumerated_sizes and max(enumerated_sizes) <= 3
+    assert res.converged
+    assert res.value - res.gap <= math.log2(3) <= res.value
 
 
 @pytest.mark.parametrize("g", [rand_graph(random.Random(4), 30, 0.2), triangle_union(4)], ids=["gnp30", "4K3"])
@@ -256,8 +293,11 @@ def test_set_budget_is_the_product_of_the_parts(monkeypatch):
         fractional_chromatic_number(g)
     with pytest.raises(graphs_mod.CapExceeded, match="more than 242 maximal independent sets"):
         alpha(g)
+    with pytest.raises(graphs_mod.CapExceeded, match="more than 242 maximal independent sets"):
+        entropy(g, Distribution.uniform(g.n))
     monkeypatch.setattr(graphs_mod, "SET_COUNT_CAP", 243)
     assert fractional_chromatic_number(g)[0] == 3
+    assert entropy(g, Distribution.uniform(g.n)).converged
 
 
 def test_vertex_cap_is_on_the_whole_graph():
@@ -266,6 +306,8 @@ def test_vertex_cap_is_on_the_whole_graph():
         fractional_chromatic_number(g)
     with pytest.raises(graphs_mod.CapExceeded, match="graph has 42 vertices"):
         alpha(g)
+    with pytest.raises(graphs_mod.CapExceeded, match="graph has 42 vertices"):
+        entropy(g, Distribution.uniform(g.n))
 
 
 def test_merged_coloring_is_rechecked(monkeypatch):
