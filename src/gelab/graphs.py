@@ -126,7 +126,7 @@ class Graph:
         When `keep` is every vertex, the subgraph is the graph itself.
         """
         order = sorted(set(keep))
-        for v in order:
+        for v in order[:1] + order[-1:]:  # the ends: every vertex between is in range
             self._check_vertex(v)
         if len(order) == self.n:
             return self
@@ -532,6 +532,15 @@ def _incidence(masks: Sequence[int], n: int) -> np.ndarray:
     and sorted in.
     """
     return np.unpackbits(_packed(masks, n), axis=1, count=n, bitorder="little")
+
+
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """The bitmask of each row of a 0/1 integer matrix: bit j is set iff column j is nonzero.
+
+    The inverse of `_incidence`: each row is packed little-endian and read
+    as one int.
+    """
+    return [int.from_bytes(row, "little") for row in np.packbits(rows, axis=1, bitorder="little").tolist()]
 
 
 def _greedy_cover_indices(M: np.ndarray) -> list[int]:

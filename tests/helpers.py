@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from gelab.entropy import entropy
+from gelab.entropy import _line_search, entropy
 from gelab.errors import CapExceeded, InternalError, NotRational
 from gelab.exactlp import FractionalColoring, _cover_start, _simplex, fractional_chromatic_number
 from gelab.graphs import (
@@ -229,6 +229,47 @@ def linear_minimization_oracle(g: Graph, gradient, cap: int | None = None) -> In
         return enumerate_maximal_independent_sets(g, cap)[0]
     weights = [-float(gv) for gv in gradient]
     return max_weighted_independent_set(g, weights, cap).witness
+
+
+def reference_face_newton_step(
+    q: np.ndarray, M: np.ndarray, lam: np.ndarray, a: np.ndarray, enter: int | None = None
+) -> np.ndarray:
+    """`gelab.entropy._face_newton_step` as it was before its array calls were cut.
+
+    The reference its lean form must match bit for bit: the same KKT
+    matrix, least-squares solve, entering and bound rules and line search,
+    written with one array call per formula. Updates lam in place and
+    returns `a` itself when the step does not move.
+    """
+    face = np.flatnonzero(lam)
+    entering = enter is not None and not lam[enter]
+    if entering:
+        face = np.append(face, enter)
+    m_w = M[face]
+    w = len(face)
+    root = m_w * (np.sqrt(q) / a)
+    kkt = np.ones((w + 1, w + 1))
+    kkt[:w, :w] = root @ root.T
+    kkt[w, w] = 0.0
+    rhs = np.append(m_w @ (q / a), 0.0)
+    step = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:w]
+    step -= step.mean()  # sum(step) = 0 to rounding: keep a on the polytope
+    if entering and step[-1] <= 0.0:
+        return reference_face_newton_step(q, M, lam, a)
+    lam_w = lam[face]
+    shrinking = np.flatnonzero(step < 0.0)
+    if not len(shrinking):
+        return a
+    bounds = lam_w[shrinking] / -step[shrinking]
+    gamma = _line_search(q, a, step @ m_w, float(bounds.min()))
+    if gamma == 0.0:
+        return a
+    lam_w += gamma * step
+    # a shrinking weight is -step * (its bound - gamma): never negative, and
+    # exactly 0 for every atom whose bound gamma reaches
+    lam_w[shrinking] = -step[shrinking] * (bounds - gamma)
+    lam[face] = lam_w
+    return lam_w @ m_w
 
 
 def coverage(fc: FractionalColoring, v: int) -> Fraction:

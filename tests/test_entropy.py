@@ -46,6 +46,7 @@ from helpers import (
     rand_graph,
     rand_rational_distribution,
     rand_spanning_subgraph,
+    reference_face_newton_step,
 )
 
 LG_5_2 = math.log2(2.5)
@@ -123,6 +124,30 @@ class TestPolytopePoint:
         with pytest.raises(ValueError, match="negative decomposition weight"):
             PolytopePoint((0.5, 0.5), ((IndependentSet(g, [0]), math.nan),
                                        (IndependentSet(g, [1]), 0.5)))
+
+    def test_negative_weight_rejected(self):
+        g = complete_graph(2)
+        with pytest.raises(ValueError, match="negative decomposition weight"):
+            PolytopePoint((0.5, 0.5), ((IndependentSet(g, [0]), -0.5),
+                                       (IndependentSet(g, [1]), 1.5)))
+
+    def test_inf_weight_rejected(self):
+        g = complete_graph(2)
+        with pytest.raises(ValueError, match="decomposition weights sum to inf"):
+            PolytopePoint((0.5, 0.5), ((IndependentSet(g, [0]), math.inf),
+                                       (IndependentSet(g, [1]), 0.5)))
+
+    def test_nan_coordinate_rejected(self):
+        g = complete_graph(2)
+        with pytest.raises(ValueError, match="coords do not match the decomposition"):
+            PolytopePoint((math.nan, 0.5), ((IndependentSet(g, [0]), 0.5),
+                                            (IndependentSet(g, [1]), 0.5)))
+
+    def test_member_outside_the_coords_rejected(self):
+        # a set of a larger graph: its member 2 has no coordinate
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="member outside 0..1"):
+            PolytopePoint((1.0, 0.0), ((IndependentSet(g, [0, 2]), 1.0),))
 
 
 class TestEntropy:
@@ -388,6 +413,24 @@ class TestFaceNewtonStep:
             assert min(lam[0], lam[1]) == 0.0 and max(lam[0], lam[1]) <= 1e-12
             assert lam[0] >= 0.0 and lam[1] >= 0.0
             assert abs(lam.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("seed, count", [(16, 300), (17, 300), (21, 600)])
+    def test_floats_equal_the_reference_step(self, seed, count):
+        # the lean step against the one-call-per-formula form it replaced,
+        # on the faces of the three tests above, with and without an
+        # entering atom: every returned point and weight bit for bit
+        entering = 0
+        for q, M, lam in random_faces(random.Random(seed), count):
+            a = lam @ M
+            enter = int(np.argmax(M @ (q / a)))
+            for atom in (None, enter):
+                new, ref = lam.copy(), lam.copy()
+                new_a = _face_newton_step(q, M, new, a, atom)
+                ref_a = reference_face_newton_step(q, M, ref, a, atom)
+                assert np.array_equal(new, ref) and np.array_equal(new_a, ref_a)
+                assert (new_a is a) == (ref_a is a)
+            entering += not lam[enter]
+        assert entering >= 20
 
     @pytest.mark.parametrize("distribution", ["uniform", "rational"])
     def test_converges_in_tens_of_iterations_on_g_40(self, distribution):

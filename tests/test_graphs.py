@@ -93,6 +93,19 @@ class TestGraphType:
         assert g.induced(range(g.n)) is g
         assert g.induced([4, 3, 2, 1, 0, 0]) is g
 
+    def test_induced_rejects_a_vertex_out_of_range(self):
+        g = cycle_graph(5)
+        with pytest.raises(VertexNotFound):
+            g.induced([-1, 0])
+        with pytest.raises(VertexNotFound):
+            g.induced([0, g.n])
+        with pytest.raises(VertexNotFound):
+            g.induced([3, g.n + 4, 1])
+
+    def test_induced_on_no_vertex_is_the_empty_graph(self):
+        sub = cycle_graph(5).induced([])
+        assert sub.n == 0 and sub.edges == ()
+
     def test_independent_set_validates(self):
         g = path_graph(3)
         assert IndependentSet(g, [0, 2]).characteristic_vector() == (1, 0, 1)
@@ -375,6 +388,11 @@ class TestLimbBoundary:
         rows = graphs_mod._packed(masks, n)
         assert rows.dtype == np.uint8 and rows.shape == (len(masks), width)
         assert rows.tobytes() == b"".join(m.to_bytes(width, "little") for m in masks)
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 63, 64, 65, 70, 131])
+    def test_row_masks_read_incidence_rows_back(self, n):
+        masks = [m for m in LIMB_MASKS if m < 1 << n] + [(1 << n) - 1]
+        assert graphs_mod._row_masks(_incidence(masks, n)) == masks
 
     @pytest.mark.parametrize("n", [64, 65, 70, 131])
     def test_incidence_rows_across_limbs(self, n):
