@@ -61,8 +61,9 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
     the optimal fractional coloring covers the support exactly once (see
     the module docstring); lifted back to G (`graphs._lift`) and scaled
     by `integralize_cover` to integers r*x, it is the r-fold cover
-    certificate. On a support of several parts that coloring is the merged
-    one of `exactlp.fractional_chromatic_number`, whose sets are maximal.
+    certificate. That coloring is the merged one of
+    `exactlp.fractional_chromatic_number`, one part or several, whose sets
+    are maximal.
     """
     if not p.exact:
         raise NotRational("exact-rational distribution required for the decision")

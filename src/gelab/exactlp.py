@@ -21,13 +21,15 @@ the same start, by the same revised simplex in Fractions, with Bland's
 rule. Whichever lane
 answered, `_solve_covering` proves primal and dual again on integers, so
 a bug in the pivoting itself cannot produce a wrong answer unnoticed.
-A graph of several parts (`graphs._parts_of`) is one LP as well, over the
-concatenation of its parts' families, never over their product: the LP is
-block diagonal, chi_f is its largest block, and the block solutions are
-merged into the graph's coloring and dual (`_merge_blocks`).
-Where the optimum is not unique, which optimal coloring, b-fold multiset
-or dual vector is returned depends on the start and the pivoting, and on a
-graph of several parts on the merge; chi_f and every verdict do not.
+Every graph is one LP over the concatenation of its parts' families
+(`graphs._parts_of`), never over their product: the LP is block diagonal,
+one block per part, chi_f is its largest block total, and the block
+solutions are merged into the graph's coloring and dual (`_merge_blocks`).
+A graph of one part is one block, its own refinement; the graph with no
+vertices is one block with no rows, of total 0. Where the optimum is not
+unique, which optimal coloring, b-fold multiset or dual vector is returned
+depends on the start, the pivoting and the merge; chi_f and every verdict
+do not.
 
 Every rational, inside the exact layer and at its boundary, is a
 `fractions.Fraction`."""
@@ -35,6 +37,7 @@ Every rational, inside the exact layer and at its boundary, is a
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -342,23 +345,35 @@ class FractionalColoring:
 
 @dataclass(frozen=True)
 class CoverMultiset:
-    """Multiset of independent sets covering each covered vertex `fold` times."""
+    """Multiset of independent sets covering each covered vertex `fold` times.
+
+    Each multiplicity is stored as an int: one of another type (a float, a
+    Fraction) is accepted only when it equals an integer, and ValueError is
+    raised otherwise. Coverage is counted in one pass over each set's
+    members; NotUniform names the first vertex of `covered`, in its
+    iteration order, whose count is not `fold`.
+    """
 
     multiplicities: dict
     fold: int
     covered: frozenset[int]
 
     def __init__(self, multiplicities: dict, fold: int, covered: Iterable[int]):
+        if any(k != int(k) for k in multiplicities.values()):
+            raise ValueError("multiplicity not an integer")
         multiplicities = {s: int(k) for s, k in multiplicities.items() if k}
         covered = frozenset(covered)
         if any(k < 0 for k in multiplicities.values()):
             raise ValueError("negative multiplicity")
         if multiplicities and fold < 1:
             raise ValueError("fold must be >= 1 for a nonempty cover")
+        count = Counter()
+        for s, k in multiplicities.items():
+            for v in _bits(s.mask):
+                count[v] += k
         for v in covered:
-            count = sum(k for s, k in multiplicities.items() if v in s)
-            if count != fold:
-                raise NotUniform(f"vertex {v} covered {count} times, fold is {fold}")
+            if count[v] != fold:
+                raise NotUniform(f"vertex {v} covered {count[v]} times, fold is {fold}")
         object.__setattr__(self, "multiplicities", multiplicities)
         object.__setattr__(self, "fold", fold)
         object.__setattr__(self, "covered", covered)
@@ -374,17 +389,17 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
 
     Solves the covering LP over *maximal* independent sets only; enlarging an
     independent set never hurts coverage, so the optimum is unchanged while
-    the column count shrinks. A graph with several parts (`graphs._parts_of`) is
-    solved as one LP over the parts' own families (`_solve_parts`), never
-    over their product, and chi_f is the largest of the parts'. The
-    coloring's coverage and a matching dual (packing) solution are proved
-    exactly by `_solve_covering`, and a merged coloring once more by
-    `_merge_blocks`. On the graph with no vertices the one maximal set is
-    the empty set, whose LP has no rows and optimum 0, so chi_f is 0 with
-    the empty coloring.
+    the column count shrinks. The graph is solved as one LP over its parts'
+    own families (`_solve_parts`, `graphs._parts_of`), never over their
+    product, and chi_f is the largest of the parts'. The LP's coloring and
+    a matching dual (packing) solution are proved exactly by
+    `_solve_covering`, and the merged coloring once more by `_merge_blocks`.
+    Its sets are wrapped here, the only place they are. On the graph with
+    no vertices the one maximal set is the empty set, whose LP has no rows
+    and optimum 0, so chi_f is 0 with the empty coloring.
     """
-    chi, weights, _ = _solve_parts(g, cap)
-    return chi, FractionalColoring(weights)
+    chi, coloring, _ = _solve_parts(g, cap)
+    return chi, FractionalColoring(dict(zip(IndependentSet._trusted(g, coloring), coloring.values())))
 
 
 def _covering_lp(n: int, masks: Sequence[int]):
@@ -396,7 +411,7 @@ def _covering_lp(n: int, masks: Sequence[int]):
     return cols, [1] * n, [1] * len(masks) + [0] * n
 
 
-def _solve_covering(g: Graph, masks: Sequence[int]) -> tuple[_LPResult, list[int]]:
+def _solve_covering(g: Graph, masks: Sequence[int]) -> tuple[_LPResult, list[int], tuple, tuple]:
     """Solve the covering LP over the set bitmasks `masks` and prove the answer, from either lane.
 
     On integers over one common denominator per side: x >= 0 covers every
@@ -405,7 +420,8 @@ def _solve_covering(g: Graph, masks: Sequence[int]) -> tuple[_LPResult, list[int
     solution): a zero weight adds nothing to coverage or sum, and a
     negative one is nonzero. Both lanes set x off the basis to zero, so the
     support is read from the basis: the set indices in it with nonzero x.
-    Returns the result and that support, indices into `masks`, ascending.
+    Returns the result, that support (indices into `masks`, ascending) and
+    the proved integers, (d, d x) on the support and (e, e y).
     """
     cols, b, c = _covering_lp(g.n, masks)
     k = len(masks)
@@ -419,59 +435,49 @@ def _solve_covering(g: Graph, masks: Sequence[int]) -> tuple[_LPResult, list[int
         raise InternalError("internal LP error: dual negative or not packing")
     if Fraction(sum(x_int), x_den) != res.obj or Fraction(sum(y_int), y_den) != res.obj:
         raise InternalError("internal LP error: duality gap")
-    return res, support
+    return res, support, (x_den, x_int), (y_den, y_int)
 
 
 def _solve_parts(g: Graph, cap: int | None) -> tuple[Fraction, dict, list]:
-    """chi_f of g, an optimal coloring {set: weight} and an optimal dual, one entry per vertex.
+    """chi_f of g, an optimal coloring {mask: weight} and an optimal dual, one entry per vertex.
 
     On a disjoint union the covering LP splits: chi_f is the largest of the
     parts' chi_f, and the maximal sets of g are the products of the parts'
     (Scheinerman & Ullman, *Fractional Graph Theory*, 1997, ch. 3). So one
     LP is solved over the concatenation of the parts' families
-    (`_part_families`, bitmasks over g). The LP has one block per part and
-    its optimum is the sum of their chi_f; `_merge_blocks` turns its
-    solution into g's. A graph of one part is solved over its own family,
-    as it is. Only the sets of the returned coloring are wrapped.
+    (`_part_families`, bitmasks over g), for every g: one part, several, or
+    no vertices at all. The LP has one block per part and its optimum is
+    the sum of their chi_f; `_merge_blocks` turns its solution into g's.
     """
     families = _part_families(g, cap)
-    if len(families) == 1:
-        masks = families[0][1]
-        res, support = _solve_covering(g, masks)
-        sets = IndependentSet._trusted(g, [masks[j] for j in support])
-        return res.obj, {s: res.x[j] for s, j in zip(sets, support)}, res.y
-    masks, ends = [], []
-    for _, family in families:
-        masks += family
-        ends.append(len(masks))
-    res, support = _solve_covering(g, masks)
-    return _merge_blocks(g, [part for part, _ in families], masks, ends, res, support)
+    masks = [mask for _, family in families for mask in family]
+    return _merge_blocks(g, [part for part, _ in families], masks, *_solve_covering(g, masks))
 
 
 def _merge_blocks(
-    g: Graph, parts: Sequence[int], masks, ends: Sequence[int], res: _LPResult, support: Sequence[int]
+    g: Graph, parts: Sequence[int], masks, res: _LPResult, support: Sequence[int], xs, ys
 ) -> tuple[Fraction, dict, list]:
-    """g's chi_f, coloring and dual from the LP over its parts' families.
+    """g's chi_f, coloring {mask: weight} and dual from the LP over its parts' families.
 
-    Block i holds columns ends[i-1]..ends[i]-1, the sets of part i. Every
-    block's x is a coloring of its part and its y a fractional clique, so
-    sum x_i >= chi_f(G_i) >= sum y_i; the two sides have equal totals, so
-    each block is optimal, which is re-checked on integers. chi_f(g) is the
-    largest block total. The coloring is the common refinement of the block
-    colorings, each scaled to that total, in column order (`_refinement`):
-    each piece is a union of one set per block, so maximal in g. The dual is y
-    on the first part that attains the maximum, 0 elsewhere. All of it is
-    computed on integers over one denominator, and the merged coloring's
-    coverage and total are re-checked on them before any set or Fraction is built.
+    Block i holds the support's sets inside part i, in column order. `xs`
+    and `ys` are the integers `_solve_covering` proved: (d, d x) on the
+    support and (e, e y). Every block's x is a coloring of its part and its
+    y a fractional clique, so sum x_i >= chi_f(G_i) >= sum y_i; the two
+    sides have equal totals, so each block is optimal, which is re-checked
+    on those integers. chi_f(g) is the largest block total. The coloring is
+    the common refinement of the block colorings, each scaled to that
+    total, in column order (`_refinement`): each piece is a union of one
+    set per block, so maximal in g. One block is its own refinement, and
+    the empty block of the graph with no vertices gives no piece. The dual
+    is y on the first part that attains the maximum, 0 elsewhere. The
+    merged coloring's coverage and total are re-checked on integers before
+    any Fraction is built.
     """
-    d, x = _common_denominator([res.x[j] for j in support])
-    e, y = _common_denominator(res.y)
-    blocks = [[] for _ in parts]  # (mask, d x) per block, in column order
-    i = 0
-    for j, xj in zip(support, x):
-        while j >= ends[i]:
-            i += 1
-        blocks[i].append((masks[j], xj))
+    d, x = xs
+    e, y = ys
+    # (mask, d x) per block, in column order
+    columns = [(masks[j], xj) for j, xj in zip(support, x)]
+    blocks = [[(mask, xj) for mask, xj in columns if mask & part] for part in parts]
     totals = [sum(xj for _, xj in block) for block in blocks]
     for part, total in zip(parts, totals):
         if total * e != d * sum(y[v] for v in _bits(part)):
@@ -482,17 +488,15 @@ def _merge_blocks(
     pieces = _refinement(
         [[(mask, xj * (width // total)) for mask, xj in block] for block, total in zip(blocks, totals)]
     )
-    merged = [mask for mask, _ in pieces]
     lengths = [length for _, length in pieces]
-    cover = _exact_matvec(_incidence(merged, g.n).T.astype(np.int64), lengths).tolist()
+    cover = _exact_matvec(_incidence([mask for mask, _ in pieces], g.n).T.astype(np.int64), lengths).tolist()
     if sum(lengths) != width or any(c * top < d * width for c in cover):
         raise InternalError("internal LP error: merged coloring not covering")
-    sets = IndependentSet._trusted(g, merged)
-    weights = {s: Fraction(k * top, d * width) for s, k in zip(sets, lengths)}
+    coloring = {mask: Fraction(k * top, d * width) for mask, k in pieces}
     first = parts[totals.index(top)]
     zero = Fraction(0)
     dual = [yv if first >> v & 1 else zero for v, yv in enumerate(res.y)]
-    return Fraction(top, d), weights, dual
+    return Fraction(top, d), coloring, dual
 
 
 def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fraction, dict[int, Fraction]]:
@@ -501,8 +505,8 @@ def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fractio
     This is the dual solution of the covering LP behind
     `fractional_chromatic_number`, already verified exactly there
     (nonnegative, packing-feasible, zero duality gap), so its value is
-    chi_f. On a graph of several parts it is the dual on the first part of
-    largest chi_f, which packs into every maximal set of g.
+    chi_f. It is the dual on the first part of largest chi_f, which packs
+    into every maximal set of g.
     """
     chi, _, y = _solve_parts(g, cap)
     return chi, {v: yv for v, yv in enumerate(y) if yv != 0}
@@ -536,23 +540,24 @@ def b_fold_realization(g: Graph, cap: int | None = None) -> CoverMultiset:
     """
     chi, fc = fractional_chromatic_number(g, cap)
     r, counts = _common_denominator(fc.weights.values())
-    mult = dict(zip(fc.weights, counts))
+    mult = {s.mask: k for s, k in zip(fc.weights, counts)}
     for v in range(g.n):
-        excess = sum(k for s, k in mult.items() if v in s) - r
-        for s in sorted((s for s in mult if v in s), key=IndependentSet.sorted_members):
+        bit = 1 << v
+        excess = sum(k for m, k in mult.items() if m & bit) - r
+        for m in sorted((m for m in mult if m & bit), key=lambda m: tuple(_bits(m))):
             if excess == 0:
                 break
-            take = min(excess, mult[s])
-            shrunk = IndependentSet._from_mask(g, s.mask & ~(1 << v))
+            take = min(excess, mult[m])
+            shrunk = m & ~bit
             if not shrunk:
                 raise InternalError("internal error: tightening emptied a set")
-            mult[s] -= take
+            mult[m] -= take
             mult[shrunk] = mult.get(shrunk, 0) + take
-            if mult[s] == 0:
-                del mult[s]
+            if mult[m] == 0:
+                del mult[m]
             excess -= take
     d = math.gcd(r, *mult.values())
-    cm = CoverMultiset({s: k // d for s, k in mult.items()}, r // d, range(g.n))
+    cm = CoverMultiset({IndependentSet._from_mask(g, m): k // d for m, k in mult.items()}, r // d, range(g.n))
     if Fraction(cm.size, cm.fold) != chi:
         raise InternalError("internal error: integer cover does not realize chi_f")
     return cm

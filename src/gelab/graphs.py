@@ -663,28 +663,28 @@ def _refinement(blocks: Sequence[Sequence[tuple[int, object]]]) -> list[tuple[in
     Each block is one part's mixture: (bitmask, weight) pairs with positive
     weights, in order, every block of the same total. The blocks are laid
     side by side on one interval, each set over a stretch of its weight.
-    One sweep cuts the interval at the end of every stretch of every block;
-    the piece from one cut to the next is the union of the sets whose
-    stretches hold it, one per block (found by bisecting that block's
-    running stretch ends). A piece's point lies in one set per block, so
-    each vertex keeps the weight its block gave it. Integer weights (the
-    colorings of `exactlp`) give exact pieces. Float totals (`entropy`'s
-    mixtures) may differ in their last places, so every block's last
-    stretch ends at the largest total; running sums of nonnegative floats
-    never decrease, so the stretch ends stay sorted.
+    One sweep cuts the interval at 0 and at the end of every stretch of
+    every block; the piece from one cut to the next is the union of the
+    sets whose stretches hold it, one per block (found by bisecting that
+    block's running stretch ends). A piece's point lies in one set per
+    block, so each vertex keeps the weight its block gave it. Blocks with
+    no sets, of total 0, give no piece. Integer weights (the colorings of
+    `exactlp`) give exact pieces. Float totals (`entropy`'s mixtures) may
+    differ in their last places, so every block's last stretch ends at the
+    largest total; running sums of nonnegative floats never decrease, so
+    the stretch ends stay sorted.
     """
-    stops = [list(accumulate(w for _, w in block)) for block in blocks]
+    stops = [list(accumulate((w for _, w in block), initial=0)) for block in blocks]
     end = max(block_stops[-1] for block_stops in stops)
     for block_stops in stops:
         block_stops[-1] = end
+    cuts = sorted(set().union(*stops))
     pieces = []
-    start = 0
-    for cut in sorted(set().union(*stops)):
+    for start, cut in zip(cuts, cuts[1:]):
         mask = 0
         for block, block_stops in zip(blocks, stops):
-            mask |= block[bisect_right(block_stops, start)][0]
+            mask |= block[bisect_right(block_stops, start) - 1][0]
         pieces.append((mask, cut - start))
-        start = cut
     return pieces
 
 

@@ -9,6 +9,7 @@ import pytest
 from gelab import exactlp
 from gelab.errors import InternalError, NotUniform
 from gelab.exactlp import (
+    CoverMultiset,
     FractionalColoring,
     b_fold_realization,
     fractional_chromatic_dual,
@@ -319,6 +320,26 @@ class TestIntegralize:
             for v in range(g.n):
                 count = sum(m for s, m in cm.multiplicities.items() if v in s)
                 assert count == cm.fold
+
+
+class TestCoverMultiset:
+    @pytest.mark.parametrize("k", [1.5, Fraction(3, 2), 0.4, Fraction(1, 3)])
+    def test_fractional_multiplicity_raises(self, k):
+        g = empty_graph(2)
+        with pytest.raises(ValueError, match="multiplicity not an integer"):
+            CoverMultiset({IndependentSet(g, [0, 1]): k}, 1, range(2))
+
+    def test_integral_multiplicities_of_any_type_are_ints(self):
+        g = empty_graph(2)
+        a, b = IndependentSet(g, [0]), IndependentSet(g, [0, 1])
+        cm = CoverMultiset({a: 2.0, b: Fraction(4, 2), IndependentSet(g, [1]): 0}, 4, [0])
+        assert cm.multiplicities == {a: 2, b: 2} and cm.size == 4
+        assert all(type(k) is int for k in cm.multiplicities.values())
+
+    def test_first_vertex_off_the_fold_is_reported(self):
+        g = empty_graph(3)
+        with pytest.raises(NotUniform, match="vertex 2 covered 0 times, fold is 1"):
+            CoverMultiset({IndependentSet(g, [0, 1]): 1}, 1, range(3))
 
 
 class TestBFoldRealization:

@@ -60,7 +60,7 @@ UNIONS = [random_union(random.Random(seed)) for seed in range(200)]
 def reference_chi(g: Graph):
     """The covering LP over every maximal set of g: (result, support, family)."""
     family = enumerate_maximal_independent_sets(g)
-    res, support = _solve_covering(g, [s.mask for s in family])
+    res, support, _, _ = _solve_covering(g, [s.mask for s in family])
     return res, support, family
 
 
@@ -212,6 +212,30 @@ def test_one_part_graphs_answer_as_the_product_family(seed):
     assert fractional_chromatic_dual(g) == (ref.obj, {v: y for v, y in enumerate(ref.y) if y})
 
 
+def one_part_gnp(seed: int) -> Graph:
+    """A seeded G(n <= 30, p) of one part, redrawn until it has one."""
+    rng = random.Random(5000 + seed)
+    g = rand_graph(rng, rng.randint(1, 30), rng.uniform(0.3, 0.9))
+    while len(_parts_of(g)) != 1:
+        g = rand_graph(rng, rng.randint(1, 30), rng.uniform(0.3, 0.9))
+    return g
+
+
+@pytest.mark.parametrize("source", ["corpus7", "gnp"])
+def test_one_part_answer_is_the_lp_solution(source, corpus7):
+    # a graph of one part is one block of the merge, its own refinement: the
+    # coloring is the LP's x on its support, in support order, and the dual y
+    graphs = corpus7 if source == "corpus7" else [one_part_gnp(seed) for seed in range(300)]
+    for g in graphs:
+        assert len(_parts_of(g)) == 1
+        ref, support, family = reference_chi(g)
+        chi, coloring = fractional_chromatic_number(g)
+        assert chi == ref.obj
+        assert [(s.mask, w) for s, w in coloring.weights.items()] == [(family[j].mask, ref.x[j]) for j in support]
+        assert exactlp._solve_parts(g, None)[2] == ref.y
+        assert fractional_chromatic_dual(g) == (ref.obj, {v: y for v, y in enumerate(ref.y) if y})
+
+
 @pytest.fixture
 def enumerated_sizes(monkeypatch):
     """The size of every family enumerated while the test runs, from a cold memo."""
@@ -267,12 +291,18 @@ def test_entropy_on_triangle_union_never_enumerates_the_product(enumerated_sizes
 @pytest.mark.parametrize("g", [rand_graph(random.Random(4), 30, 0.2), triangle_union(4)], ids=["gnp30", "4K3"])
 @pytest.mark.parametrize(
     "solve",
-    [fractional_chromatic_number, lambda g: max_weighted_independent_set(g, [1] * g.n), is_symmetric],
-    ids=["chi_f", "mwis", "symmetric"],
+    [
+        fractional_chromatic_number,
+        lambda g: max_weighted_independent_set(g, [1] * g.n),
+        is_symmetric,
+        fractional_chromatic_dual,
+    ],
+    ids=["chi_f", "mwis", "symmetric", "dual"],
 )
 def test_only_returned_sets_are_wrapped(monkeypatch, g, solve):
     # the solvers read the families as bitmasks: an IndependentSet is built
-    # only for a set a result returns (`_from_mask` builds through `_trusted`)
+    # only for a set a result returns (`_from_mask` builds through `_trusted`),
+    # so none for the dual, which returns no set
     real = graphs_mod.IndependentSet._trusted.__func__
     built = []
 
@@ -283,7 +313,10 @@ def test_only_returned_sets_are_wrapped(monkeypatch, g, solve):
 
     monkeypatch.setattr(graphs_mod.IndependentSet, "_trusted", classmethod(trusted))
     solve(g)
-    assert 0 < sum(built) <= g.n
+    if solve is fractional_chromatic_dual:
+        assert not built
+    else:
+        assert 0 < sum(built) <= g.n
 
 
 def test_set_budget_is_the_product_of_the_parts(monkeypatch):
@@ -337,7 +370,8 @@ def test_blocks_are_rechecked_against_their_duals(monkeypatch):
     def solve(g, sets):
         x = [f(2), f(1), f(1), f(1)] + [f(0)] * 4
         y = [f(1), f(1), f(3, 2), f(3, 2)]
-        return exactlp._LPResult(x=x, y=y, obj=f(5), basis=list(range(4))), [0, 1, 2, 3]
+        res = exactlp._LPResult(x=x, y=y, obj=f(5), basis=list(range(4)))
+        return res, [0, 1, 2, 3], _common_denominator(x[:4]), _common_denominator(y)
 
     monkeypatch.setattr(exactlp, "_solve_covering", solve)
     with pytest.raises(exactlp.InternalError, match="a part's coloring and dual differ"):
