@@ -18,9 +18,10 @@ rows following directly. Feasibility against the full constraint system,
 nonnegativity, and reduced-cost optimality are all re-checked on those
 integers. Only when that certification fails is the LP solved again, from
 the same start, by the same revised simplex in Fractions, with Bland's
-rule. Whichever lane
-answered, `_solve_covering` proves primal and dual again on integers, so
-a bug in the pivoting itself cannot produce a wrong answer unnoticed.
+rule, and that lane's basis is certified the same way. So `_certify_basis`
+proves every LP answer, whichever lane found its basis, and nothing
+proves it again: a bug in the pivoting itself cannot produce a wrong
+answer unnoticed, and an exact-lane basis it rejects raises InternalError.
 Every graph is one LP over the concatenation of its parts' families
 (`graphs._parts_of`), never over their product: the LP is block diagonal,
 one block per part, chi_f is its largest block total, and the block
@@ -193,22 +194,22 @@ def _bareiss_solve(M, rhs) -> tuple[int, list[int]]:
 
 
 def _exact_matvec(M, v) -> np.ndarray:
-    """M @ v exactly, for an int64 matrix M and a vector or matrix v of ints.
+    """M @ v exactly, for an int64 matrix M with entries in {-1, 0, 1}.
 
-    Runs in int64 when no partial sum can reach 2**63 (max|v| times the
-    largest |M| entry times the row length stays below it), else on
-    Python ints.
+    `v` is a vector or matrix of ints. Every caller passes such an M: the
+    LP's columns, the cover start's basis, a block of set columns, or the
+    incidence matrix of a coloring. So no partial sum exceeds max|v| times
+    the row length, and the product runs in int64 when that stays below
+    2**63, else on Python ints.
     """
     v = np.asarray(v)
-    bound = max(int(v.max(initial=0)), -int(v.min(initial=0))) * M.shape[1]
-    bound *= max(int(M.max(initial=0)), -int(M.min(initial=0)))
-    if bound < 2**63:
+    if max(int(v.max(initial=0)), -int(v.min(initial=0))) * M.shape[1] < 2**63:
         return M @ v.astype(np.int64)
     return M.astype(object) @ v.astype(object)
 
 
 def _certify_basis(cols, b, c, basis) -> _LPResult:
-    """Exactly solve for a basis found in floats and certify its optimality.
+    """Exactly solve for a basis from either lane and certify its optimality.
 
     `cols`, `b`, `c` have the `_covering_lp` layout: the set columns, then
     the surplus column -e_v of each of the m rows. The basis splits into K,
@@ -223,8 +224,8 @@ def _certify_basis(cols, b, c, basis) -> _LPResult:
     x is nonnegative and, re-checked as a safety net, satisfies every row,
     and every reduced cost c_j - y.a_j is nonnegative and zero on the
     basis. Then x and y are feasible and complementary, which proves both
-    optimal whatever computed them, so a wrong float answer can never leak
-    through. Rationals are built only for the nonzero outputs.
+    optimal whatever computed them, so a wrong basis from either lane can
+    never leak through. Rationals are built only for the nonzero outputs.
     """
     m = len(b)
     k = len(cols) - m
@@ -253,7 +254,7 @@ def _certify_basis(cols, b, c, basis) -> _LPResult:
     for v, val in zip(T.tolist(), y_T):
         y_num[v] = val
     ya = _exact_matvec(cols, y_num)
-    c_det = _exact_matvec(np.asarray(c, dtype=np.int64)[:, None], [det_y])  # c_j det_y
+    c_det = np.asarray(c, dtype=np.int64 if det_y < 2**63 else object) * det_y  # c_j in {0, 1}
     if np.any(ya > c_det) or np.any(ya[basis] != c_det[basis]):
         raise _WarmStartFailed
 
@@ -300,20 +301,29 @@ def _cover_start(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_exact(cols, b, c) -> _LPResult:
-    """Exact solve of a covering LP: certify the float basis, else solve cold.
+    """Exact solve of a covering LP: the one proof of every LP answer.
 
     `cols`, `b`, `c` have the `_covering_lp` layout. Both lanes run the one
     simplex phase from the feasible cover basis of `_cover_start`: the
     float revised simplex proposes an optimal basis, and only when
     `_certify_basis` rejects it is the LP solved again in Fractions from
-    the same start.
+    the same start. Whichever lane found the basis, its answer is the one
+    `_certify_basis` builds, and that certificate proves it optimal; no
+    other check on x, y or obj follows. An exact-lane basis that fails it
+    can only be a bug, and raises InternalError. The float lane's pivot
+    limit also raises InternalError.
     """
     start = _cover_start(cols, len(b))
     guess = _simplex(cols, b, c, exact=False, start=start)
     try:
         return _certify_basis(cols, b, c, guess.basis)
     except _WarmStartFailed:
-        return _simplex(cols, b, c, exact=True, start=start)
+        pass
+    cold = _simplex(cols, b, c, exact=True, start=start)
+    try:
+        return _certify_basis(cols, b, c, cold.basis)
+    except _WarmStartFailed:
+        raise InternalError("internal LP error: the exact lane's basis is not optimal") from None
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +333,20 @@ def _solve_exact(cols, b, c) -> _LPResult:
 
 @dataclass(frozen=True)
 class FractionalColoring:
-    """Rational weights on independent sets witnessing a covering LP value."""
+    """Rational weights on independent sets witnessing a covering LP value.
+
+    ValueError is raised for a negative weight, and for one that is not a
+    finite rational (an infinity, a NaN).
+    """
 
     weights: dict
     total: Fraction
 
     def __init__(self, weights: dict):
-        weights = {s: Fraction(w) for s, w in weights.items() if w}
+        try:
+            weights = {s: Fraction(w) for s, w in weights.items() if w}
+        except (OverflowError, ValueError):  # an infinity, a NaN
+            raise ValueError("weight not a finite rational") from None
         den, nums = _common_denominator(weights.values())
         if any(w < 0 for w in nums):
             raise ValueError("negative weight in fractional coloring")
@@ -349,9 +366,9 @@ class CoverMultiset:
 
     Each multiplicity is stored as an int: one of another type (a float, a
     Fraction) is accepted only when it equals an integer, and ValueError is
-    raised otherwise. Coverage is counted in one pass over each set's
-    members; NotUniform names the first vertex of `covered`, in its
-    iteration order, whose count is not `fold`.
+    raised otherwise, an infinity or a NaN included. Coverage is counted in
+    one pass over each set's members; NotUniform names the first vertex of
+    `covered`, in its iteration order, whose count is not `fold`.
     """
 
     multiplicities: dict
@@ -359,7 +376,8 @@ class CoverMultiset:
     covered: frozenset[int]
 
     def __init__(self, multiplicities: dict, fold: int, covered: Iterable[int]):
-        if any(k != int(k) for k in multiplicities.values()):
+        # k % 1 is nonzero off the integers, and NaN for an infinity or a NaN
+        if any(k % 1 for k in multiplicities.values()):
             raise ValueError("multiplicity not an integer")
         multiplicities = {s: int(k) for s, k in multiplicities.items() if k}
         covered = frozenset(covered)
@@ -392,8 +410,9 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
     the column count shrinks. The graph is solved as one LP over its parts'
     own families (`_solve_parts`, `graphs._parts_of`), never over their
     product, and chi_f is the largest of the parts'. The LP's coloring and
-    a matching dual (packing) solution are proved exactly by
-    `_solve_covering`, and the merged coloring once more by `_merge_blocks`.
+    a matching dual (packing) solution are proved optimal exactly, once, by
+    `_certify_basis`, from either lane; the merged coloring is checked by
+    `_merge_blocks`.
     Its sets are wrapped here, the only place they are. On the graph with
     no vertices the one maximal set is the empty set, whose LP has no rows
     and optimum 0, so chi_f is 0 with the empty coloring.
@@ -412,30 +431,19 @@ def _covering_lp(n: int, masks: Sequence[int]):
 
 
 def _solve_covering(g: Graph, masks: Sequence[int]) -> tuple[_LPResult, list[int], tuple, tuple]:
-    """Solve the covering LP over the set bitmasks `masks` and prove the answer, from either lane.
+    """Solve the covering LP over the set bitmasks `masks`, proved by `_solve_exact`.
 
-    On integers over one common denominator per side: x >= 0 covers every
-    vertex, y >= 0 packs into every set, and sum x = sum y = obj. The primal
-    side runs over the support of x only (at most n sets for a basic
-    solution): a zero weight adds nothing to coverage or sum, and a
-    negative one is nonzero. Both lanes set x off the basis to zero, so the
-    support is read from the basis: the set indices in it with nonzero x.
-    Returns the result, that support (indices into `masks`, ascending) and
-    the proved integers, (d, d x) on the support and (e, e y).
+    The answer, from either lane, is the one `_certify_basis` proved
+    optimal, and nothing here proves it again. Both lanes set x off the
+    basis to zero, so the support of x is read from the basis: the set
+    indices in it with nonzero x (at most n sets). Returns the result,
+    that support (indices into `masks`, ascending) and its integers over
+    one common denominator per side, (d, d x) on the support and (e, e y).
     """
     cols, b, c = _covering_lp(g.n, masks)
-    k = len(masks)
     res = _solve_exact(cols, b, c)
-    support = sorted(j for j in res.basis if j < k and res.x[j])
-    x_den, x_int = _common_denominator([res.x[j] for j in support])
-    y_den, y_int = _common_denominator(res.y)
-    if any(v < 0 for v in x_int) or np.any(_exact_matvec(cols[support].T, x_int) < x_den):
-        raise InternalError("internal LP error: coloring negative or not covering")
-    if any(v < 0 for v in y_int) or np.any(_exact_matvec(cols[:k], y_int) > y_den):
-        raise InternalError("internal LP error: dual negative or not packing")
-    if Fraction(sum(x_int), x_den) != res.obj or Fraction(sum(y_int), y_den) != res.obj:
-        raise InternalError("internal LP error: duality gap")
-    return res, support, (x_den, x_int), (y_den, y_int)
+    support = sorted(j for j in res.basis if j < len(masks) and res.x[j])
+    return res, support, _common_denominator([res.x[j] for j in support]), _common_denominator(res.y)
 
 
 def _solve_parts(g: Graph, cap: int | None) -> tuple[Fraction, dict, list]:
@@ -460,18 +468,20 @@ def _merge_blocks(
     """g's chi_f, coloring {mask: weight} and dual from the LP over its parts' families.
 
     Block i holds the support's sets inside part i, in column order. `xs`
-    and `ys` are the integers `_solve_covering` proved: (d, d x) on the
-    support and (e, e y). Every block's x is a coloring of its part and its
-    y a fractional clique, so sum x_i >= chi_f(G_i) >= sum y_i; the two
-    sides have equal totals, so each block is optimal, which is re-checked
-    on those integers. chi_f(g) is the largest block total. The coloring is
+    and `ys` are the integers `_solve_covering` hands over from the answer
+    `_certify_basis` proved: (d, d x) on the support and (e, e y). Every
+    block's x is a coloring of its part and its y a fractional clique, so
+    sum x_i >= chi_f(G_i) >= sum y_i; the two sides have equal totals, so
+    each block is optimal, which is re-checked on those integers. chi_f(g) is the largest block total. The coloring is
     the common refinement of the block colorings, each scaled to that
     total, in column order (`_refinement`): each piece is a union of one
     set per block, so maximal in g. One block is its own refinement, and
     the empty block of the graph with no vertices gives no piece. The dual
     is y on the first part that attains the maximum, 0 elsewhere. The
     merged coloring's coverage and total are re-checked on integers before
-    any Fraction is built.
+    any Fraction is built. These are the only checks on the returned
+    coloring and dual themselves; the LP answer they come from is proved
+    once, by `_certify_basis`.
     """
     d, x = xs
     e, y = ys
@@ -503,10 +513,10 @@ def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fractio
     """Optimal fractional clique: max sum(x) with sum over each maximal set <= 1.
 
     This is the dual solution of the covering LP behind
-    `fractional_chromatic_number`, already verified exactly there
-    (nonnegative, packing-feasible, zero duality gap), so its value is
-    chi_f. It is the dual on the first part of largest chi_f, which packs
-    into every maximal set of g.
+    `fractional_chromatic_number`, proved exactly by `_certify_basis`
+    (nonnegative, packing-feasible, complementary to the coloring), so its
+    value is chi_f. It is the dual on the first part of largest chi_f,
+    which packs into every maximal set of g.
     """
     chi, _, y = _solve_parts(g, cap)
     return chi, {v: yv for v, yv in enumerate(y) if yv != 0}

@@ -340,16 +340,15 @@ class TestExitCodes:
     def test_internal_error_is_5_not_1(self, files, capsys, monkeypatch):
         import gelab.exactlp as exactlp
 
-        def negative_dual(cols, b, c):
-            return exactlp._LPResult(
-                x=[0] * len(cols), y=[-1] * len(b), obj=0,
-                basis=list(range(len(cols))),
-            )
+        def surplus_only(cols, b, c, **kwargs):
+            # both lanes return a basis that `_certify_basis` rejects: x = -b
+            return exactlp._LPResult(x=[], y=[], obj=None, basis=list(range(len(cols) - len(b), len(cols))))
 
-        monkeypatch.setattr(exactlp, "_solve_exact", negative_dual)
+        monkeypatch.setattr(exactlp, "_simplex", surplus_only)
         for command in ("chif", "symmetric"):
             assert main([command, files("c5", C5)]) == 5
-            assert "internal error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "internal error" in err and "basis is not optimal" in err
 
     @pytest.mark.parametrize(
         "command, solver",

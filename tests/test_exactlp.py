@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gelab import exactlp
+from gelab.characterize import is_symmetric
 from gelab.errors import InternalError, NotUniform
 from gelab.exactlp import (
     CoverMultiset,
@@ -106,8 +107,8 @@ class TestColdExactFallback:
 
     @staticmethod
     def force_fallback(monkeypatch, mode):
-        real = exactlp._simplex
-        exact_calls = []
+        real, real_certify = exactlp._simplex, exactlp._certify_basis
+        exact_calls, float_bases = [], []
 
         def simplex(cols, b, c, *, exact, **kwargs):
             res = real(cols, b, c, exact=exact, **kwargs)
@@ -116,10 +117,15 @@ class TestColdExactFallback:
             elif mode == "wrong-basis":
                 # the surplus columns: their basic solution x = -b is infeasible
                 res.basis = list(range(len(cols) - len(b), len(cols)))
+            else:
+                float_bases.append(res.basis)
             return res
 
-        def certify_fails(*args):
-            raise exactlp._WarmStartFailed
+        def certify_fails(cols, b, c, basis):
+            # rejects the float lane's basis only: the exact lane's is certified
+            if float_bases and basis is float_bases[-1]:
+                raise exactlp._WarmStartFailed
+            return real_certify(cols, b, c, basis)
 
         monkeypatch.setattr(exactlp, "_simplex", simplex)
         if mode == "certify-fails":
@@ -142,51 +148,85 @@ class TestColdExactFallback:
 
 
 class TestCoveringProof:
-    """Every LP answer is proved whichever lane produced it: a wrong one raises."""
+    """Every LP answer is proved by `_certify_basis`, whichever lane found it: a wrong one raises."""
 
     @staticmethod
-    def answer(monkeypatch, x, y, obj):
-        def solve(cols, b, c):
-            assert len(x) == len(cols) and len(y) == len(b)
-            # every column basic, so the proof reads every entry of x
-            basis = list(range(len(x)))
-            return exactlp._LPResult(x=x, y=y, obj=obj, basis=basis)
+    def columns(cols, n, names):
+        """Column indices of sets such as (0, 2), and of ("s", v), v's surplus."""
+        sets = [tuple(np.flatnonzero(col).tolist()) for col in cols[: len(cols) - n]]
+        return [len(cols) - n + name[1] if name[0] == "s" else sets.index(name) for name in names]
 
-        monkeypatch.setattr(exactlp, "_solve_exact", solve)
+    @staticmethod
+    def answer(monkeypatch, basis):
+        """Both lanes return basis(cols, n, start); the lanes that ran are recorded."""
+        lanes = []
+
+        def simplex(cols, b, c, *, exact, start, **kwargs):
+            lanes.append(exact)
+            return exactlp._LPResult(x=[], y=[], obj=None, basis=basis(cols, len(b), start))
+
+        monkeypatch.setattr(exactlp, "_simplex", simplex)
+        return lanes
+
+    def rejected(self, monkeypatch, solver, g, basis):
+        lanes = self.answer(monkeypatch, basis)
+        with pytest.raises(InternalError, match="exact lane's basis is not optimal"):
+            solver(g)
+        assert lanes == [False, True]
+
+    def named(self, g, names):
+        """The basis of sets and surpluses `names` in g's covering LP, and its x and y."""
+        cols, b, c = exactlp._covering_lp(g.n, [s.mask for s in enumerate_maximal_independent_sets(g)])
+        x, y, _ = TestCertifyBasis.full_reference(cols, b, c, self.columns(cols, g.n, names))
+        x = x[: len(cols) - g.n]  # the sets' weights
+        coverage = [sum(int(a) * xj for a, xj in zip(cols[:, v], x)) for v in range(g.n)]
+        return (lambda cols, n, start: self.columns(cols, n, names)), x, y, coverage
 
     @pytest.mark.parametrize("solver", [fractional_chromatic_number, fractional_chromatic_dual])
     def test_zero_answer_for_k1(self, monkeypatch, solver):
-        self.answer(monkeypatch, [Fraction(0)] * 2, [Fraction(0)], Fraction(0))
-        with pytest.raises(InternalError, match="not covering"):
-            solver(Graph(1))
+        # the surplus-only basis: x = 0 on the set {0}, whose surplus is -1
+        basis, x, y, coverage = self.named(Graph(1), [("s", 0)])
+        assert x == [0] and y == [0] and coverage == [0]
+        self.rejected(monkeypatch, solver, Graph(1), basis)
 
     def test_negative_covering_weight(self, monkeypatch):
-        # P4: maximal sets {0,2}, {0,3}, {1,3}; x covers every vertex but is negative
-        half = Fraction(1, 2)
-        self.answer(monkeypatch, [2, -1, 2, 0, 0, 0, 0], [half] * 4, Fraction(3))
-        with pytest.raises(InternalError, match="coloring negative"):
-            fractional_chromatic_number(path_graph(4))
+        # C7: 024, 025, 035, 135, 136 cover every vertex with 035 at weight -1
+        names = [(0, 2, 4), (0, 2, 5), (0, 3, 5), (1, 3, 5), (1, 3, 6), ("s", 1), ("s", 2)]
+        basis, x, _, coverage = self.named(cycle_graph(7), names)
+        assert min(x) == -1 and min(coverage) >= 1
+        self.rejected(monkeypatch, fractional_chromatic_number, cycle_graph(7), basis)
 
     def test_dual_not_packing(self, monkeypatch):
-        # the one maximal set {0, 1} of the empty graph on 2 vertices packs y = 2
-        self.answer(monkeypatch, [1, 0, 0], [1, 1], Fraction(1))
-        with pytest.raises(InternalError, match="not packing"):
-            fractional_chromatic_dual(empty_graph(2))
+        # P4: 02 and 13 cover with the optimal value 2, but y = (1, 0, 0, 1)
+        # packs 2 into the set {0, 3}
+        basis, x, y, coverage = self.named(path_graph(4), [(0, 2), (1, 3), ("s", 1), ("s", 2)])
+        assert min(x) >= 0 and min(coverage) >= 1 and sum(x) == 2
+        assert min(y) >= 0 and y[0] + y[3] == 2
+        self.rejected(monkeypatch, fractional_chromatic_dual, path_graph(4), basis)
 
     def test_negative_dual(self, monkeypatch):
-        self.answer(monkeypatch, [1, 1, 0, 0], [Fraction(1), Fraction(-1, 2)], Fraction(1, 2))
-        with pytest.raises(InternalError, match="dual negative"):
-            fractional_chromatic_dual(complete_graph(2))
+        # C6: 024 and 135 cover, and y = (-1, 0, 1, 1, 1, 0) packs, negative at 0
+        names = [(0, 2, 4), (1, 3, 5), (1, 4), (2, 5), ("s", 1), ("s", 5)]
+        basis, x, y, coverage = self.named(cycle_graph(6), names)
+        assert min(x) >= 0 and min(coverage) >= 1 and y == [-1, 0, 1, 1, 1, 0]
+        self.rejected(monkeypatch, fractional_chromatic_dual, cycle_graph(6), basis)
 
     @pytest.mark.parametrize(
-        "y, obj",
-        [([1, 1], Fraction(1)), ([Fraction(1, 2)] * 2, Fraction(1)), ([0, 1], Fraction(2))],
+        "solver", [fractional_chromatic_number, fractional_chromatic_dual, b_fold_realization, is_symmetric]
     )
-    def test_duality_gap(self, monkeypatch, y, obj):
-        # K2: x = (1, 1) covers with value 2 and y packs; x, y or both miss obj
-        self.answer(monkeypatch, [1, 1, 0, 0], y, obj)
-        with pytest.raises(InternalError, match="duality gap"):
-            fractional_chromatic_number(complete_graph(2))
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            # x = -b on the surplus columns
+            pytest.param(lambda cols, n, start: list(range(len(cols) - n, len(cols))), id="surplus-only"),
+            # feasible, but on C5 and the Petersen graph the cover start keeps
+            # more sets than chi_f = 5/2
+            pytest.param(lambda cols, n, start: start[0].tolist(), id="unpivoted-start"),
+        ],
+    )
+    def test_rejected_bases_raise_in_every_solver(self, monkeypatch, solver, basis):
+        for g in (cycle_graph(5), petersen()):
+            self.rejected(monkeypatch, solver, g, basis)
 
 
 class TestFractionAtBoundary:
@@ -286,6 +326,12 @@ class TestIntegralize:
         with pytest.raises(ValueError, match="negative weight in fractional coloring"):
             FractionalColoring({a: Fraction(1, 4), b: Fraction(-1, 6), c: Fraction(2, 9)})
 
+    @pytest.mark.parametrize("w", [float("inf"), -float("inf"), float("nan")])
+    def test_weight_that_is_not_finite_raises(self, w):
+        g = empty_graph(2)
+        with pytest.raises(ValueError, match="weight not a finite rational"):
+            FractionalColoring({IndependentSet(g, [0]): Fraction(1, 2), IndependentSet(g, [0, 1]): w})
+
     def test_not_uniform_raises(self):
         g = empty_graph(2)
         fc = FractionalColoring(
@@ -323,7 +369,9 @@ class TestIntegralize:
 
 
 class TestCoverMultiset:
-    @pytest.mark.parametrize("k", [1.5, Fraction(3, 2), 0.4, Fraction(1, 3)])
+    @pytest.mark.parametrize(
+        "k", [1.5, Fraction(3, 2), 0.4, Fraction(1, 3), float("inf"), -float("inf"), float("nan")]
+    )
     def test_fractional_multiplicity_raises(self, k):
         g = empty_graph(2)
         with pytest.raises(ValueError, match="multiplicity not an integer"):
@@ -515,10 +563,11 @@ class TestBareissSolve:
 
 
 @pytest.mark.parametrize(
-    "v", [[5, 7, 11], [2**59, 2**59, 2**59], [2**62, 2**62, -1], [-(2**70), 3, 2**61]]
+    "v", [[5, 7, 11], [2**59, 2**59, 2**59], [2**62, 2**62, -1], [-(2**70), 3, 2**61], [2**62] * 3]
 )
 def test_exact_matvec_is_exact_past_int64(v):
-    M = np.array([[1, -1, 0], [2, 3, -1]], dtype=np.int64)
+    # entries in {-1, 0, 1}; the all-ones row sums 3 * 2**62 past int64
+    M = np.array([[1, -1, 0], [-1, 1, -1], [1, 1, 1]], dtype=np.int64)
     expected = [sum(int(a) * b for a, b in zip(row, v)) for row in M]
     assert exactlp._exact_matvec(M, v).tolist() == expected
 
@@ -647,6 +696,17 @@ class TestCertifyBasis:
             assert res.basis == basis
             surplus_read += any(res.x[len(cols) - g.n:])
         assert surplus_read >= 500  # a positive basic surplus in most of them
+
+    def test_exact_lane_bases_certify_to_the_exact_solution(self, corpus7):
+        # the one proof of a cold exact answer: its basis certifies, and the
+        # certificate rebuilds the exact simplex's own x, y and obj
+        rng = random.Random(1616)
+        graphs = list(corpus7) + [rand_graph(rng, rng.randint(1, 14), rng.random()) for _ in range(300)]
+        for g in graphs:
+            cols, b, c = exactlp._covering_lp(g.n, [m for _, fam in exactlp._part_families(g, None) for m in fam])
+            cold = exactlp._simplex(cols, b, c, exact=True, start=exactlp._cover_start(cols, len(b)))
+            res = exactlp._certify_basis(cols, b, c, cold.basis)
+            assert (res.x, res.y, res.obj, res.basis) == (cold.x, cold.y, cold.obj, cold.basis)
 
 
 class TestFloatBasisCertifies:
