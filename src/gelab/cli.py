@@ -9,8 +9,9 @@ identically.
 Exit codes: 0 success (and "yes" verdicts), 1 "no" verdicts, 2 parse or
 usage errors, 3 solver non-convergence, 4 enumeration cap or set budget
 exceeded, 5 internal error (a self-check failed or an unexpected exception
-was raised, so no answer is given). The environment variable GELAB_CAP
-overrides the default enumeration cap.
+was raised, so no answer is given), 141 (128 + SIGPIPE) standard output was
+closed before the answer was written, so nothing more is printed. The
+environment variable GELAB_CAP overrides the default enumeration cap.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import __version__
@@ -36,6 +38,7 @@ EXIT_PARSE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_CAP = 4
 EXIT_INTERNAL = 5
+EXIT_PIPE = 141
 
 
 def _read(path: str) -> str:
@@ -310,7 +313,16 @@ _parser = functools.lru_cache(maxsize=1)(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to the null device so that the
+        # interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -9,18 +9,22 @@ with each kept set basic at one of its private vertices and a surplus
 column elsewhere (`_cover_start`). That basis is its own inverse, and the
 simplex runs a single phase from it on the real objective: a covering LP
 always has a feasible basis, so none is searched for. Certification is
-fraction-free integer arithmetic on the basis's set block. A basic surplus
-column is a unit vector, so B is block triangular: with K the basic sets
-and T the rows whose surplus is not basic, det B = +-det M_TK, and two
-|K| x |K| Bareiss solves on M_TK and its transpose give |det M_TK| x and
-|det M_TK| y as integers, the basic surpluses and the zero duals of their
-rows following directly. Feasibility against the full constraint system,
-nonnegativity, and reduced-cost optimality are all re-checked on those
-integers. Only when that certification fails is the LP solved again, from
-the same start, by the same revised simplex in Fractions, with Bland's
-rule, and that lane's basis is certified the same way. So `_certify_basis`
-proves every LP answer, whichever lane found its basis, and nothing
-proves it again: a bug in the pivoting itself cannot produce a wrong
+integer arithmetic on the basis's set block. A basic surplus column is a
+unit vector, so B is block triangular: with K the basic sets and T the rows
+whose surplus is not basic, det B = +-det M_TK. A certificate only has to
+be checked on integers, not computed on them (Gleixner, Steffy & Wolter,
+INFORMS J. Computing 2016): d = round(|det M_TK|) comes from one float
+determinant, and d x and d y are the float lane's own x and y, rounded.
+Two |K| x |K| Bareiss solves on M_TK and its transpose give those integers
+exactly, over d = |det M_TK|, only when the rounded ones are rejected. The
+basic surpluses and the zero duals of their rows follow directly.
+Feasibility against the full constraint system, nonnegativity, and
+reduced-cost optimality are all checked on those integers, whichever
+source gave them. Only when that certification fails is the LP solved
+again, from the same start, by the same revised simplex in Fractions, with
+Bland's rule, and that lane's basis is certified the same way, by Bareiss.
+So `_certify_basis` proves every LP answer, whichever lane found its
+basis, and nothing proves it again: a bug in the pivoting itself cannot produce a wrong
 answer unnoticed, and an exact-lane basis it rejects raises InternalError.
 Every graph is one LP over the concatenation of its parts' families
 (`graphs._parts_of`), never over their product: the LP is block diagonal,
@@ -160,7 +164,8 @@ def _bareiss_solve(M, rhs) -> tuple[int, list[int]]:
     every entry a minor of M, so each division is exact and no entry
     outgrows Hadamard's bound on det M (Bareiss, Math. Comp. 1968). Pivots
     are the first nonzero entry at or below the diagonal. Raises
-    _WarmStartFailed when M is singular.
+    _WarmStartFailed when M is singular. `_certify_basis` runs it only when
+    the float lane's rounded answer is missing or rejected.
     """
     A = [row + [r] for row, r in zip(np.asarray(M).tolist(), rhs)]
     m = len(A)
@@ -208,7 +213,27 @@ def _exact_matvec(M, v) -> np.ndarray:
     return M.astype(object) @ v.astype(object)
 
 
-def _certify_basis(cols, b, c, basis) -> _LPResult:
+def _rounded(M_TK, guess: _LPResult, K, T) -> tuple[int, list[int], list[int]]:
+    """d, d x_K and d y_T as ints, rounded from a float answer on the basis.
+
+    d is |det M_TK| from one float determinant, rounded; x and y are the
+    float lane's own. Raises _WarmStartFailed when d rounds to 0, or when
+    d, d x_K or d y_T is not finite or reaches 2**53, past which a float no
+    longer holds every integer. Nothing here is trusted: `_certify_basis`
+    checks these ints exactly as it checks Bareiss's.
+    """
+    det = abs(np.linalg.det(M_TK))
+    if not 0.5 <= det < 2**53:  # False for NaN as well
+        raise _WarmStartFailed
+    d = round(det)
+    v = np.array([guess.x[j] for j in K] + [guess.y[i] for i in T.tolist()], dtype=np.float64)
+    if not np.all(np.abs(v) < 2**53 / d):  # False for NaN and +-inf
+        raise _WarmStartFailed
+    v = np.rint(d * v).astype(np.int64).tolist()
+    return d, v[: len(K)], v[len(K) :]
+
+
+def _certify_basis(cols, b, c, basis, guess: _LPResult | None = None) -> _LPResult:
     """Exactly solve for a basis from either lane and certify its optimality.
 
     `cols`, `b`, `c` have the `_covering_lp` layout: the set columns, then
@@ -216,16 +241,26 @@ def _certify_basis(cols, b, c, basis) -> _LPResult:
     its set columns, and the surplus columns of the rows S; T holds the
     other rows. With rows ordered T, S and columns K, S, B = cols[basis]^T
     is block triangular, [[M_TK, 0], [M_SK, -I]], so det B = +-det M_TK and
-    B is nonsingular iff |K| = |T| and M_TK is. Two k x k Bareiss solves
-    then give the basic solution, k = |K|: M_TK x_K = b_T, and M_TK^T y_T =
-    c_K with y = 0 on S (c is 0 on a surplus column). Each basic surplus is
-    (M x)_v - b_v. All arithmetic is on integers over the common denominator
-    |det M_TK|. Raises _WarmStartFailed unless B is square and nonsingular,
-    x is nonnegative and, re-checked as a safety net, satisfies every row,
-    and every reduced cost c_j - y.a_j is nonnegative and zero on the
-    basis. Then x and y are feasible and complementary, which proves both
-    optimal whatever computed them, so a wrong basis from either lane can
-    never leak through. Rationals are built only for the nonzero outputs.
+    B is nonsingular iff |K| = |T| and M_TK is. The basic solution is
+    M_TK x_K = b_T, and M_TK^T y_T = c_K with y = 0 on S (c is 0 on a
+    surplus column); each basic surplus is (M x)_v - b_v. All arithmetic is
+    on integers over one common denominator d, as d x_K and d y_T.
+    Those integers come from `guess`, the float lane's answer on this
+    basis, rounded by `_rounded` with d = round(|det M_TK|). Only when
+    there is no guess, or the checks below reject its integers, do two
+    k x k Bareiss solves on M_TK and its transpose (k = |K|) give them
+    with d = |det M_TK|, and the same checks run again. Raises
+    _WarmStartFailed unless B is square, x satisfies every row (M x = d b
+    on T), x is nonnegative (basic surpluses included), and every reduced
+    cost d c_j - y.a_j is nonnegative (y >= 0 through the surplus columns)
+    and zero on the basis (M_TK^T y_T = d c_K). Then x and y are feasible
+    and complementary, which proves both optimal whatever computed them, so
+    a wrong basis from either lane, or a wrong rounding, can never leak
+    through. When M_TK is nonsingular they are its unique basic solution,
+    so both sources give the same answer. A singular M_TK has a float
+    determinant near 0, so it reaches Bareiss, which rejects it; integers
+    that passed the checks would be optimal all the same. Rationals are
+    built only for the nonzero outputs.
     """
     m = len(b)
     k = len(cols) - m
@@ -237,35 +272,41 @@ def _certify_basis(cols, b, c, basis) -> _LPResult:
         raise _WarmStartFailed
     M_K = cols[K].T
     M_TK = M_K[T]
-    det, x_num = _bareiss_solve(M_TK, [b[v] for v in T])
-    num = dict(zip(K, x_num))
-    # det (M x - b) on every row: 0 on T, the basic surplus on S
-    for v, cov in enumerate(_exact_matvec(M_K, x_num).tolist()):
-        excess = cov - det * b[v]
-        if in_S[v]:
-            num[k + v] = excess
-        elif excess:
+
+    def certified(d: int, x_K: list[int], y_T: list[int]) -> _LPResult:
+        num = dict(zip(K, x_K))
+        # d (M x - b) on every row: 0 on T, the basic surplus on S
+        for v, cov in enumerate(_exact_matvec(M_K, x_K).tolist()):
+            excess = cov - d * b[v]
+            if in_S[v]:
+                num[k + v] = excess
+            elif excess:
+                raise _WarmStartFailed
+        if any(v < 0 for v in num.values()):
             raise _WarmStartFailed
-    if any(v < 0 for v in num.values()):
-        raise _WarmStartFailed
+        y_num = [0] * m
+        for v, val in zip(T.tolist(), y_T):
+            y_num[v] = val
+        ya = _exact_matvec(cols, y_num)
+        c_d = np.asarray(c, dtype=np.int64 if d < 2**63 else object) * d  # c_j in {0, 1}
+        if np.any(ya > c_d) or np.any(ya[basis] != c_d[basis]):
+            raise _WarmStartFailed
+        zero = Fraction(0)
+        x = [zero] * len(cols)
+        for j, v in num.items():
+            if v:
+                x[j] = Fraction(v, d)
+        y = [Fraction(v, d) if v else zero for v in y_num]
+        obj = Fraction(sum(c[j] * v for j, v in num.items()), d)
+        return _LPResult(x=x, y=y, obj=obj, basis=list(basis))
 
-    det_y, y_T = _bareiss_solve(M_TK.T, [c[j] for j in K])
-    y_num = [0] * m
-    for v, val in zip(T.tolist(), y_T):
-        y_num[v] = val
-    ya = _exact_matvec(cols, y_num)
-    c_det = np.asarray(c, dtype=np.int64 if det_y < 2**63 else object) * det_y  # c_j in {0, 1}
-    if np.any(ya > c_det) or np.any(ya[basis] != c_det[basis]):
-        raise _WarmStartFailed
-
-    zero = Fraction(0)
-    x = [zero] * len(cols)
-    for j, v in num.items():
-        if v:
-            x[j] = Fraction(v, det)
-    y = [Fraction(v, det_y) if v else zero for v in y_num]
-    obj = Fraction(sum(c[j] * v for j, v in num.items()), det)
-    return _LPResult(x=x, y=y, obj=obj, basis=list(basis))
+    if guess is not None:
+        try:
+            return certified(*_rounded(M_TK, guess, K, T))
+        except _WarmStartFailed:
+            pass
+    d, x_K = _bareiss_solve(M_TK, [b[v] for v in T])
+    return certified(d, x_K, _bareiss_solve(M_TK.T, [c[j] for j in K])[1])
 
 
 def _cover_start(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,18 +346,19 @@ def _solve_exact(cols, b, c) -> _LPResult:
 
     `cols`, `b`, `c` have the `_covering_lp` layout. Both lanes run the one
     simplex phase from the feasible cover basis of `_cover_start`: the
-    float revised simplex proposes an optimal basis, and only when
-    `_certify_basis` rejects it is the LP solved again in Fractions from
-    the same start. Whichever lane found the basis, its answer is the one
-    `_certify_basis` builds, and that certificate proves it optimal; no
-    other check on x, y or obj follows. An exact-lane basis that fails it
-    can only be a bug, and raises InternalError. The float lane's pivot
-    limit also raises InternalError.
+    float revised simplex proposes an optimal basis and its x and y, which
+    `_certify_basis` checks rounded to integers before it solves for them
+    exactly. Only when it rejects the basis is the LP solved again in
+    Fractions from the same start. Whichever lane found the basis, its
+    answer is the one `_certify_basis` builds, and that certificate proves
+    it optimal; no other check on x, y or obj follows. An exact-lane basis
+    that fails it can only be a bug, and raises InternalError. The float
+    lane's pivot limit also raises InternalError.
     """
     start = _cover_start(cols, len(b))
     guess = _simplex(cols, b, c, exact=False, start=start)
     try:
-        return _certify_basis(cols, b, c, guess.basis)
+        return _certify_basis(cols, b, c, guess.basis, guess)
     except _WarmStartFailed:
         pass
     cold = _simplex(cols, b, c, exact=True, start=start)

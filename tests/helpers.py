@@ -78,6 +78,13 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(offset, edges)
 
 
+def mycielski(g: Graph) -> Graph:
+    """M(G): g, a shadow n + v of each vertex v adjacent to v's neighbours, and a hub 2n on every shadow."""
+    n = g.n
+    shadows = [(u, n + v) for a, b in g.edges for u, v in ((a, b), (b, a))]
+    return Graph(2 * n + 1, list(g.edges) + shadows + [(n + v, 2 * n) for v in range(n)])
+
+
 def complement(g: Graph) -> Graph:
     return Graph(g.n, [
         (u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.has_edge(u, v)

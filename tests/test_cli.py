@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 import sys
 from fractions import Fraction
@@ -349,6 +350,32 @@ class TestExitCodes:
             assert main([command, files("c5", C5)]) == 5
             err = capsys.readouterr().err
             assert "internal error" in err and "basis is not optimal" in err
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["write-raises", "flush-raises"])
+    def test_closed_stdout_is_141_not_an_internal_error(self, files, capsys, monkeypatch, tmp_path, buffered):
+        class ClosedPipe:
+            """A stdout whose reader has gone: a write raises, or, buffered, the flush."""
+
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                if not buffered:
+                    raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "out", "w") as out:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(out.fileno()))
+            assert main(["chif", files("c5", C5), "--json"]) == 141
+            # the descriptor now writes to the null device
+            os.write(out.fileno(), b"after")
+        assert (tmp_path / "out").read_text() == ""
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "command, solver",

@@ -1,6 +1,7 @@
 """Exact LP layer: chi_f, uniform covers, and integer cover extraction."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,8 @@ from gelab.graphs import (
     path_graph,
 )
 
-from helpers import coverage, kneser, petersen, rand_graph, triangle_union, uniform_cover_feasible
+import corpus
+from helpers import coverage, kneser, mycielski, petersen, rand_graph, triangle_union, uniform_cover_feasible
 
 # a division by zero or a NaN in the float lane fails here instead of
 # passing silently as a cold exact fallback
@@ -121,11 +123,11 @@ class TestColdExactFallback:
                 float_bases.append(res.basis)
             return res
 
-        def certify_fails(cols, b, c, basis):
+        def certify_fails(cols, b, c, basis, *guess):
             # rejects the float lane's basis only: the exact lane's is certified
             if float_bases and basis is float_bases[-1]:
                 raise exactlp._WarmStartFailed
-            return real_certify(cols, b, c, basis)
+            return real_certify(cols, b, c, basis, *guess)
 
         monkeypatch.setattr(exactlp, "_simplex", simplex)
         if mode == "certify-fails":
@@ -162,8 +164,9 @@ class TestCoveringProof:
         lanes = []
 
         def simplex(cols, b, c, *, exact, start, **kwargs):
+            # zeros of the LP's shape: rounded, they certify no basis below
             lanes.append(exact)
-            return exactlp._LPResult(x=[], y=[], obj=None, basis=basis(cols, len(b), start))
+            return exactlp._LPResult(x=[0.0] * len(cols), y=[0.0] * len(b), obj=None, basis=basis(cols, len(b), start))
 
         monkeypatch.setattr(exactlp, "_simplex", simplex)
         return lanes
@@ -707,6 +710,137 @@ class TestCertifyBasis:
             cold = exactlp._simplex(cols, b, c, exact=True, start=exactlp._cover_start(cols, len(b)))
             res = exactlp._certify_basis(cols, b, c, cold.basis)
             assert (res.x, res.y, res.obj, res.basis) == (cold.x, cold.y, cold.obj, cold.basis)
+
+
+def mycielski_chain() -> list[Graph]:
+    """M4, M5 and M6: the Mycielski graphs of C5, the Grötzsch graph first (n = 11, 23, 47)."""
+    chain = [mycielski(cycle_graph(5))]
+    while len(chain) < 3:
+        chain.append(mycielski(chain[-1]))
+    return chain
+
+
+class TestMycielskiClosedForms:
+    """chi_f(M(G)) = chi_f(G) + 1/chi_f(G) (Larsen, Propp & Ullman, J. Graph Theory 1995), past n = 20."""
+
+    def test_chain_from_c5(self):
+        chain = mycielski_chain()
+        assert [(g.n, len(g.edges)) for g in chain] == [(11, 20), (23, 71), (47, 236)]
+        chi_prev, alpha_prev, n_prev = Fraction(5, 2), 2, 5
+        chis, alphas = [], []
+        for g in chain:
+            chi, coloring = fractional_chromatic_number(g, cap=47)
+            assert chi == chi_prev + 1 / chi_prev == coloring.total
+            cm = b_fold_realization(g, cap=47)
+            assert Fraction(cm.size, cm.fold) == chi
+            a = alpha(g, cap=47).value
+            assert a == max(2 * alpha_prev, n_prev)
+            assert not is_symmetric(g, cap=47).is_symmetric
+            chis.append(chi)
+            alphas.append(a)
+            chi_prev, alpha_prev, n_prev = chi, a, g.n
+        assert chis == [Fraction(29, 10), Fraction(941, 290), Fraction(969581, 272890)]
+        assert alphas == [5, 11, 23]
+
+
+class TestRoundedCertificate:
+    """`_certify_basis` rounds the float lane's x and y; Bareiss runs only when the checks reject them."""
+
+    @staticmethod
+    def lps(graphs):
+        """Each graph's covering LP, (cols, b, c), with the float lane's answer on it."""
+        for g in graphs:
+            cols, b, c = exactlp._covering_lp(g.n, [m for _, fam in exactlp._part_families(g, 47) for m in fam])
+            yield cols, b, c, exactlp._simplex(cols, b, c, exact=False, start=exactlp._cover_start(cols, len(b)))
+
+    @staticmethod
+    def random_graphs():
+        rng = random.Random(2727)
+        return [rand_graph(rng, rng.randint(1, 30), rng.uniform(0.15, 0.9)) for _ in range(300)]
+
+    @staticmethod
+    def count_bareiss(monkeypatch):
+        calls = []
+        real = exactlp._bareiss_solve
+
+        def bareiss(M, rhs):
+            calls.append(len(rhs))
+            return real(M, rhs)
+
+        monkeypatch.setattr(exactlp, "_bareiss_solve", bareiss)
+        return calls
+
+    @staticmethod
+    def answer(res):
+        return res.x, res.y, res.obj, res.basis
+
+    def test_rounded_answer_is_the_bareiss_answer(self, monkeypatch):
+        graphs = [g for n in range(1, 8) for g in corpus.all_graphs(n)]
+        graphs += self.random_graphs() + mycielski_chain()
+        calls = self.count_bareiss(monkeypatch)
+        for cols, b, c, guess in self.lps(graphs):
+            rounded = exactlp._certify_basis(cols, b, c, guess.basis, guess)
+            assert not calls  # the rounded integers passed every check
+            bareiss = exactlp._certify_basis(cols, b, c, guess.basis)
+            assert len(calls) == 2
+            calls.clear()
+            assert self.answer(rounded) == self.answer(bareiss)
+            assert all(type(v) is Fraction for v in rounded.y) and type(rounded.obj) is Fraction
+
+    def test_chi_f_answers_without_bareiss(self, monkeypatch):
+        graphs = self.random_graphs()
+        expected = [fractional_chromatic_number(g)[0] for g in graphs]
+
+        def bareiss(M, rhs):
+            raise AssertionError("Bareiss ran")
+
+        monkeypatch.setattr(exactlp, "_bareiss_solve", bareiss)
+        assert [fractional_chromatic_number(g)[0] for g in graphs] == expected
+
+    @pytest.mark.parametrize(
+        "spoil, everywhere",
+        [
+            pytest.param(lambda x, y: ([0.0] * len(x), [0.0] * len(y)), True, id="zeros"),
+            # rounds back to d y where d < 500, as on C5 (d = 2), but not on
+            # M6, whose chi_f is 969581/272890
+            pytest.param(lambda x, y: (x, [v + 1e-3 for v in y]), False, id="y-moved-1e-3"),
+            pytest.param(lambda x, y: ([float("nan")] * len(x), y), True, id="nan-x"),
+            pytest.param(lambda x, y: (x, [float("nan")] * len(y)), True, id="nan-y"),
+            pytest.param(lambda x, y: ([float("inf")] * len(x), y), True, id="inf-x"),
+            pytest.param(lambda x, y: (x, [-float("inf")] * len(y)), True, id="minus-inf-y"),
+        ],
+    )
+    def test_rejected_guesses_end_in_bareiss(self, monkeypatch, spoil, everywhere):
+        graphs = [cycle_graph(5), petersen(), kneser(7, 2), triangle_union(3)] + mycielski_chain()
+        calls = self.count_bareiss(monkeypatch)
+        reached = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cols, b, c, guess in self.lps(graphs):
+                expected = self.answer(exactlp._certify_basis(cols, b, c, guess.basis))
+                calls.clear()
+                x, y = spoil(guess.x, guess.y)
+                res = exactlp._certify_basis(cols, b, c, guess.basis, exactlp._LPResult(x, y, None, guess.basis))
+                assert self.answer(res) == expected
+                reached.append(bool(calls))
+        assert reached[-1] and (all(reached) or not everywhere)
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            [(0, 2), (1, 3), (2, 4), ("s", 0), ("s", 2)],  # rows 1 and 3 of M_TK are equal
+            [(0, 2), (0, 2), (1, 3), (2, 4), ("s", 3)],  # a set twice
+        ],
+    )
+    def test_singular_basis_with_a_plausible_guess_is_rejected(self, names):
+        # the guess is C5's optimum, 1/2 on every set and every vertex
+        cols, b, c = TestCertifyBasis.lp()
+        basis = [TestCertifyBasis.column(s) for s in names]
+        guess = exactlp._LPResult([0.5] * 5 + [0.0] * 5, [0.5] * 5, 2.5, basis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(exactlp._WarmStartFailed):
+                exactlp._certify_basis(cols, b, c, basis, guess)
 
 
 class TestFloatBasisCertifies:
