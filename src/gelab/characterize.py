@@ -82,7 +82,7 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
             reason=REASON_NO_UNIFORM_COVER,
         )
     sets = [IndependentSet._from_mask(g, _lift(s.mask, supp)) for s in coloring.weights]
-    lifted = FractionalColoring(dict(zip(sets, coloring.weights.values())))
+    lifted = FractionalColoring._trusted(dict(zip(sets, coloring.weights.values())), coloring.total)
     return MaximizerVerdict(
         is_maximizer=True,
         chi_f_support=chi_supp,

@@ -8,7 +8,12 @@ feasible basis: a greedy cover of the vertices, pruned to a minimal cover,
 with each kept set basic at one of its private vertices and a surplus
 column elsewhere (`_cover_start`). That basis is its own inverse, and the
 simplex runs a single phase from it on the real objective: a covering LP
-always has a feasible basis, so none is searched for. Certification is
+always has a feasible basis, so none is searched for. The LP's matrix is
+held once, as float64 (`_covering_lp`): its entries 0, 1 and -1 are exact.
+The float lane reads it as it is; every exact product on it runs through
+BLAS while a float64 provably holds each partial sum, and on Python ints
+past that (`_exact_matvec`); the exact lane and Bareiss read it through
+int64, so no float enters their arithmetic. Certification is
 integer arithmetic on the basis's set block. A basic surplus column is a
 unit vector, so B is block triangular: with K the basic sets and T the rows
 whose surplus is not basic, det B = +-det M_TK. A certificate only has to
@@ -30,14 +35,17 @@ Every graph is one LP over the concatenation of its parts' families
 (`graphs._parts_of`), never over their product: the LP is block diagonal,
 one block per part, chi_f is its largest block total, and the block
 solutions are merged into the graph's coloring and dual (`_merge_blocks`).
-A graph of one part is one block, its own refinement; the graph with no
+A graph of one part is one block, the LP's own answer; the graph with no
 vertices is one block with no rows, of total 0. Where the optimum is not
 unique, which optimal coloring, b-fold multiset or dual vector is returned
 depends on the start, the pivoting and the merge; chi_f and every verdict
 do not.
 
-Every rational, inside the exact layer and at its boundary, is a
-`fractions.Fraction`."""
+The integers `_certify_basis` proves, d x and d y over one denominator d,
+are what the layers below the public functions pass on (`_Certified`,
+`_merge_blocks`): no common denominator is taken again, and a
+`fractions.Fraction` is built only for what a public function returns.
+Every rational at that boundary is a Fraction."""
 
 from __future__ import annotations
 
@@ -59,6 +67,7 @@ from .graphs import (
     _incidence,
     _part_families,
     _refinement,
+    _row_masks,
 )
 
 _FLOAT_EPS = 1e-9
@@ -70,29 +79,52 @@ _MAX_PIVOTS = 200_000
 # ---------------------------------------------------------------------------
 #
 # An LP is min c.x subject to A x = b, x >= 0, with integer data. `cols` holds
-# A one column per row: cols[j] is column j of A as an int64 vector, so
-# cols.shape == (number of columns, number of constraint rows).
+# A one column per row: cols[j] is column j of A, so cols.shape == (number of
+# columns, number of constraint rows). The covering LP's `cols` are float64,
+# whose entries 0, 1 and -1 are exact; an integer `cols` is accepted as well.
 
 
-@dataclass
+_ZERO = Fraction(0)
+
+
 class _LPResult:
-    x: list
-    y: list
-    obj: object
-    basis: list
+    """A simplex lane's answer: x, y and obj in the lane's own numbers, and the basis."""
+
+    def __init__(self, x: list, y: list, obj: object, basis: list):
+        self.x, self.y, self.obj, self.basis = x, y, obj, basis
+
+
+class _Certified:
+    """An LP answer proved by `_certify_basis`, held as the integers it checked.
+
+    Over one denominator d > 0: `num` maps each basic column j to d x_j,
+    `y_num` holds d y_v for every row v, and `obj_num` is d c.x; `width` is
+    the number of columns. The solvers read these integers. `x`, `y` and
+    `obj` read as an `_LPResult`'s do, as Fractions built on each read,
+    with x zero off the basis.
+    """
+
+    def __init__(self, d: int, num: dict, y_num: list, obj_num: int, basis: list, width: int):
+        self.d, self.num, self.y_num, self.obj_num, self.basis, self.width = d, num, y_num, obj_num, basis, width
+
+    x = property(lambda self: [Fraction(self.num[j], self.d) if j in self.num else _ZERO for j in range(self.width)])
+    y = property(lambda self: [Fraction(v, self.d) for v in self.y_num])
+    obj = property(lambda self: Fraction(self.obj_num, self.d))
 
 
 def _simplex(cols, b, c, *, exact: bool, start, maxiter: int = _MAX_PIVOTS) -> _LPResult:
     """Revised simplex for min c.x, A x = b, x >= 0, from a feasible basis.
 
     `start` is (basis, Binv): basis[i] is the column basic in row i, and
-    Binv is the inverse of that basis, both integer arrays. Before the
-    first pivot, B Binv = I and Binv b >= 0 are checked on integers, and
-    InternalError is raised if either fails. From there a single phase
-    pivots on the real objective. Exact mode pivots by Bland's rule (no
-    cycling) in Fractions; float mode uses Dantzig pricing (the most
-    negative reduced cost, the first of equals, found by one argmin per
-    pivot) in plain float64 arrays and is only ever used to guess a basis
+    Binv is the inverse of that basis, an array of integers (float64 or
+    integer). Before the first pivot, B Binv = I and Binv b >= 0 are
+    checked exactly (`_exact_matvec`), and InternalError is raised if
+    either fails. From there a single phase pivots on the real objective.
+    Exact mode pivots by Bland's rule (no cycling) in Fractions, reading
+    `cols` and Binv through int64, so that no float enters them; float mode
+    uses Dantzig pricing (the most negative reduced cost, the first of
+    equals, found by one argmin per pivot) in plain float64 arrays, reading
+    float64 `cols` without a copy, and is only ever used to guess a basis
     for `_certify_basis`. The basis inverse B^-1
     (m x m) is held explicitly, as in the revised simplex of Dantzig &
     Orchard-Hays (1954). Each pivot prices every column at once as
@@ -102,18 +134,17 @@ def _simplex(cols, b, c, *, exact: bool, start, maxiter: int = _MAX_PIVOTS) -> _
     raised only when one more is needed.
     """
     m = len(b)
-    zero = Fraction(0) if exact else 0.0
-    eps = zero if exact else _FLOAT_EPS
-    dtype = object if exact else np.float64
-    A = cols.astype(dtype)  # A^T: row j is column j of A
+    # the exact lane reads integers through int64, then Fractions: Fraction + float is a float
+    zero, eps, base, dtype = (_ZERO, _ZERO, np.int64, object) if exact else (0.0, _FLOAT_EPS, np.float64, np.float64)
+    A = cols.astype(base, copy=False).astype(dtype, copy=False)  # A^T: row j is column j of A
     basis = np.array(start[0])
     xB = _exact_matvec(start[1], b)
     if not np.array_equal(_exact_matvec(cols[basis].T, start[1]), np.eye(m)) or np.any(xB < 0):
         raise InternalError("simplex start: Binv is not the basis inverse, or Binv b < 0")
-    Binv = start[1].astype(dtype)
-    xB = xB.astype(dtype)
-    if exact:  # ints to Fractions, so that every division below stays exact
-        Binv, xB = Binv + zero, xB + zero
+    # `+ zero` copies, since `start` serves both lanes, and in the exact lane
+    # turns ints to Fractions, so that every division below stays exact
+    Binv = start[1].astype(base, copy=False).astype(dtype, copy=False) + zero
+    xB = xB.astype(dtype) + zero
     cost = np.array(c, dtype=dtype)
     pivots_left = maxiter
     while True:
@@ -158,7 +189,8 @@ class _WarmStartFailed(Exception):
 def _bareiss_solve(M, rhs) -> tuple[int, list[int]]:
     """Solve M z = rhs over the integers by fraction-free elimination.
 
-    M is a square integer matrix and rhs a sequence of ints. Returns
+    M is a square matrix of integers (float64 or integer), read through
+    int64, and rhs a sequence of ints. Returns
     (d, num) with d = |det M| > 0 and z = num / d, every entry a Python int.
     Bareiss's update a_ij <- (a_kk a_ij - a_ik a_kj) / a_{k-1,k-1} keeps
     every entry a minor of M, so each division is exact and no entry
@@ -167,7 +199,7 @@ def _bareiss_solve(M, rhs) -> tuple[int, list[int]]:
     _WarmStartFailed when M is singular. `_certify_basis` runs it only when
     the float lane's rounded answer is missing or rejected.
     """
-    A = [row + [r] for row, r in zip(np.asarray(M).tolist(), rhs)]
+    A = [row + [r] for row, r in zip(np.asarray(M, dtype=np.int64).tolist(), rhs)]
     m = len(A)
     prev = 1
     for k in range(m):
@@ -199,18 +231,23 @@ def _bareiss_solve(M, rhs) -> tuple[int, list[int]]:
 
 
 def _exact_matvec(M, v) -> np.ndarray:
-    """M @ v exactly, for an int64 matrix M with entries in {-1, 0, 1}.
+    """M @ v exactly, for a matrix M with entries in {-1, 0, 1}, float64 or integer.
 
-    `v` is a vector or matrix of ints. Every caller passes such an M: the
-    LP's columns, the cover start's basis, a block of set columns, or the
-    incidence matrix of a coloring. So no partial sum exceeds max|v| times
-    the row length, and the product runs in int64 when that stays below
-    2**63, else on Python ints.
+    `v` is a vector or matrix of integers: ints, or floats that hold them.
+    Every caller passes such an M: the LP's columns, the cover start's
+    basis, a block of set columns, or the incidence matrix of a coloring.
+    Each product of an entry of M with one of v is then 0 or +-v_j, so
+    every partial sum, added in whatever order BLAS adds them, is an
+    integer of magnitude at most max|v| times the row length. While that
+    bound is below 2**53, a float64 holds each of those integers exactly,
+    so M @ v runs in float64 through BLAS and is returned as int64 (numpy
+    has no BLAS for integers). Past it, the product runs on Python ints,
+    with M read through int64, so that no float enters it.
     """
     v = np.asarray(v)
-    if max(int(v.max(initial=0)), -int(v.min(initial=0))) * M.shape[1] < 2**63:
-        return M @ v.astype(np.int64)
-    return M.astype(object) @ v.astype(object)
+    if max(int(v.max(initial=0)), -int(v.min(initial=0))) * M.shape[1] < 2**53:
+        return (M @ v.astype(np.float64)).astype(np.int64)
+    return M.astype(np.int64).astype(object) @ v.astype(object)
 
 
 def _rounded(M_TK, guess: _LPResult, K, T) -> tuple[int, list[int], list[int]]:
@@ -233,7 +270,7 @@ def _rounded(M_TK, guess: _LPResult, K, T) -> tuple[int, list[int], list[int]]:
     return d, v[: len(K)], v[len(K) :]
 
 
-def _certify_basis(cols, b, c, basis, guess: _LPResult | None = None) -> _LPResult:
+def _certify_basis(cols, b, c, basis, guess: _LPResult | None = None) -> _Certified:
     """Exactly solve for a basis from either lane and certify its optimality.
 
     `cols`, `b`, `c` have the `_covering_lp` layout: the set columns, then
@@ -259,8 +296,9 @@ def _certify_basis(cols, b, c, basis, guess: _LPResult | None = None) -> _LPResu
     through. When M_TK is nonsingular they are its unique basic solution,
     so both sources give the same answer. A singular M_TK has a float
     determinant near 0, so it reaches Bareiss, which rejects it; integers
-    that passed the checks would be optimal all the same. Rationals are
-    built only for the nonzero outputs.
+    that passed the checks would be optimal all the same. The answer is
+    returned as those checked integers (`_Certified`): d, d x on the basis,
+    d y and d c.x. No Fraction is built here.
     """
     m = len(b)
     k = len(cols) - m
@@ -273,7 +311,7 @@ def _certify_basis(cols, b, c, basis, guess: _LPResult | None = None) -> _LPResu
     M_K = cols[K].T
     M_TK = M_K[T]
 
-    def certified(d: int, x_K: list[int], y_T: list[int]) -> _LPResult:
+    def certified(d: int, x_K: list[int], y_T: list[int]) -> _Certified:
         num = dict(zip(K, x_K))
         # d (M x - b) on every row: 0 on T, the basic surplus on S
         for v, cov in enumerate(_exact_matvec(M_K, x_K).tolist()):
@@ -291,14 +329,7 @@ def _certify_basis(cols, b, c, basis, guess: _LPResult | None = None) -> _LPResu
         c_d = np.asarray(c, dtype=np.int64 if d < 2**63 else object) * d  # c_j in {0, 1}
         if np.any(ya > c_d) or np.any(ya[basis] != c_d[basis]):
             raise _WarmStartFailed
-        zero = Fraction(0)
-        x = [zero] * len(cols)
-        for j, v in num.items():
-            if v:
-                x[j] = Fraction(v, d)
-        y = [Fraction(v, d) if v else zero for v in y_num]
-        obj = Fraction(sum(c[j] * v for j, v in num.items()), d)
-        return _LPResult(x=x, y=y, obj=obj, basis=list(basis))
+        return _Certified(d, num, y_num, sum(c[j] * v for j, v in num.items()), list(basis), len(cols))
 
     if guess is not None:
         try:
@@ -313,35 +344,41 @@ def _cover_start(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
     """A feasible basis of a covering LP and its inverse, from a greedy cover.
 
     `cols` has the `_covering_lp` layout: the set columns, then -I on the
-    n vertex rows. The greedy cover (`_greedy_cover_indices`) is pruned in
-    reverse order to a minimal cover: a set is dropped when each of its
-    vertices is covered at least twice. Each kept set then has a private
-    vertex, covered by no other kept set, and is made basic at its lowest
-    one; the surplus column -e_v is basic at every other vertex v. With the
-    private rows first, B = [[I, 0], [M', -I]], where M' holds the kept
-    sets on the other rows, and B B = I: Binv is B itself, an integer
-    matrix. The start solution B 1 is 1 on the private rows and cov(v) - 1
-    >= 0 elsewhere, and its objective is the number of kept sets (Bixby,
-    *Implementing the simplex method: the initial basis*, ORSA J.
-    Computing 1992).
+    n vertex rows, float64 or integer. The greedy cover
+    (`_greedy_cover_indices`, run on the set columns in their own dtype, so
+    on BLAS for float64) is pruned in reverse order to a minimal cover: a
+    set is dropped when each of its vertices is covered at least twice,
+    that is, when it has no private vertex, one in no other set still in
+    the cover. The prune reads the few cover sets as bitmasks. Each kept
+    set then has a private vertex, covered by no other kept set, and is
+    made basic at its lowest one; the surplus column -e_v is basic at every
+    other vertex v. With the private rows first, B = [[I, 0], [M', -I]],
+    where M' holds the kept sets on the other rows, and B B = I: Binv is B
+    itself, a matrix of integers in `cols`' dtype. The start solution B 1
+    is 1 on the private rows and cov(v) - 1 >= 0 elsewhere, and its
+    objective is the number of kept sets (Bixby, *Implementing the simplex
+    method: the initial basis*, ORSA J. Computing 1992).
     """
     k = len(cols) - n
-    M = cols[:k]
-    cover = _greedy_cover_indices(M)
-    cov = M[cover].sum(axis=0)
-    kept = []
+    cover = _greedy_cover_indices(cols[:k])
+    sets = dict(zip(cover, _row_masks(cols[cover] > 0)))
+
+    def private(j: int) -> int:
+        others = 0
+        for i, mask in sets.items():
+            others |= mask if i != j else 0
+        return sets[j] & ~others
+
     for j in reversed(cover):
-        if cov[M[j] > 0].min() >= 2:
-            cov -= M[j]
-        else:
-            kept.append(j)
+        if not private(j):
+            del sets[j]
     basis = np.arange(k, k + n)
-    for j in kept:
-        basis[np.flatnonzero((M[j] > 0) & (cov == 1))[0]] = j
+    for j in sets:
+        basis[next(_bits(private(j)))] = j
     return basis, cols[basis].T
 
 
-def _solve_exact(cols, b, c) -> _LPResult:
+def _solve_exact(cols, b, c) -> _Certified:
     """Exact solve of a covering LP: the one proof of every LP answer.
 
     `cols`, `b`, `c` have the `_covering_lp` layout. Both lanes run the one
@@ -350,8 +387,9 @@ def _solve_exact(cols, b, c) -> _LPResult:
     `_certify_basis` checks rounded to integers before it solves for them
     exactly. Only when it rejects the basis is the LP solved again in
     Fractions from the same start. Whichever lane found the basis, its
-    answer is the one `_certify_basis` builds, and that certificate proves
-    it optimal; no other check on x, y or obj follows. An exact-lane basis
+    answer is the one `_certify_basis` builds, as its checked integers
+    (`_Certified`), and that certificate proves it optimal; no other check
+    on x, y or obj follows. An exact-lane basis
     that fails it can only be a bug, and raises InternalError. The float
     lane's pivot limit also raises InternalError.
     """
@@ -378,7 +416,8 @@ class FractionalColoring:
     """Rational weights on independent sets witnessing a covering LP value.
 
     ValueError is raised for a negative weight, and for one that is not a
-    finite rational (an infinity, a NaN).
+    finite rational (an infinity, a NaN). `_trusted` builds one from
+    weights and a total already proved.
     """
 
     weights: dict
@@ -392,8 +431,14 @@ class FractionalColoring:
         den, nums = _common_denominator(weights.values())
         if any(w < 0 for w in nums):
             raise ValueError("negative weight in fractional coloring")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "total", Fraction(sum(nums), den))
+        vars(self).update(weights=weights, total=Fraction(sum(nums), den))
+
+    @classmethod
+    def _trusted(cls, weights: dict, total: Fraction) -> "FractionalColoring":
+        """The coloring with `weights`, unchecked: each a positive Fraction, and `total` their sum."""
+        fc = object.__new__(cls)
+        vars(fc).update(weights=weights, total=total)
+        return fc
 
     def covered_vertices(self) -> frozenset[int]:
         mask = 0
@@ -434,9 +479,7 @@ class CoverMultiset:
         for v in covered:
             if count[v] != fold:
                 raise NotUniform(f"vertex {v} covered {count[v]} times, fold is {fold}")
-        object.__setattr__(self, "multiplicities", multiplicities)
-        object.__setattr__(self, "fold", fold)
-        object.__setattr__(self, "covered", covered)
+        vars(self).update(multiplicities=multiplicities, fold=fold, covered=covered)
 
     @property
     def size(self) -> int:
@@ -450,46 +493,54 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
     Solves the covering LP over *maximal* independent sets only; enlarging an
     independent set never hurts coverage, so the optimum is unchanged while
     the column count shrinks. The graph is solved as one LP over its parts'
-    own families (`_solve_parts`, `graphs._parts_of`), never over their
+    own families (`_solve_blocks`, `graphs._parts_of`), never over their
     product, and chi_f is the largest of the parts'. The LP's coloring and
     a matching dual (packing) solution are proved optimal exactly, once, by
-    `_certify_basis`, from either lane; the merged coloring is checked by
-    `_merge_blocks`.
-    Its sets are wrapped here, the only place they are. On the graph with
+    `_certify_basis`, from either lane; a merged coloring of several parts
+    is checked by `_merge_blocks`. Its sets are wrapped here, the only
+    place they are, and its weights are the only Fractions built, one per
+    set; the coloring is built by `FractionalColoring._trusted`, since
+    those proofs already cover its weights and total. On the graph with
     no vertices the one maximal set is the empty set, whose LP has no rows
     and optimum 0, so chi_f is 0 with the empty coloring.
     """
-    chi, coloring, _ = _solve_parts(g, cap)
-    return chi, FractionalColoring(dict(zip(IndependentSet._trusted(g, coloring), coloring.values())))
+    chi, den, coloring, _ = _solve_blocks(g, cap)
+    weights = (Fraction(k, den) for k in coloring.values())
+    return chi, FractionalColoring._trusted(dict(zip(IndependentSet._trusted(g, coloring), weights)), chi)
 
 
 def _covering_lp(n: int, masks: Sequence[int]):
     """(cols, b, c) of min sum x_S with every vertex covered at least once.
 
-    The columns are the sets (bitmasks), then one surplus column -e_v per vertex.
+    The columns are the sets (bitmasks), then one surplus column -e_v per
+    vertex. `cols` is float64, held once for both lanes: its entries 0, 1
+    and -1 are exact, the float lane and BLAS read it as it is, and the
+    exact layer reads it through int64 (`_simplex`, `_exact_matvec`,
+    `_bareiss_solve`).
     """
-    cols = np.concatenate([_incidence(masks, n).astype(np.int64), -np.eye(n, dtype=np.int64)])
+    cols = np.concatenate([_incidence(masks, n), -np.eye(n)])
     return cols, [1] * n, [1] * len(masks) + [0] * n
 
 
-def _solve_covering(g: Graph, masks: Sequence[int]) -> tuple[_LPResult, list[int], tuple, tuple]:
+def _solve_covering(g: Graph, masks: Sequence[int]) -> tuple[_Certified, list[int], tuple, tuple]:
     """Solve the covering LP over the set bitmasks `masks`, proved by `_solve_exact`.
 
     The answer, from either lane, is the one `_certify_basis` proved
     optimal, and nothing here proves it again. Both lanes set x off the
     basis to zero, so the support of x is read from the basis: the set
     indices in it with nonzero x (at most n sets). Returns the result,
-    that support (indices into `masks`, ascending) and its integers over
-    one common denominator per side, (d, d x) on the support and (e, e y).
+    that support (indices into `masks`, ascending) and the integers the
+    certificate holds, over its one denominator d: (d, d x) on the support
+    and (d, d y). No common denominator is taken again.
     """
     cols, b, c = _covering_lp(g.n, masks)
     res = _solve_exact(cols, b, c)
-    support = sorted(j for j in res.basis if j < len(masks) and res.x[j])
-    return res, support, _common_denominator([res.x[j] for j in support]), _common_denominator(res.y)
+    support = sorted(j for j, v in res.num.items() if j < len(masks) and v)
+    return res, support, (res.d, [res.num[j] for j in support]), (res.d, res.y_num)
 
 
-def _solve_parts(g: Graph, cap: int | None) -> tuple[Fraction, dict, list]:
-    """chi_f of g, an optimal coloring {mask: weight} and an optimal dual, one entry per vertex.
+def _solve_blocks(g: Graph, cap: int | None) -> tuple[Fraction, int, dict, tuple]:
+    """chi_f of g, an optimal coloring and an optimal dual, on integers (`_merge_blocks`).
 
     On a disjoint union the covering LP splits: chi_f is the largest of the
     parts' chi_f, and the maximal sets of g are the products of the parts'
@@ -501,34 +552,55 @@ def _solve_parts(g: Graph, cap: int | None) -> tuple[Fraction, dict, list]:
     """
     families = _part_families(g, cap)
     masks = [mask for _, family in families for mask in family]
-    return _merge_blocks(g, [part for part, _ in families], masks, *_solve_covering(g, masks))
+    return _merge_blocks(g, [part for part, _ in families], masks, *_solve_covering(g, masks)[1:])
+
+
+def _solve_parts(g: Graph, cap: int | None) -> tuple[Fraction, tuple, list]:
+    """chi_f of g, an optimal coloring (den, {mask: den * weight}) and an optimal dual.
+
+    The dual holds one Fraction per vertex, built here from the integers
+    of `_solve_blocks`, for `fractional_chromatic_dual`.
+    """
+    chi, den, coloring, (e, y) = _solve_blocks(g, cap)
+    return chi, (den, coloring), [Fraction(v, e) for v in y]
 
 
 def _merge_blocks(
-    g: Graph, parts: Sequence[int], masks, res: _LPResult, support: Sequence[int], xs, ys
-) -> tuple[Fraction, dict, list]:
-    """g's chi_f, coloring {mask: weight} and dual from the LP over its parts' families.
+    g: Graph, parts: Sequence[int], masks, support: Sequence[int], xs, ys
+) -> tuple[Fraction, int, dict, tuple]:
+    """g's chi_f, coloring and dual from the LP over its parts' families.
 
     Block i holds the support's sets inside part i, in column order. `xs`
     and `ys` are the integers `_solve_covering` hands over from the answer
-    `_certify_basis` proved: (d, d x) on the support and (e, e y). Every
-    block's x is a coloring of its part and its y a fractional clique, so
-    sum x_i >= chi_f(G_i) >= sum y_i; the two sides have equal totals, so
-    each block is optimal, which is re-checked on those integers. chi_f(g) is the largest block total. The coloring is
+    `_certify_basis` proved: (d, d x) on the support and (e, e y). Returns
+    chi_f, then the coloring as den and {mask: den * weight}, then the dual
+    as (e, e y), all on integers: the public functions build the Fractions
+    of what they return.
+
+    One block, a graph of one part, is returned as it is: the coloring is
+    x on the support, over d, and the dual is y. `_certify_basis` has
+    proved on integers what a merge would re-check of it: that x covers
+    every vertex, and that x and y have the total chi_f. The empty block
+    of the graph with no vertices gives chi_f 0 and no set.
+
+    On several blocks, every block's x is a coloring of its part and its y
+    a fractional clique, so sum x_i >= chi_f(G_i) >= sum y_i; the two sides
+    have equal totals, so each block is optimal, which is re-checked on
+    those integers. chi_f(g) is the largest block total. The coloring is
     the common refinement of the block colorings, each scaled to that
     total, in column order (`_refinement`): each piece is a union of one
-    set per block, so maximal in g. One block is its own refinement, and
-    the empty block of the graph with no vertices gives no piece. The dual
-    is y on the first part that attains the maximum, 0 elsewhere. The
-    merged coloring's coverage and total are re-checked on integers before
-    any Fraction is built. These are the only checks on the returned
-    coloring and dual themselves; the LP answer they come from is proved
-    once, by `_certify_basis`.
+    set per block, so maximal in g. The dual is y on the first part that
+    attains the maximum, 0 elsewhere. The merged coloring's coverage and
+    total are re-checked on integers. These are the only checks on a
+    merged coloring and dual themselves; the LP answer they come from is
+    proved once, by `_certify_basis`.
     """
     d, x = xs
     e, y = ys
     # (mask, d x) per block, in column order
     columns = [(masks[j], xj) for j, xj in zip(support, x)]
+    if len(parts) == 1:
+        return Fraction(sum(x), d), d, dict(columns), ys
     blocks = [[(mask, xj) for mask, xj in columns if mask & part] for part in parts]
     totals = [sum(xj for _, xj in block) for block in blocks]
     for part, total in zip(parts, totals):
@@ -541,14 +613,12 @@ def _merge_blocks(
         [[(mask, xj * (width // total)) for mask, xj in block] for block, total in zip(blocks, totals)]
     )
     lengths = [length for _, length in pieces]
-    cover = _exact_matvec(_incidence([mask for mask, _ in pieces], g.n).T.astype(np.int64), lengths).tolist()
+    cover = _exact_matvec(_incidence([mask for mask, _ in pieces], g.n).T, lengths).tolist()
     if sum(lengths) != width or any(c * top < d * width for c in cover):
         raise InternalError("internal LP error: merged coloring not covering")
-    coloring = {mask: Fraction(k * top, d * width) for mask, k in pieces}
     first = parts[totals.index(top)]
-    zero = Fraction(0)
-    dual = [yv if first >> v & 1 else zero for v, yv in enumerate(res.y)]
-    return Fraction(top, d), coloring, dual
+    dual = [yv if first >> v & 1 else 0 for v, yv in enumerate(y)]
+    return Fraction(top, d), d * width, {mask: k * top for mask, k in pieces}, (e, dual)
 
 
 def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fraction, dict[int, Fraction]]:
@@ -583,19 +653,22 @@ def integralize_cover(fc: FractionalColoring) -> CoverMultiset:
 def b_fold_realization(g: Graph, cap: int | None = None) -> CoverMultiset:
     """An integer cover multiset realizing chi_f exactly (size/fold = chi_f).
 
-    Starts from an optimal basic fractional coloring as integers m = r*x over
-    its common denominator r, which cover every vertex at least r times.
-    Where a vertex is covered more often, it is removed from covering sets in
-    deterministic order (splitting a multiplicity when only part of it must
-    go) until it is covered exactly r times. The total is untouched, so
-    m / gcd(r, m) is a b-fold coloring witnessing chi_f.
+    Starts from the optimal coloring of `fractional_chromatic_number`, as
+    the integers m = r*x over r that `_solve_blocks` returns, which cover
+    every vertex at least r times. Where a vertex is covered more often, it
+    is removed from covering sets in deterministic order, by their sorted
+    members (splitting a multiplicity when only part of it must go), until
+    it is covered exactly r times. Coverage is counted once, on integers
+    (`_exact_matvec`), since shrinking a set at vertex u changes only u's
+    coverage, and a vertex covered exactly r times is skipped. The total is
+    untouched, so m / gcd(r, m) is a b-fold coloring witnessing chi_f.
+    `_from_mask` checks each final set's independence and `CoverMultiset`
+    its coverage.
     """
-    chi, fc = fractional_chromatic_number(g, cap)
-    r, counts = _common_denominator(fc.weights.values())
-    mult = {s.mask: k for s, k in zip(fc.weights, counts)}
-    for v in range(g.n):
-        bit = 1 << v
-        excess = sum(k for m, k in mult.items() if m & bit) - r
+    chi, r, mult, _ = _solve_blocks(g, cap)
+    cover = _exact_matvec(_incidence(list(mult), g.n).T, list(mult.values())).tolist()
+    for v in (v for v in range(g.n) if cover[v] > r):
+        bit, excess = 1 << v, cover[v] - r
         for m in sorted((m for m in mult if m & bit), key=lambda m: tuple(_bits(m))):
             if excess == 0:
                 break

@@ -549,8 +549,11 @@ def _greedy_cover_indices(M: np.ndarray) -> list[int]:
     Repeatedly takes the first set covering the most still-exposed vertices
     (`np.argmax` returns the first maximum). `entropy` starts from this
     cover, and the covering LP from it pruned to a minimal cover
-    (`exactlp._cover_start`). Runs in M's dtype, so an integer M is not
-    copied to floats. Raises InternalError when a vertex lies in no row.
+    (`exactlp._cover_start`). Runs in M's dtype, copying M to no other:
+    both callers pass float64 0/1 matrices, `entropy` its incidence matrix
+    and `exactlp` its LP's set columns, so each product runs on BLAS, and
+    its integer scores are exact. An integer M works the same way.
+    Raises InternalError when a vertex lies in no row.
     """
     remaining = np.ones(M.shape[1], dtype=M.dtype)
     chosen: list[int] = []

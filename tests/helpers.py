@@ -78,6 +78,17 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(offset, edges)
 
 
+def lex_product(g: Graph, f: Graph) -> Graph:
+    """G[F], the lexicographic product: (u, x) ~ (v, y) iff u ~ v, or u = v and x ~ y.
+
+    F substituted into every vertex of G; vertex (u, x) is u * f.n + x.
+    """
+    m = f.n
+    edges = [(u * m + a, u * m + b) for u in range(g.n) for a, b in f.edges]
+    edges += [(u * m + x, v * m + y) for u, v in g.edges for x in range(m) for y in range(m)]
+    return Graph(g.n * m, edges)
+
+
 def mycielski(g: Graph) -> Graph:
     """M(G): g, a shadow n + v of each vertex v adjacent to v's neighbours, and a hub 2n on every shadow."""
     n = g.n

@@ -28,9 +28,19 @@ from gelab.graphs import (
     enumerate_maximal_independent_sets,
     path_graph,
 )
+from gelab.oracle import brute_alpha
 
 import corpus
-from helpers import coverage, kneser, mycielski, petersen, rand_graph, triangle_union, uniform_cover_feasible
+from helpers import (
+    coverage,
+    kneser,
+    lex_product,
+    mycielski,
+    petersen,
+    rand_graph,
+    triangle_union,
+    uniform_cover_feasible,
+)
 
 # a division by zero or a NaN in the float lane fails here instead of
 # passing silently as a cold exact fallback
@@ -1010,3 +1020,98 @@ class TestCoverStart:
         basis = np.arange(len(cols) - len(b), len(cols))
         with pytest.raises(InternalError, match="Binv b < 0"):
             exactlp._simplex(cols, b, c, exact=exact, start=(basis, -np.eye(5, dtype=np.int64)))
+
+
+class TestFloat64Matrix:
+    """The covering LP's float64 matrix: exact products on BLAS, and no float in the exact lane."""
+
+    # 2**53 - 1 = 6361 * 69431 * 20394401 and 2**53 + 1 = 3 * 3002399751580331
+    @pytest.mark.parametrize(
+        "length, entry, tier",
+        [
+            (6361, 69431 * 20394401, np.int64),  # every partial sum below 2**53: float64 on BLAS
+            (3, 3002399751580331, object),  # 2**53 + 1 is not a float64: Python ints
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_exact_matvec_at_the_2_53_edge(self, length, entry, tier, dtype):
+        M = np.ones((2, length), dtype=dtype)
+        M[1, ::2] = -1
+        v = [entry] * length
+        expected = [entry * length, entry * (length // 2 - (length + 1) // 2)]
+        assert expected[0] in (2**53 - 1, 2**53 + 1)
+        res = exactlp._exact_matvec(M, v)
+        assert res.dtype == tier and res.tolist() == expected
+        assert all(type(w) is int for w in res.tolist())
+
+    def test_covering_lp_is_float64(self):
+        cols, b, c = exactlp._covering_lp(5, [s.mask for s in enumerate_maximal_independent_sets(cycle_graph(5))])
+        assert cols.dtype == np.float64 and set(np.unique(cols).tolist()) == {-1.0, 0.0, 1.0}
+        start = exactlp._cover_start(cols, len(b))
+        assert start[1].dtype == np.float64
+
+    @pytest.mark.parametrize("mode", ["wrong-basis", "certify-fails"])
+    def test_exact_lane_computes_in_fractions(self, monkeypatch, mode, corpus7):
+        # every x, y and obj of the exact lane, and every answer certified
+        # from its basis, is a Fraction: no float entered its arithmetic
+        rng = random.Random(2828)
+        graphs = list(corpus7) + [rand_graph(rng, rng.randint(1, 14), rng.random()) for _ in range(300)]
+        exact_calls = TestColdExactFallback.force_fallback(monkeypatch, mode)
+        lane, answers = exactlp._simplex, []
+
+        def simplex(cols, b, c, *, exact, **kwargs):
+            res = lane(cols, b, c, exact=exact, **kwargs)
+            if exact:
+                answers.append(res)
+            return res
+
+        monkeypatch.setattr(exactlp, "_simplex", simplex)
+        for g in graphs:
+            cols, b, c = exactlp._covering_lp(g.n, [m for _, fam in exactlp._part_families(g, None) for m in fam])
+            answers.append(exactlp._solve_exact(cols, b, c))
+        assert len(exact_calls) == len(graphs) and len(answers) == 2 * len(graphs)
+        for res in answers:
+            assert all(type(v) is Fraction for v in res.x + res.y) and type(res.obj) is Fraction
+
+    def test_bareiss_reads_float64_through_int64(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            m = rng.randint(1, 12)
+            M = np.array(TestBareissSolve.random_matrix(rng, m), dtype=np.int64)
+            rhs = [rng.randint(-3, 3) for _ in range(m)]
+            try:
+                expected = exactlp._bareiss_solve(M, rhs)
+            except exactlp._WarmStartFailed:
+                with pytest.raises(exactlp._WarmStartFailed):
+                    exactlp._bareiss_solve(M.astype(np.float64), rhs)
+                continue
+            d, num = exactlp._bareiss_solve(M.astype(np.float64), rhs)
+            assert (d, num) == expected and all(type(v) is int for v in [d, *num])
+
+
+class TestLexProductClosedForms:
+    """G[F]: chi_f(G[F]) = chi_f(G) chi_f(F), alpha(G[F]) = alpha(G) alpha(F), and
+    G[F] is symmetric exactly when G and F both are (Scheinerman & Ullman,
+    *Fractional Graph Theory*, ch. 3)."""
+
+    @pytest.mark.parametrize(
+        "g, f, chi, a",
+        [
+            pytest.param(cycle_graph(7), cycle_graph(7), Fraction(49, 9), 9, id="C7[C7]"),
+            pytest.param(petersen(), cycle_graph(5), Fraction(25, 4), 8, id="Pet[C5]"),
+            pytest.param(cycle_graph(5), cycle_graph(5), Fraction(25, 4), 4, id="C5[C5]"),
+            pytest.param(cycle_graph(5), path_graph(3), Fraction(5), 4, id="C5[P3]"),
+            pytest.param(path_graph(3), cycle_graph(5), Fraction(5), 4, id="P3[C5]"),
+        ],
+    )
+    def test_product_rules(self, g, f, chi, a):
+        gf = lex_product(g, f)
+        assert gf.n == g.n * f.n
+        chi_g, chi_f = fractional_chromatic_number(g)[0], fractional_chromatic_number(f)[0]
+        assert fractional_chromatic_number(gf, cap=gf.n)[0] == chi_g * chi_f == chi
+        assert alpha(gf, cap=gf.n).value == brute_alpha(g) * brute_alpha(f) == a
+        cm = b_fold_realization(gf, cap=gf.n)
+        assert Fraction(cm.size, cm.fold) == chi
+        verdict = is_symmetric(gf, cap=gf.n).is_symmetric
+        assert verdict == (is_symmetric(g).is_symmetric and is_symmetric(f).is_symmetric)
+        assert verdict == (chi == Fraction(gf.n, a))
