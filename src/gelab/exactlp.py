@@ -35,17 +35,19 @@ Every graph is one LP over the concatenation of its parts' families
 (`graphs._parts_of`), never over their product: the LP is block diagonal,
 one block per part, chi_f is its largest block total, and the block
 solutions are merged into the graph's coloring and dual (`_merge_blocks`).
-A graph of one part is one block, the LP's own answer; the graph with no
-vertices is one block with no rows, of total 0. Where the optimum is not
-unique, which optimal coloring, b-fold multiset or dual vector is returned
-depends on the start, the pivoting and the merge; chi_f and every verdict
-do not.
+The one certificate makes every block optimal, by weak duality on each
+block, so no block is proved again. A graph of one part is one block, the
+LP's own answer; the graph with no vertices is one block with no rows, of
+total 0. Where the optimum is not unique, which optimal coloring, b-fold
+multiset or dual vector is returned depends on the start, the pivoting and
+the merge; chi_f and every verdict do not.
 
 The integers `_certify_basis` proves, d x and d y over one denominator d,
-are what the layers below the public functions pass on (`_Certified`,
-`_merge_blocks`): no common denominator is taken again, and a
-`fractions.Fraction` is built only for what a public function returns.
-Every rational at that boundary is a Fraction."""
+are what the layers below the public functions pass on: `_solve_blocks`
+hands the `_Certified` of `_solve_exact` straight to `_merge_blocks`, which
+reads the support, d x and d y off it. No common denominator is taken
+again, and a `fractions.Fraction` is built only for what a public function
+returns. Every rational at that boundary is a Fraction."""
 
 from __future__ import annotations
 
@@ -183,7 +185,7 @@ def _simplex(cols, b, c, *, exact: bool, start, maxiter: int = _MAX_PIVOTS) -> _
 
 
 class _WarmStartFailed(Exception):
-    pass
+    """Not certified (`_rounded`, a singular `_bareiss_solve`, `_certify_basis`): try the next source or lane."""
 
 
 def _bareiss_solve(M, rhs) -> tuple[int, list[int]]:
@@ -496,13 +498,15 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
     own families (`_solve_blocks`, `graphs._parts_of`), never over their
     product, and chi_f is the largest of the parts'. The LP's coloring and
     a matching dual (packing) solution are proved optimal exactly, once, by
-    `_certify_basis`, from either lane; a merged coloring of several parts
-    is checked by `_merge_blocks`. Its sets are wrapped here, the only
-    place they are, and its weights are the only Fractions built, one per
-    set; the coloring is built by `FractionalColoring._trusted`, since
-    those proofs already cover its weights and total. On the graph with
-    no vertices the one maximal set is the empty set, whose LP has no rows
-    and optimum 0, so chi_f is 0 with the empty coloring.
+    `_certify_basis`, from either lane, and that one proof makes every
+    block of the LP optimal; `_merge_blocks` checks only the coverage and
+    total of the coloring it builds from several blocks. Its sets are
+    wrapped here, the only place they are, and its weights are the only
+    Fractions built, one per set; the coloring is built by
+    `FractionalColoring._trusted`, since those proofs already cover its
+    weights and total. On the graph with no vertices the one maximal set
+    is the empty set, whose LP has no rows and optimum 0, so chi_f is 0
+    with the empty coloring.
     """
     chi, den, coloring, _ = _solve_blocks(g, cap)
     weights = (Fraction(k, den) for k in coloring.values())
@@ -522,23 +526,6 @@ def _covering_lp(n: int, masks: Sequence[int]):
     return cols, [1] * n, [1] * len(masks) + [0] * n
 
 
-def _solve_covering(g: Graph, masks: Sequence[int]) -> tuple[_Certified, list[int], tuple, tuple]:
-    """Solve the covering LP over the set bitmasks `masks`, proved by `_solve_exact`.
-
-    The answer, from either lane, is the one `_certify_basis` proved
-    optimal, and nothing here proves it again. Both lanes set x off the
-    basis to zero, so the support of x is read from the basis: the set
-    indices in it with nonzero x (at most n sets). Returns the result,
-    that support (indices into `masks`, ascending) and the integers the
-    certificate holds, over its one denominator d: (d, d x) on the support
-    and (d, d y). No common denominator is taken again.
-    """
-    cols, b, c = _covering_lp(g.n, masks)
-    res = _solve_exact(cols, b, c)
-    support = sorted(j for j, v in res.num.items() if j < len(masks) and v)
-    return res, support, (res.d, [res.num[j] for j in support]), (res.d, res.y_num)
-
-
 def _solve_blocks(g: Graph, cap: int | None) -> tuple[Fraction, int, dict, tuple]:
     """chi_f of g, an optimal coloring and an optimal dual, on integers (`_merge_blocks`).
 
@@ -548,64 +535,46 @@ def _solve_blocks(g: Graph, cap: int | None) -> tuple[Fraction, int, dict, tuple
     LP is solved over the concatenation of the parts' families
     (`_part_families`, bitmasks over g), for every g: one part, several, or
     no vertices at all. The LP has one block per part and its optimum is
-    the sum of their chi_f; `_merge_blocks` turns its solution into g's.
+    the sum of their chi_f. `_solve_exact` proves its answer, and
+    `_merge_blocks` turns that certificate into g's answer.
     """
     families = _part_families(g, cap)
     masks = [mask for _, family in families for mask in family]
-    return _merge_blocks(g, [part for part, _ in families], masks, *_solve_covering(g, masks)[1:])
+    return _merge_blocks(g, [part for part, _ in families], masks, _solve_exact(*_covering_lp(g.n, masks)))
 
 
-def _solve_parts(g: Graph, cap: int | None) -> tuple[Fraction, tuple, list]:
-    """chi_f of g, an optimal coloring (den, {mask: den * weight}) and an optimal dual.
+def _merge_blocks(g: Graph, parts: Sequence[int], masks, res: _Certified) -> tuple[Fraction, int, dict, tuple]:
+    """g's chi_f, coloring and dual from the certified LP over its parts' families.
 
-    The dual holds one Fraction per vertex, built here from the integers
-    of `_solve_blocks`, for `fractional_chromatic_dual`.
-    """
-    chi, den, coloring, (e, y) = _solve_blocks(g, cap)
-    return chi, (den, coloring), [Fraction(v, e) for v in y]
-
-
-def _merge_blocks(
-    g: Graph, parts: Sequence[int], masks, support: Sequence[int], xs, ys
-) -> tuple[Fraction, int, dict, tuple]:
-    """g's chi_f, coloring and dual from the LP over its parts' families.
-
-    Block i holds the support's sets inside part i, in column order. `xs`
-    and `ys` are the integers `_solve_covering` hands over from the answer
-    `_certify_basis` proved: (d, d x) on the support and (e, e y). Returns
-    chi_f, then the coloring as den and {mask: den * weight}, then the dual
-    as (e, e y), all on integers: the public functions build the Fractions
-    of what they return.
+    `res` is the answer `_certify_basis` proved, read as its integers over
+    its one denominator d: the support (the set columns with nonzero d x,
+    ascending), d x on it, and d y. Block i holds the support's sets inside
+    part i, in column order. Returns chi_f, then the coloring as den and
+    {mask: den * weight}, then the dual as (d, d y), all on integers: the
+    public functions build the Fractions of what they return.
 
     One block, a graph of one part, is returned as it is: the coloring is
-    x on the support, over d, and the dual is y. `_certify_basis` has
-    proved on integers what a merge would re-check of it: that x covers
-    every vertex, and that x and y have the total chi_f. The empty block
-    of the graph with no vertices gives chi_f 0 and no set.
+    x on the support, over d, and the dual is y. The empty block of the
+    graph with no vertices gives chi_f 0 and no set.
 
-    On several blocks, every block's x is a coloring of its part and its y
-    a fractional clique, so sum x_i >= chi_f(G_i) >= sum y_i; the two sides
-    have equal totals, so each block is optimal, which is re-checked on
-    those integers. chi_f(g) is the largest block total. The coloring is
-    the common refinement of the block colorings, each scaled to that
-    total, in column order (`_refinement`): each piece is a union of one
-    set per block, so maximal in g. The dual is y on the first part that
-    attains the maximum, 0 elsewhere. The merged coloring's coverage and
-    total are re-checked on integers. These are the only checks on a
-    merged coloring and dual themselves; the LP answer they come from is
-    proved once, by `_certify_basis`.
+    On several blocks, each block is optimal without a further check: block
+    i's x covers every vertex of part i and y packs into every set of part
+    i, so sum x_i >= sum of y over part i, and `_certify_basis` has proved
+    sum x = sum y, so every block's two sides are equal. chi_f(g) is the
+    largest block total. The coloring is the common refinement of the block
+    colorings, each scaled to that total, in column order (`_refinement`):
+    each piece is a union of one set per block, so maximal in g. The dual is
+    y on the first part that attains the maximum, 0 elsewhere. The merged
+    coloring's coverage and total are checked on integers, the only checks
+    on what the merge builds.
     """
-    d, x = xs
-    e, y = ys
-    # (mask, d x) per block, in column order
-    columns = [(masks[j], xj) for j, xj in zip(support, x)]
+    d, y = res.d, res.y_num
+    # (mask, d x) on the support, in column order
+    columns = [(masks[j], res.num[j]) for j in sorted(res.num) if j < len(masks) and res.num[j]]
     if len(parts) == 1:
-        return Fraction(sum(x), d), d, dict(columns), ys
+        return Fraction(res.obj_num, d), d, dict(columns), (d, y)
     blocks = [[(mask, xj) for mask, xj in columns if mask & part] for part in parts]
     totals = [sum(xj for _, xj in block) for block in blocks]
-    for part, total in zip(parts, totals):
-        if total * e != d * sum(y[v] for v in _bits(part)):
-            raise InternalError("internal LP error: a part's coloring and dual differ")
     top = max(totals)
     # every block scaled to total `width`, the stretch of chi_f = top / d
     width = math.lcm(*totals)
@@ -618,7 +587,7 @@ def _merge_blocks(
         raise InternalError("internal LP error: merged coloring not covering")
     first = parts[totals.index(top)]
     dual = [yv if first >> v & 1 else 0 for v, yv in enumerate(y)]
-    return Fraction(top, d), d * width, {mask: k * top for mask, k in pieces}, (e, dual)
+    return Fraction(top, d), d * width, {mask: k * top for mask, k in pieces}, (d, dual)
 
 
 def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fraction, dict[int, Fraction]]:
@@ -628,10 +597,11 @@ def fractional_chromatic_dual(g: Graph, cap: int | None = None) -> tuple[Fractio
     `fractional_chromatic_number`, proved exactly by `_certify_basis`
     (nonnegative, packing-feasible, complementary to the coloring), so its
     value is chi_f. It is the dual on the first part of largest chi_f,
-    which packs into every maximal set of g.
+    which packs into every maximal set of g. `_solve_blocks` hands it over
+    as integers (e, e y), and one Fraction is built here per nonzero entry.
     """
-    chi, _, y = _solve_parts(g, cap)
-    return chi, {v: yv for v, yv in enumerate(y) if yv != 0}
+    chi, _, _, (e, y) = _solve_blocks(g, cap)
+    return chi, {v: Fraction(yv, e) for v, yv in enumerate(y) if yv}
 
 
 def integralize_cover(fc: FractionalColoring) -> CoverMultiset:

@@ -19,7 +19,6 @@ from gelab.characterize import is_entropy_maximizer, is_symmetric
 from gelab.entropy import _minimize, entropy
 from gelab.exactlp import (
     _common_denominator,
-    _solve_covering,
     b_fold_realization,
     fractional_chromatic_dual,
     fractional_chromatic_number,
@@ -60,7 +59,8 @@ UNIONS = [random_union(random.Random(seed)) for seed in range(200)]
 def reference_chi(g: Graph):
     """The covering LP over every maximal set of g: (result, support, family)."""
     family = enumerate_maximal_independent_sets(g)
-    res, support, _, _ = _solve_covering(g, [s.mask for s in family])
+    res = exactlp._solve_exact(*exactlp._covering_lp(g.n, [s.mask for s in family]))
+    support = sorted(j for j, v in res.num.items() if j < len(family) and v)
     return res, support, family
 
 
@@ -232,7 +232,6 @@ def test_one_part_answer_is_the_lp_solution(source, corpus7):
         chi, coloring = fractional_chromatic_number(g)
         assert chi == ref.obj
         assert [(s.mask, w) for s, w in coloring.weights.items()] == [(family[j].mask, ref.x[j]) for j in support]
-        assert exactlp._solve_parts(g, None)[2] == ref.y
         assert fractional_chromatic_dual(g) == (ref.obj, {v: y for v, y in enumerate(ref.y) if y})
 
 
@@ -362,17 +361,24 @@ def test_merged_coloring_is_rechecked(monkeypatch):
     assert len(calls) == 2
 
 
-def test_blocks_are_rechecked_against_their_duals(monkeypatch):
-    # two disjoint edges; columns {0}, {1}, {2}, {3}. Equal totals, but the
-    # first block's coloring sums to 3 and its dual to 2
-    f = Fraction
-
-    def solve(g, sets):
-        x = [f(2), f(1), f(1), f(1)] + [f(0)] * 4
-        y = [f(1), f(1), f(3, 2), f(3, 2)]
-        res = exactlp._LPResult(x=x, y=y, obj=f(5), basis=list(range(4)))
-        return res, [0, 1, 2, 3], _common_denominator(x[:4]), _common_denominator(y)
-
-    monkeypatch.setattr(exactlp, "_solve_covering", solve)
-    with pytest.raises(exactlp.InternalError, match="a part's coloring and dual differ"):
-        fractional_chromatic_number(Graph(4, [(0, 1), (2, 3)]))
+def test_a_non_optimal_block_is_rejected_by_the_one_proof():
+    # C5 + K2, solved as one LP over the parts' families: C5's sets 02 03 13
+    # 24 with vertex 2's surplus, and K2's {5} and {6}. The basis is feasible
+    # (x = 1 on 02, 13, 24, {5}, {6}; surplus 1 at vertex 2) with objective
+    # 5 against the optimum 5/2 + 2. Only the C5 block is not optimal, and
+    # `_certify_basis` alone rejects it: the merge proves no block again.
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])
+    masks = [mask for _, family in graphs_mod._part_families(g, None) for mask in family]
+    cols, b, c = exactlp._covering_lp(g.n, masks)
+    column = {tuple(_bits(mask)): j for j, mask in enumerate(masks)}
+    surplus2 = len(masks) + 2
+    basis = [column[s] for s in [(0, 2), (0, 3), (1, 3), (2, 4), (5,), (6,)]] + [surplus2]
+    x = [Fraction(0)] * len(cols)
+    for j in [column[(0, 2)], column[(1, 3)], column[(2, 4)], column[(5,)], column[(6,)], surplus2]:
+        x[j] = Fraction(1)
+    assert round(abs(np.linalg.det(cols[basis].T))) != 0  # so x is this basis's one solution
+    assert [sum(int(a) * xj for a, xj in zip(cols[:, v], x)) for v in range(g.n)] == b
+    assert sum(cj * xj for cj, xj in zip(c, x)) == 5
+    with pytest.raises(exactlp._WarmStartFailed):
+        exactlp._certify_basis(cols, b, c, basis)
+    assert exactlp._solve_exact(cols, b, c).obj == Fraction(9, 2)
