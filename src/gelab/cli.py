@@ -4,14 +4,18 @@ Subcommands cover every public operation: entropy, chif, symmetric,
 maximizer, gadget, substitute, blowup, union. Graphs are read from
 edge-list or DIMACS files; constructed graphs are emitted as edge lists
 with a comment header documenting the label map, so they re-parse
-identically.
+identically. Both verdicts, symmetric and maximizer, print through one
+renderer (`_verdict`), and every listing of sets, JSON or text, is sorted
+by the sets' members (`_by_members`).
 
 Exit codes: 0 success (and "yes" verdicts), 1 "no" verdicts, 2 parse or
 usage errors, 3 solver non-convergence, 4 enumeration cap or set budget
 exceeded, 5 internal error (a self-check failed or an unexpected exception
 was raised, so no answer is given), 141 (128 + SIGPIPE) standard output was
 closed before the answer was written, so nothing more is printed. The
-environment variable GELAB_CAP overrides the default enumeration cap.
+environment variable GELAB_CAP overrides the default enumeration cap; a
+cap that is negative or not an integer, from --cap or GELAB_CAP, is a
+usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -65,26 +69,44 @@ def _load_distribution(args, g: Graph) -> Distribution:
     return dist
 
 
-def _set_members(s) -> list[int]:
-    return list(s.sorted_members())
+def _by_members(weights: dict) -> list[tuple[tuple[int, ...], object]]:
+    """(members, value) of each set of a set -> value mapping, sorted by members.
+
+    The one order every set listing prints in. A member tuple is written in
+    JSON as a list.
+    """
+    return sorted((s.sorted_members(), w) for s, w in weights.items())
 
 
-def _certificate_json(cm) -> dict:
-    return {
-        "fold": cm.fold,
-        "covered": sorted(cm.covered),
-        "sets": [
-            {"set": _set_members(s), "multiplicity": m}
-            for s, m in sorted(cm.multiplicities.items(), key=lambda kv: _set_members(kv[0]))
-        ],
-    }
+def _set_line(members, value) -> str:
+    return f"  {value} x {{{', '.join(map(str, members))}}}"
 
 
-def _certificate_text(cm) -> str:
-    lines = [f"cover fold: {cm.fold} ({cm.size} sets counted with multiplicity)"]
-    for s, m in sorted(cm.multiplicities.items(), key=lambda kv: _set_members(kv[0])):
-        lines.append(f"  {m} x {{{', '.join(map(str, _set_members(s)))}}}")
-    return "\n".join(lines)
+def _verdict(args, yes: bool, fields: dict, summary: str, cm) -> int:
+    """Print a verdict, the one renderer of `symmetric` and `maximizer`.
+
+    With --json, `fields` (the verdict's own keys, in schema order) and then
+    the cover certificate `cm` (None on a no); otherwise the summary line,
+    then the certificate or, when there is none, the "reason" field if any.
+    Exit 0 on yes, 1 on no.
+    """
+    sets = _by_members(cm.multiplicities) if cm else []
+    if args.json:
+        fields["certificate"] = {
+            "fold": cm.fold,
+            "covered": sorted(cm.covered),
+            "sets": [{"set": s, "multiplicity": m} for s, m in sets],
+        } if cm else None
+        print(json.dumps(fields))
+    else:
+        print(summary)
+        if cm:
+            print(f"cover fold: {cm.fold} ({cm.size} sets counted with multiplicity)")
+            for s, m in sets:
+                print(_set_line(s, m))
+        elif fields.get("reason"):
+            print(f"reason: {fields['reason']}")
+    return EXIT_OK if yes else EXIT_NO
 
 
 def cmd_entropy(args) -> int:
@@ -104,7 +126,7 @@ def cmd_entropy(args) -> int:
             "converged": result.converged,
             "minimizer": {str(v): c for v, c in enumerate(result.minimizer.coords)},
             "decomposition": [
-                {"set": _set_members(s), "weight": w}
+                {"set": s.sorted_members(), "weight": w}
                 for s, w in result.minimizer.decomposition
             ],
         }
@@ -126,64 +148,41 @@ def cmd_entropy(args) -> int:
 def cmd_chif(args) -> int:
     g = _load_graph(args)
     chi, coloring = fractional_chromatic_number(g, cap=args.cap)
+    sets = [(s, format_rational(w)) for s, w in _by_members(coloring.weights)]
     if args.json:
         print(json.dumps({
             "chi_f": format_rational(chi),
             "decimal": float(chi),
-            "coloring": [
-                {"set": _set_members(s), "weight": format_rational(w)}
-                for s, w in sorted(coloring.weights.items(), key=lambda kv: _set_members(kv[0]))
-            ],
+            "coloring": [{"set": s, "weight": w} for s, w in sets],
         }))
     else:
         print(f"chi_f: {format_rational(chi)} (= {float(chi):.6f})")
-        for s, w in sorted(coloring.weights.items(), key=lambda kv: _set_members(kv[0])):
-            print(f"  {format_rational(w)} x {{{', '.join(map(str, _set_members(s)))}}}")
+        for s, w in sets:
+            print(_set_line(s, w))
     return EXIT_OK
 
 
 def cmd_symmetric(args) -> int:
-    g = _load_graph(args)
-    verdict = is_symmetric(g, cap=args.cap)
-    if args.json:
-        print(json.dumps({
-            "symmetric": verdict.is_symmetric,
-            "chi_f": format_rational(verdict.chi_f),
-            "n_over_alpha": format_rational(verdict.n_over_alpha),
-            "certificate": _certificate_json(verdict.certificate)
-            if verdict.certificate else None,
-        }))
-    else:
-        word = "symmetric" if verdict.is_symmetric else "not symmetric"
-        print(f"{word}: chi_f = {format_rational(verdict.chi_f)}, "
-              f"n/alpha = {format_rational(verdict.n_over_alpha)}")
-        if verdict.certificate:
-            print(_certificate_text(verdict.certificate))
-    return EXIT_OK if verdict.is_symmetric else EXIT_NO
+    v = is_symmetric(_load_graph(args), cap=args.cap)
+    chi, n_over_alpha = format_rational(v.chi_f), format_rational(v.n_over_alpha)
+    word = "symmetric" if v.is_symmetric else "not symmetric"
+    return _verdict(
+        args, v.is_symmetric,
+        {"symmetric": v.is_symmetric, "chi_f": chi, "n_over_alpha": n_over_alpha},
+        f"{word}: chi_f = {chi}, n/alpha = {n_over_alpha}", v.certificate,
+    )
 
 
 def cmd_maximizer(args) -> int:
     g = _load_graph(args)
-    p = _load_distribution(args, g)
-    verdict = is_entropy_maximizer(g, p, cap=args.cap)
-    if args.json:
-        print(json.dumps({
-            "maximizer": verdict.is_maximizer,
-            "chi_f_support": format_rational(verdict.chi_f_support),
-            "alpha_p": format_rational(verdict.alpha_p),
-            "reason": verdict.reason,
-            "certificate": _certificate_json(verdict.certificate)
-            if verdict.certificate else None,
-        }))
-    else:
-        word = "maximizer" if verdict.is_maximizer else "not a maximizer"
-        print(f"{word}: chi_f(support) = {format_rational(verdict.chi_f_support)}, "
-              f"alpha_P = {format_rational(verdict.alpha_p)}")
-        if verdict.certificate:
-            print(_certificate_text(verdict.certificate))
-        elif verdict.reason:
-            print(f"reason: {verdict.reason}")
-    return EXIT_OK if verdict.is_maximizer else EXIT_NO
+    v = is_entropy_maximizer(g, _load_distribution(args, g), cap=args.cap)
+    chi, alpha_p = format_rational(v.chi_f_support), format_rational(v.alpha_p)
+    word = "maximizer" if v.is_maximizer else "not a maximizer"
+    return _verdict(
+        args, v.is_maximizer,
+        {"maximizer": v.is_maximizer, "chi_f_support": chi, "alpha_p": alpha_p, "reason": v.reason},
+        f"{word}: chi_f(support) = {chi}, alpha_P = {alpha_p}", v.certificate,
+    )
 
 
 def _emit_graph(args, g: Graph, comments: list[str]) -> int:
@@ -223,8 +222,7 @@ def cmd_blowup(args) -> int:
     blown, spec = blow_up(g, p)
     comments = [f"blow-up with denominator m={spec.m}"]
     comments += [
-        f"v {v} -> copies {spec.block(v).start}..{spec.block(v).stop - 1}"
-        for v in range(g.n)
+        f"v {v} -> copies {b.start}..{b.stop - 1}" for v, b in enumerate(map(spec.block, range(g.n)))
     ]
     return _emit_graph(args, blown, comments)
 

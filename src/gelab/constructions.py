@@ -8,6 +8,8 @@ carried across.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, product
 
 from .errors import InvalidK, NotRational, VertexSetMismatch, ZeroWeightVertex
 from .graphs import Distribution, Graph, _common_denominator
@@ -90,9 +92,14 @@ class BlowupSpec:
         if sum(self.counts) != self.m:
             raise ValueError("counts must sum to the common denominator")
 
+    @cached_property
+    def _starts(self) -> tuple[int, ...]:
+        """First new label of each vertex's copies: one running sum of the counts."""
+        return tuple(accumulate(self.counts[:-1], initial=0))
+
     def block(self, v: int) -> range:
         """New labels of the copies of original vertex v."""
-        start = sum(self.counts[:v])
+        start = self._starts[v]
         return range(start, start + self.counts[v])
 
 
@@ -113,11 +120,8 @@ def blow_up(g: Graph, p: Distribution) -> tuple[Graph, BlowupSpec]:
     if zeros:
         raise ZeroWeightVertex(f"vertices {zeros} have zero weight")
     spec = BlowupSpec(tuple(counts), m)
-    edges = []
-    for u, v in g.edges:
-        for cu in spec.block(u):
-            for cv in spec.block(v):
-                edges.append((cu, cv))
+    blocks = [spec.block(v) for v in range(g.n)]
+    edges = [e for u, v in g.edges for e in product(blocks[u], blocks[v])]
     return Graph(m, edges), spec
 
 

@@ -51,8 +51,8 @@ from .graphs import (
     _common_denominator,
     _greedy_cover_indices,
     _incidence,
+    _lift,
     _refinement,
-    _row_masks,
     _split_families,
     enumerate_maximal_independent_sets,
 )
@@ -358,14 +358,14 @@ def entropy(
     for _, labels, family in split:
         mass = sum(weight[j] for j in labels)
         q_part = np.array([weight[j] / mass for j in labels])
-        M = _incidence([s.mask for s in family], len(labels)).astype(np.float64)
+        masks = [s.mask for s in family]
+        M = _incidence(masks, len(labels)).astype(np.float64)
         lam, a[labels], part_gap, steps = _minimize(q_part, M, tol, max_iter - iterations, k)
         iterations += steps
         gap += mass / total * part_gap
         active = lam.nonzero()[0]  # no step leaves a weight negative
-        lifted = np.zeros((len(active), g.n), dtype=np.uint8)
-        lifted[:, [supp[j] for j in labels]] = M[active]
-        blocks.append(list(zip(_row_masks(lifted), lam[active].tolist())))
+        to_g = [supp[j] for j in labels]
+        blocks.append([(_lift(masks[i], to_g), w) for i, w in zip(active.tolist(), lam[active].tolist())])
 
     # the value is raised by the rounding pad and the gap widened by twice
     # it, so [value - gap, value] holds the exact H and not just the float one

@@ -45,11 +45,25 @@ the sets the family memo holds (`_family_cache`).
 
 
 def resolve_cap(cap: int | None) -> int:
-    """Effective enumeration cap: explicit argument, else GELAB_CAP, else 40."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("GELAB_CAP")
-    return int(env) if env else DEFAULT_CAP
+    """Effective enumeration cap: explicit argument, else GELAB_CAP, else 40.
+
+    Raises ValueError when the argument is negative or GELAB_CAP is not a
+    nonnegative integer: a negative cap would reject every graph as too
+    large.
+    """
+    if cap is None:
+        env = os.environ.get("GELAB_CAP")
+        if not env:
+            return DEFAULT_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = -1  # not an integer: rejected with the negative ones
+        if cap < 0:
+            raise ValueError(f"GELAB_CAP must be a nonnegative integer, got {env!r}")
+    elif cap < 0:
+        raise ValueError(f"enumeration cap must be nonnegative, got {cap}")
+    return cap
 
 
 def _normalize_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -547,23 +561,27 @@ def _greedy_cover_indices(M: np.ndarray) -> list[int]:
     """Indices of rows of the incidence matrix M greedily covering every vertex.
 
     Repeatedly takes the first set covering the most still-exposed vertices
-    (`np.argmax` returns the first maximum). `entropy` starts from this
-    cover, and the covering LP from it pruned to a minimal cover
-    (`exactlp._cover_start`). Runs in M's dtype, copying M to no other:
-    both callers pass float64 0/1 matrices, `entropy` its incidence matrix
-    and `exactlp` its LP's set columns, so each product runs on BLAS, and
-    its integer scores are exact. An integer M works the same way.
-    Raises InternalError when a vertex lies in no row.
+    (`argmax` returns the first maximum); the best score is the number of
+    vertices it covers, so the exposed count is kept as an int. `entropy`
+    starts from this cover, and the covering LP from it pruned to a minimal
+    cover (`exactlp._cover_start`). Runs in M's dtype, copying M to no
+    other: both callers pass float64 0/1 matrices, `entropy` its incidence
+    matrix and `exactlp` its LP's set columns, so each product runs on
+    BLAS, and its integer scores are exact. An integer M works the same
+    way. Raises InternalError when a vertex lies in no row.
     """
     remaining = np.ones(M.shape[1], dtype=M.dtype)
+    exposed = M.shape[1]
     chosen: list[int] = []
-    while remaining.any():
+    while exposed:
         scores = M @ remaining
-        best = int(np.argmax(scores))
-        if not scores[best]:
+        best = int(scores.argmax())
+        covers = int(scores[best])
+        if not covers:
             raise InternalError("greedy cover: a vertex lies in no set")
         chosen.append(best)
         remaining[M[best] > 0] = 0
+        exposed -= covers
     return chosen
 
 

@@ -217,6 +217,48 @@ class TestCommands:
         ]
 
 
+class TestTextOutput:
+    """The text renderings, whole, on graphs whose optimum is unique."""
+
+    @staticmethod
+    def run(capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, out
+
+    def test_chif_c5(self, files, capsys):
+        assert self.run(capsys, ["chif", files("c5", C5)]) == (0, (
+            "chi_f: 5/2 (= 2.500000)\n"
+            "  1/2 x {0, 2}\n  1/2 x {0, 3}\n  1/2 x {1, 3}\n  1/2 x {1, 4}\n  1/2 x {2, 4}\n"
+        ))
+
+    def test_symmetric_yes_c5(self, files, capsys):
+        assert self.run(capsys, ["symmetric", files("c5", C5)]) == (0, (
+            "symmetric: chi_f = 5/2, n/alpha = 5/2\n"
+            "cover fold: 2 (5 sets counted with multiplicity)\n"
+            "  1 x {0, 2}\n  1 x {0, 3}\n  1 x {1, 3}\n  1 x {1, 4}\n  1 x {2, 4}\n"
+        ))
+
+    def test_symmetric_no_p3(self, files, capsys):
+        assert self.run(capsys, ["symmetric", files("p3", P3)]) == (1, "not symmetric: chi_f = 2, n/alpha = 3/2\n")
+
+    def test_maximizer_yes_p3(self, files, capsys):
+        dist = files("d", "0 1/4\n1 1/2\n2 1/4\n")
+        assert self.run(capsys, ["maximizer", files("p3", P3), dist]) == (0, (
+            "maximizer: chi_f(support) = 2, alpha_P = 1/2\n"
+            "cover fold: 1 (2 sets counted with multiplicity)\n"
+            "  1 x {0, 2}\n  1 x {1}\n"
+        ))
+
+    def test_maximizer_no_uniform_p3(self, files, capsys):
+        dist = files("d", "0 1/3\n1 1/3\n2 1/3\n")
+        assert self.run(capsys, ["maximizer", files("p3", P3), dist]) == (1, (
+            "not a maximizer: chi_f(support) = 2, alpha_P = 2/3\n"
+            "reason: NoUniformCover\n"
+        ))
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, files, capsys):
         assert main(["chif", files("bad", "garbage\n")]) == 2
@@ -321,6 +363,24 @@ class TestExitCodes:
         assert main(["chif", c5]) == 7
         monkeypatch.undo()
         assert main(["chif", c5]) == 0
+
+    @pytest.mark.parametrize("command", ["chif", "symmetric", "entropy"])
+    def test_negative_cap_flag_is_2(self, files, capsys, command):
+        # a negative cap would turn every graph into "cap exceeded" (exit 4)
+        assert main([command, files("c5", C5), "--cap", "-1"]) == 2
+        assert "error: enumeration cap must be nonnegative, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", ["-1", "abc"])
+    @pytest.mark.parametrize("command", ["chif", "symmetric", "entropy"])
+    def test_bad_env_cap_is_2(self, files, capsys, monkeypatch, command, env):
+        monkeypatch.setenv("GELAB_CAP", env)
+        assert main([command, files("c5", C5)]) == 2
+        assert f"error: GELAB_CAP must be a nonnegative integer, got '{env}'" in capsys.readouterr().err
+
+    def test_zero_cap_is_a_cap(self, files, capsys):
+        assert main(["chif", files("empty", ""), "--cap", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["chi_f"] == "0"
+        assert main(["chif", files("c5", C5), "--cap", "0"]) == 4
 
     def test_cap_flag_lifts_limit(self, files, capsys):
         k42 = "\n".join(f"{i} {j}" for i in range(42) for j in range(i + 1, 42))

@@ -143,6 +143,20 @@ class TestBlowUp:
         with pytest.raises(ZeroWeightVertex):
             blow_up(complete_graph(2), Distribution([Fraction(1), Fraction(0)]))
 
+    def test_blocks_tile_the_copies_in_vertex_order(self):
+        rng = random.Random(93)
+        for _ in range(20):
+            g = rand_graph(rng, rng.randint(1, 9), 0.5)
+            p = rand_rational_distribution(rng, g.n)
+            blown, spec = blow_up(g, p)
+            blocks = [spec.block(v) for v in range(g.n)]
+            assert [c for b in blocks for c in b] == list(range(spec.m))
+            assert [len(b) for b in blocks] == list(spec.counts)
+            copy_of = {c: v for v, b in enumerate(blocks) for c in b}
+            assert set(blown.edges) == {
+                (a, b) for a in range(spec.m) for b in range(a + 1, spec.m) if g.has_edge(copy_of[a], copy_of[b])
+            }
+
     def test_spec_invariants(self):
         with pytest.raises(ValueError):
             BlowupSpec((0, 2), 2)

@@ -723,3 +723,39 @@ class TestGreedyCover:
         M = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.int64)
         with pytest.raises(InternalError, match="lies in no set"):
             graphs_mod._greedy_cover_indices(M)
+
+    @staticmethod
+    def argmax_rule(M):
+        """Reference rule: np.argmax on every pick, stopping once no vertex is exposed."""
+        remaining = np.ones(M.shape[1], dtype=M.dtype)
+        chosen = []
+        while remaining.any():
+            scores = M @ remaining
+            best = int(np.argmax(scores))
+            chosen.append(best)
+            remaining[M[best] > 0] = 0
+        return chosen
+
+    def test_picks_match_the_argmax_rule(self, corpus7):
+        rng = random.Random(73)
+        graphs = list(corpus7) + [
+            rand_graph(rng, rng.randint(1, 36), rng.choice((0.25, 0.4, 0.5, 0.7))) for _ in range(60)
+        ]
+        for g in graphs:
+            M = _incidence([s.mask for s in enumerate_maximal_independent_sets(g, cap=36)], g.n)
+            for dtype in (np.float64, np.int64):
+                assert graphs_mod._greedy_cover_indices(M.astype(dtype)) == self.argmax_rule(M.astype(dtype))
+
+
+class TestResolveCap:
+    def test_negative_argument_is_rejected(self):
+        with pytest.raises(ValueError, match="enumeration cap must be nonnegative, got -1"):
+            graphs_mod.resolve_cap(-1)
+
+    @pytest.mark.parametrize("env", ["-1", "abc", "4.5"])
+    def test_bad_env_is_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("GELAB_CAP", env)
+        with pytest.raises(ValueError, match="GELAB_CAP must be a nonnegative integer"):
+            graphs_mod.resolve_cap(None)
+        with pytest.raises(ValueError, match="GELAB_CAP"):
+            alpha(cycle_graph(5))
