@@ -19,18 +19,26 @@ unit vector, so B is block triangular: with K the basic sets and T the rows
 whose surplus is not basic, det B = +-det M_TK. A certificate only has to
 be checked on integers, not computed on them (Gleixner, Steffy & Wolter,
 INFORMS J. Computing 2016): d = round(|det M_TK|) comes from one float
-determinant, and d x and d y are the float lane's own x and y, rounded.
+determinant, and d x and d y are the proposing lane's own x and y, rounded.
 Two |K| x |K| Bareiss solves on M_TK and its transpose give those integers
 exactly, over d = |det M_TK|, only when the rounded ones are rejected. The
 basic surpluses and the zero duals of their rows follow directly.
 Feasibility against the full constraint system, nonnegativity, and
 reduced-cost optimality are all checked on those integers, whichever
-source gave them. Only when that certification fails is the LP solved
-again, from the same start, by the same revised simplex in Fractions, with
-Bland's rule, and that lane's basis is certified the same way, by Bareiss.
-So `_certify_basis` proves every LP answer, whichever lane found its
-basis, and nothing proves it again: a bug in the pivoting itself cannot produce a wrong
-answer unnoticed, and an exact-lane basis it rejects raises InternalError.
+source gave them. The float lane only proposes: its basis goes to that
+proof however its pivoting ended, at the optimum, at its pivot limit, or
+at a column no row bounds (a float "unbounded", which a covering LP cannot
+be). Only when the proof rejects that basis is the LP solved again, from
+the same start, by the same revised simplex in Fractions, with Bland's
+rule, and that lane's answer is certified the same way. The exact lane can
+take minutes where the float lane takes milliseconds, so the float lane
+breaks ratio-test ties by its own rule, the largest pivot element, which
+does not stall on the degenerate LPs of the paper's hardness gadget as
+Bland's smallest basis label does. So `_certify_basis` proves every LP
+answer, whichever lane found its basis, and nothing proves it again: a bug
+in the pivoting itself cannot produce a wrong answer unnoticed. An LP's
+InternalError means a bug, never an answer: the exact lane's basis failed
+that proof, or a start failed `_simplex`'s check.
 Every graph is one LP over the concatenation of its parts' families
 (`graphs._parts_of`), never over their product: the LP is block diagonal,
 one block per part, chi_f is its largest block total, and the block
@@ -121,19 +129,24 @@ def _simplex(cols, b, c, *, exact: bool, start, maxiter: int = _MAX_PIVOTS) -> _
     Binv is the inverse of that basis, an array of integers (float64 or
     integer). Before the first pivot, B Binv = I and Binv b >= 0 are
     checked exactly (`_exact_matvec`), and InternalError is raised if
-    either fails. From there a single phase pivots on the real objective.
-    Exact mode pivots by Bland's rule (no cycling) in Fractions, reading
-    `cols` and Binv through int64, so that no float enters them; float mode
-    uses Dantzig pricing (the most negative reduced cost, the first of
-    equals, found by one argmin per pivot) in plain float64 arrays, reading
-    float64 `cols` without a copy, and is only ever used to guess a basis
-    for `_certify_basis`. The basis inverse B^-1
+    either fails; nothing else raises. From there a single phase pivots on
+    the real objective. Exact mode pivots by Bland's rule in Fractions: the
+    first improving column enters, and ratio-test ties leave by the
+    smallest basis label, the leaving rule that Bland's proof of
+    termination needs. It reads `cols` and Binv through int64, so that no float
+    enters them. Float mode uses Dantzig pricing (the most negative reduced
+    cost, the first of equals, found by one argmin per pivot) and breaks
+    ratio-test ties by the largest pivot element u_r, in plain float64
+    arrays, reading float64 `cols` without a copy; it only ever proposes a
+    basis for `_certify_basis`. The basis inverse B^-1
     (m x m) is held explicitly, as in the revised simplex of Dantzig &
     Orchard-Hays (1954). Each pivot prices every column at once as
     c - (c_B B^-1) A, one matvec; forms the entering column B^-1 a_q for
     the ratio test; and updates B^-1 and x_B by a rank-one step. Duals are
-    y = c_B B^-1. At most `maxiter` pivots are taken; InternalError is
-    raised only when one more is needed.
+    y = c_B B^-1. The loop ends at the optimum, after `maxiter` pivots, or
+    at an entering column with no positive entry (unbounded, which a
+    covering LP cannot be), and each returns the basis at hand, its x and
+    its y: whether that basis is optimal is `_certify_basis`'s to decide.
     """
     m = len(b)
     # the exact lane reads integers through int64, then Fractions: Fraction + float is a float
@@ -152,24 +165,19 @@ def _simplex(cols, b, c, *, exact: bool, start, maxiter: int = _MAX_PIVOTS) -> _
     while True:
         y = cost[basis] @ Binv
         red = cost - A @ y
-        if exact:  # Bland: the first improving column
-            neg = (red < 0).nonzero()[0]
-            if not neg.size:
-                break
-            enter = neg[0]
-        else:  # Dantzig: the most negative, the first of equals
-            enter = red.argmin()
-            if red[enter] >= -eps:
-                break
-        if not pivots_left:
-            raise InternalError("simplex pivot limit exhausted")
+        # Bland: the first improving column, the mask's argmax (column 0, not
+        # improving, when none is); Dantzig: the most negative, the first of equals
+        enter = (red < 0).argmax() if exact else red.argmin()
+        if red[enter] >= -eps or not pivots_left:
+            break
         u = Binv @ A[enter]
         rows = (u > eps).nonzero()[0]
-        if not rows.size:
-            raise InternalError("LP unbounded; covering LPs cannot be")
+        if not rows.size:  # unbounded, which a covering LP cannot be
+            break
         ratios = xB[rows] / u[rows]
         tied = rows[ratios == ratios.min()]
-        r = tied[basis[tied].argmin()]  # ties: smallest basis label
+        # ties: Bland's smallest basis label, or the largest pivot element
+        r = tied[basis[tied].argmin()] if exact else tied[u[tied].argmax()]
         # rank-one update of B^-1 and x_B
         p, theta = Binv[r] / u[r], xB[r] / u[r]
         Binv -= u[:, None] * p
@@ -199,7 +207,7 @@ def _bareiss_solve(M, rhs) -> tuple[int, list[int]]:
     outgrows Hadamard's bound on det M (Bareiss, Math. Comp. 1968). Pivots
     are the first nonzero entry at or below the diagonal. Raises
     _WarmStartFailed when M is singular. `_certify_basis` runs it only when
-    the float lane's rounded answer is missing or rejected.
+    the lane's rounded answer is missing or rejected.
     """
     A = [row + [r] for row, r in zip(np.asarray(M, dtype=np.int64).tolist(), rhs)]
     m = len(A)
@@ -256,7 +264,7 @@ def _rounded(M_TK, guess: _LPResult, K, T) -> tuple[int, list[int], list[int]]:
     """d, d x_K and d y_T as ints, rounded from a float answer on the basis.
 
     d is |det M_TK| from one float determinant, rounded; x and y are the
-    float lane's own. Raises _WarmStartFailed when d rounds to 0, or when
+    proposing lane's own, read as floats. Raises _WarmStartFailed when d rounds to 0, or when
     d, d x_K or d y_T is not finite or reaches 2**53, past which a float no
     longer holds every integer. Nothing here is trusted: `_certify_basis`
     checks these ints exactly as it checks Bareiss's.
@@ -284,7 +292,7 @@ def _certify_basis(cols, b, c, basis, guess: _LPResult | None = None) -> _Certif
     M_TK x_K = b_T, and M_TK^T y_T = c_K with y = 0 on S (c is 0 on a
     surplus column); each basic surplus is (M x)_v - b_v. All arithmetic is
     on integers over one common denominator d, as d x_K and d y_T.
-    Those integers come from `guess`, the float lane's answer on this
+    Those integers come from `guess`, the proposing lane's answer on this
     basis, rounded by `_rounded` with d = round(|det M_TK|). Only when
     there is no guess, or the checks below reject its integers, do two
     k x k Bareiss solves on M_TK and its transpose (k = |K|) give them
@@ -384,28 +392,29 @@ def _solve_exact(cols, b, c) -> _Certified:
     """Exact solve of a covering LP: the one proof of every LP answer.
 
     `cols`, `b`, `c` have the `_covering_lp` layout. Both lanes run the one
-    simplex phase from the feasible cover basis of `_cover_start`: the
-    float revised simplex proposes an optimal basis and its x and y, which
-    `_certify_basis` checks rounded to integers before it solves for them
-    exactly. Only when it rejects the basis is the LP solved again in
-    Fractions from the same start. Whichever lane found the basis, its
-    answer is the one `_certify_basis` builds, as its checked integers
-    (`_Certified`), and that certificate proves it optimal; no other check
-    on x, y or obj follows. An exact-lane basis
-    that fails it can only be a bug, and raises InternalError. The float
-    lane's pivot limit also raises InternalError.
+    simplex phase from the feasible cover basis of `_cover_start`, the
+    float lane first, and each hands its basis, x and y to `_certify_basis`
+    as its guess, which it checks rounded to integers before it solves for
+    them exactly. The float lane's pivot limit and a float "unbounded" are
+    no errors: the basis at hand goes to that proof like an optimal one.
+    Only when the proof rejects the float basis is the LP solved again in
+    Fractions from the same start, by Bland's rule. That lane is slow at
+    scale, which is why the float lane keeps its own tie rule (`_simplex`).
+    Whichever lane found the basis, its answer is the one `_certify_basis`
+    builds, as its checked integers (`_Certified`), and that certificate
+    proves it optimal; no other check on x, y or obj follows. InternalError
+    is raised only when the exact lane's basis fails the proof, or when
+    `_simplex` finds the start is not a feasible basis and its inverse:
+    either is a bug.
     """
     start = _cover_start(cols, len(b))
-    guess = _simplex(cols, b, c, exact=False, start=start)
-    try:
-        return _certify_basis(cols, b, c, guess.basis, guess)
-    except _WarmStartFailed:
-        pass
-    cold = _simplex(cols, b, c, exact=True, start=start)
-    try:
-        return _certify_basis(cols, b, c, cold.basis)
-    except _WarmStartFailed:
-        raise InternalError("internal LP error: the exact lane's basis is not optimal") from None
+    for exact in (False, True):
+        guess = _simplex(cols, b, c, exact=exact, start=start)
+        try:
+            return _certify_basis(cols, b, c, guess.basis, guess)
+        except _WarmStartFailed:
+            pass
+    raise InternalError("internal LP error: the exact lane's basis is not optimal")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI behavior: parsing, subcommands, exit codes, JSON schema stability."""
 
+import io
 import json
 import math
 import os
@@ -193,6 +194,15 @@ class TestCommands:
     def test_gadget_json_schema(self, files, capsys):
         assert main(["gadget", files("p3", P3), "--k", "3", "--json"]) == 0
         check_schema(json.loads(capsys.readouterr().out), "graph")
+
+    @pytest.mark.parametrize("m, k, code", [(15, 7, 1), (17, 10, 0)])
+    def test_gadget_piped_to_symmetric(self, files, capsys, monkeypatch, m, k, code):
+        # gelab gadget c.txt --k k | gelab symmetric - --cap 200: symmetric
+        # exactly when alpha(C_m) = m // 2 <= k - 1
+        cycle = "".join(f"{v} {(v + 1) % m}\n" for v in range(m))
+        assert main(["gadget", files("c", cycle), "--k", str(k)]) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["symmetric", "-", "--cap", "200"]) == code
 
     def test_substitute_identity(self, files, capsys):
         assert main(["substitute", files("c5", C5), "2", files("k1", "n 1\n")]) == 0

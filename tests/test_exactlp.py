@@ -9,6 +9,7 @@ import pytest
 
 from gelab import exactlp
 from gelab.characterize import is_symmetric
+from gelab.constructions import GadgetSpec, hardness_gadget
 from gelab.errors import InternalError, NotUniform
 from gelab.exactlp import (
     CoverMultiset,
@@ -143,6 +144,26 @@ class TestColdExactFallback:
         if mode == "certify-fails":
             monkeypatch.setattr(exactlp, "_certify_basis", certify_fails)
         return exact_calls
+
+    def test_capped_float_lane_hands_over_to_the_exact_lane(self, monkeypatch):
+        # one float pivot ends short of the optimum on each: `_certify_basis`
+        # rejects that basis, and the exact lane's is the answer
+        real = exactlp._simplex
+        exact_calls = []
+
+        def simplex(cols, b, c, *, exact, **kwargs):
+            if exact:
+                exact_calls.append(len(b))
+                return real(cols, b, c, exact=True, **kwargs)
+            return real(cols, b, c, exact=False, **{**kwargs, "maxiter": 1})
+
+        monkeypatch.setattr(exactlp, "_simplex", simplex)
+        graphs = [(cycle_graph(5), Fraction(5, 2)), (cycle_graph(7), Fraction(7, 3))]
+        graphs += [(petersen(), Fraction(5, 2)), (kneser(6, 2), Fraction(3))]
+        for g, chi in graphs:
+            lp = exactlp._covering_lp(g.n, [s.mask for s in enumerate_maximal_independent_sets(g)])
+            assert exactlp._solve_exact(*lp).obj == chi
+        assert exact_calls == [g.n for g, _ in graphs]
 
     @pytest.mark.parametrize("mode", ["wrong-basis", "certify-fails"])
     def test_exact_chi_f_and_covering_coloring(self, monkeypatch, mode):
@@ -875,6 +896,52 @@ class TestFloatBasisCertifies:
         assert exact_calls == []
 
 
+def perrin(m: int) -> int:
+    """The number of maximal independent sets of the cycle C_m, m >= 3 (Füredi 1987)."""
+    a, b, c = 3, 0, 2
+    for _ in range(m):
+        a, b, c = b, c, a + b
+    return a
+
+
+class TestHardnessGadgets:
+    """The paper's co-NP-hardness gadget, answered by the float lane alone.
+
+    hardness_gadget(GadgetSpec(F, k)) is symmetric exactly when
+    alpha(F) <= k - 1, and its alpha is max(alpha(F), k - 1). For a cycle F
+    and k >= 3 its maximal sets are the A-vertices, the n_F columns
+    {v} x B, and I x {b} for each maximal I of F.
+    """
+
+    # (F, alpha(F), its maximal-set count where the closed form above holds)
+    BASES = {f"C{m}": (cycle_graph(m), m // 2, perrin(m)) for m in range(5, 18, 2)}
+    BASES.update({"Petersen": (petersen(), 4, None), "K(6,2)": (kneser(6, 2), 5, None)})
+
+    @pytest.mark.parametrize("f, alpha_f, mis_f", BASES.values(), ids=BASES.keys())
+    def test_verdict_alpha_and_sets_for_k_up_to_alpha_plus_2(self, monkeypatch, f, alpha_f, mis_f):
+        real = exactlp._simplex
+        exact_calls = []
+
+        def simplex(cols, b, c, *, exact, **kwargs):
+            if exact:
+                exact_calls.append(len(b))
+            return real(cols, b, c, exact=exact, **kwargs)
+
+        monkeypatch.setattr(exactlp, "_simplex", simplex)
+        for k in range(2, alpha_f + 3):
+            g = hardness_gadget(GadgetSpec(f, k))
+            a = max(alpha_f, k - 1)
+            verdict = is_symmetric(g, cap=200)
+            assert verdict.is_symmetric == (alpha_f <= k - 1), k
+            assert verdict.n_over_alpha == Fraction(g.n, a)
+            if verdict.is_symmetric:
+                assert verdict.chi_f == Fraction(g.n, a)
+            assert alpha(g, cap=200).value == a
+            if mis_f is not None and k >= 3:
+                assert len(enumerate_maximal_independent_sets(g, cap=200)) == 1 + f.n + (k - 1) * mis_f
+        assert exact_calls == []
+
+
 class TestRevisedSimplex:
     """`_simplex`: both lanes agree, the float basis certifies, the edge cases."""
 
@@ -896,13 +963,14 @@ class TestRevisedSimplex:
     def test_float_lane_enters_the_first_most_negative_column(self):
         # min 4x0 + 3x1 + 2x2 + 2x3, x0 + x1 + x2 + x3 = 1, from basis {x0}:
         # reduced costs 0, -1, -2, -2. Dantzig enters x2 (x3 ties, later)
-        # and is optimal after one pivot; Bland enters x1 and needs two.
+        # and is optimal after one pivot; Bland enters x1 and needs two, so
+        # one pivot leaves it at the basis {x1}, which it returns.
         cols = np.ones((4, 1), dtype=np.int64)
         start = (np.array([0]), np.ones((1, 1), dtype=np.int64))
         res = exactlp._simplex(cols, [1], [4, 3, 2, 2], exact=False, maxiter=1, start=start)
         assert res.basis == [2] and res.obj == 2
-        with pytest.raises(InternalError, match="pivot limit"):
-            exactlp._simplex(cols, [1], [4, 3, 2, 2], exact=True, maxiter=1, start=start)
+        res = exactlp._simplex(cols, [1], [4, 3, 2, 2], exact=True, maxiter=1, start=start)
+        assert res.basis == [1] and res.obj == 3
         res = exactlp._simplex(cols, [1], [4, 3, 2, 2], exact=True, maxiter=2, start=start)
         assert res.basis == [2] and res.obj == 2
 
@@ -926,11 +994,35 @@ class TestRevisedSimplex:
         assert exact_calls == []
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_pivot_limit_raises(self, exact):
+    def test_pivot_limit_returns_the_basis_at_hand(self, exact):
+        # C5's cover start keeps 3 sets against chi_f = 5/2, and one pivot
+        # does not reach the optimum: that basis is returned, and rejected
         cols, b, c = self.covering_lp(cycle_graph(5))
         start = exactlp._cover_start(cols, len(b))
-        with pytest.raises(InternalError, match="pivot limit"):
-            exactlp._simplex(cols, b, c, exact=exact, maxiter=1, start=start)
+        res = exactlp._simplex(cols, b, c, exact=exact, maxiter=1, start=start)
+        assert len(res.basis) == len(b) and res.basis != start[0].tolist() and res.obj > Fraction(5, 2)
+        with pytest.raises(exactlp._WarmStartFailed):
+            exactlp._certify_basis(cols, b, c, res.basis, res)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_unbounded_lp_returns_the_basis_at_hand(self, exact):
+        # min -x0 subject to x1 - x0 = 1: x0 enters, and no row bounds it
+        cols = np.array([[-1], [1]], dtype=np.int64)
+        start = (np.array([1]), np.ones((1, 1), dtype=np.int64))
+        res = exactlp._simplex(cols, [1], [-1, 0], exact=exact, start=start)
+        assert res.basis == [1] and res.x == [0, 1] and res.obj == 0
+
+    def test_each_lane_keeps_its_own_tie_rule(self):
+        # min -x3 with x3 = (1, 2, 3) entering the unit basis: the ratios
+        # 1/1, 2/2 and 3/3 tie in all three rows. Row 1 holds the smallest
+        # label, 0, and row 2 the largest pivot element, 3. Bland leaves by
+        # the label, Dantzig by the pivot element, and both are then optimal.
+        cols = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 2, 3]], dtype=np.int64)
+        start = (np.array([1, 0, 2]), np.eye(3, dtype=np.int64))
+        res = exactlp._simplex(cols, [1, 2, 3], [0, 0, 0, -1], exact=True, start=start)
+        assert res.basis == [1, 3, 2] and res.obj == -1
+        res = exactlp._simplex(cols, [1, 2, 3], [0, 0, 0, -1], exact=False, start=start)
+        assert res.basis == [1, 0, 3] and res.obj == -1
 
 
 def complete_multipartite(a: int, parts: int) -> Graph:
