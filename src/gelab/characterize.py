@@ -61,7 +61,9 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
     the optimal fractional coloring covers the support exactly once (see
     the module docstring); lifted back to G (`graphs._lift`) and scaled
     by `integralize_cover` to integers r*x, it is the r-fold cover
-    certificate. That coloring is the merged one of
+    certificate. A full support's subgraph is G itself, and its coloring's
+    sets are G's as they are: only a partial support's are lifted and
+    checked again. That coloring is the merged one of
     `exactlp.fractional_chromatic_number`, one part or several, whose sets
     are maximal.
     """
@@ -81,13 +83,14 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
             certificate=None,
             reason=REASON_NO_UNIFORM_COVER,
         )
-    sets = [IndependentSet._from_mask(g, _lift(s.mask, supp)) for s in coloring.weights]
-    lifted = FractionalColoring._trusted(dict(zip(sets, coloring.weights.values())), coloring.total)
+    if sub is not g:
+        sets = [IndependentSet._from_mask(g, _lift(s.mask, supp)) for s in coloring.weights]
+        coloring = FractionalColoring._trusted(dict(zip(sets, coloring.weights.values())), coloring.total)
     return MaximizerVerdict(
         is_maximizer=True,
         chi_f_support=chi_supp,
         alpha_p=alpha_p,
-        certificate=integralize_cover(lifted),
+        certificate=integralize_cover(coloring),
         reason=None,
     )
 

@@ -12,7 +12,7 @@ always has a feasible basis, so none is searched for. The LP's matrix is
 held once, as float64 (`_covering_lp`): its entries 0, 1 and -1 are exact.
 The float lane reads it as it is; every exact product on it runs through
 BLAS while a float64 provably holds each partial sum, and on Python ints
-past that (`_exact_matvec`); the exact lane and Bareiss read it through
+past that (`graphs._exact_matvec`); the exact lane and Bareiss read it through
 int64, so no float enters their arithmetic. Certification is
 integer arithmetic on the basis's set block. A basic surplus column is a
 unit vector, so B is block triangular: with K the basic sets and T the rows
@@ -73,6 +73,7 @@ from .graphs import (
     IndependentSet,
     _bits,
     _common_denominator,
+    _exact_matvec,
     _greedy_cover_indices,
     _incidence,
     _part_families,
@@ -238,26 +239,6 @@ def _bareiss_solve(M, rhs) -> tuple[int, list[int]]:
     if prev < 0:
         return -prev, [-v for v in num]
     return prev, num
-
-
-def _exact_matvec(M, v) -> np.ndarray:
-    """M @ v exactly, for a matrix M with entries in {-1, 0, 1}, float64 or integer.
-
-    `v` is a vector or matrix of integers: ints, or floats that hold them.
-    Every caller passes such an M: the LP's columns, the cover start's
-    basis, a block of set columns, or the incidence matrix of a coloring.
-    Each product of an entry of M with one of v is then 0 or +-v_j, so
-    every partial sum, added in whatever order BLAS adds them, is an
-    integer of magnitude at most max|v| times the row length. While that
-    bound is below 2**53, a float64 holds each of those integers exactly,
-    so M @ v runs in float64 through BLAS and is returned as int64 (numpy
-    has no BLAS for integers). Past it, the product runs on Python ints,
-    with M read through int64, so that no float enters it.
-    """
-    v = np.asarray(v)
-    if max(int(v.max(initial=0)), -int(v.min(initial=0))) * M.shape[1] < 2**53:
-        return (M @ v.astype(np.float64)).astype(np.int64)
-    return M.astype(np.int64).astype(object) @ v.astype(object)
 
 
 def _rounded(M_TK, guess: _LPResult, K, T) -> tuple[int, list[int], list[int]]:

@@ -40,7 +40,9 @@ cap alone does not bound memory: 13 disjoint triangles (39 vertices) have
 its parts (`_parts_of`), enumerates each part alone, and raises the same
 `CapExceeded` once the product of the parts' family sizes, the size of the
 graph's own family, exceeds the budget (`_split_families`). It also bounds
-the sets the family memo holds (`_family_cache`).
+the sets the family memo holds (`_family_cache`), beside its bound of
+`_MAX_FAMILIES` families, the most recent 32: the reuse measured across
+calls falls almost wholly within them.
 """
 
 
@@ -412,9 +414,12 @@ _REV = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 _LIMB = (1 << 64) - 1
 
 
+_SCAN_ROWS = 4096
+"""Rows of a family scored by one product in `max_weighted_independent_set`."""
+
 _CacheInfo = namedtuple("_CacheInfo", "currsize sets")
 
-_MAX_FAMILIES = 2048
+_MAX_FAMILIES = 32
 
 
 def _family_cache(compute: Callable[[Graph], tuple[int, ...]]):
@@ -423,7 +428,11 @@ def _family_cache(compute: Callable[[Graph], tuple[int, ...]]):
     The memo holds at most `_MAX_FAMILIES` families and at most
     `SET_COUNT_CAP` sets in all, the budget read at each insertion: a family
     may hold up to the budget on its own, so a bound on families alone does
-    not bound memory. A hit moves the family to the most recent end. The
+    not bound memory. The family bound is the measured reuse distance: in
+    the benchmark's workloads (perfbench, seed 1), every family chif-sweep
+    reads again and all but one that entropy-sweep does were read within
+    the last 32 distinct graphs, and a longer-lived memo only kept families
+    no call read again. A hit moves the family to the most recent end. The
     lock guards the bookkeeping only, never `compute`: two threads that miss
     on the same graph both compute it, and the first to finish inserts it.
     A family whose computation raises (`_check_family`, the set budget) is
@@ -546,6 +555,29 @@ def _incidence(masks: Sequence[int], n: int) -> np.ndarray:
     and sorted in.
     """
     return np.unpackbits(_packed(masks, n), axis=1, count=n, bitorder="little")
+
+
+def _exact_matvec(M, v) -> np.ndarray:
+    """M @ v exactly, for a matrix M with entries in {-1, 0, 1}, float64 or integer.
+
+    `v` is a vector or matrix of integers: ints, or floats that hold them.
+    Every caller passes such an M: in `exactlp` the LP's columns, the cover
+    start's basis, a block of set columns, or the incidence matrix of a
+    coloring, and in `max_weighted_independent_set` a block of a family's
+    incidence matrix. Each product of an entry of M with one of v is then 0
+    or +-v_j, so every partial sum, added in whatever order BLAS adds them,
+    is an integer of magnitude at most max|v| times the row length. While
+    that bound is below 2**53, a float64 holds each of those integers
+    exactly, so M @ v runs in float64 through BLAS and is returned as int64
+    (numpy has no BLAS for integers). Past it, the product runs on Python
+    ints, with M read through int64, so that no float enters it. A `v`
+    that is not an array is read as Python objects: numpy would turn a
+    list holding an int in [2**63, 2**64) into float64.
+    """
+    v = v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
+    if max(int(v.max(initial=0)), -int(v.min(initial=0))) * M.shape[1] < 2**53:
+        return (M @ v.astype(np.float64)).astype(np.int64)
+    return M.astype(np.int64).astype(object) @ v.astype(object)
 
 
 def _row_masks(rows: np.ndarray) -> list[int]:
@@ -742,8 +774,9 @@ def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list
 def alpha(g: Graph, cap: int | None = None) -> WeightedAlpha:
     """Maximum independent-set size with a witness.
 
-    The unit-weight case of `max_weighted_independent_set`, so the witness is
-    the first maximum set in enumeration order.
+    The unit-weight case of `max_weighted_independent_set`: each family is
+    scored by one exact product per block of sets, and the witness is the
+    first maximum set in enumeration order.
     """
     if g.n == 0:
         raise ValueError("alpha of the empty graph on 0 vertices is undefined")
@@ -761,7 +794,13 @@ def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = 
     others as integers over their common denominator (`_common_denominator`),
     each float read exactly as `Fraction(float)`. So the value is exact for
     rational weights, and for float weights it is the exact maximum rounded
-    once. The support-induced subgraph is solved part by part
+    once. A part's family is scored `_SCAN_ROWS` sets at a time, by one
+    exact product of the block's incidence matrix with those integers
+    (`_exact_matvec`: float64 on BLAS while max weight times n is below
+    2**53, Python ints past it); `argmax` gives each block's first maximum,
+    and a later block's replaces it only when strictly heavier, so the
+    part's first maximum in enumeration order is kept, as a per-set scan
+    keeps it. The support-induced subgraph is solved part by part
     (`_part_families`): each part's first maximum is taken, and their union
     is the subgraph's own first maximum, because two maximal sets are
     ordered at the first vertex where they differ, and that vertex lies in
@@ -785,14 +824,16 @@ def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = 
         raise ValueError("weights must be finite and nonnegative")
     support = [v for v in range(g.n) if scaled[v] > 0]
     sub = g.induced(support)
-    scaled = [scaled[v] for v in support]
+    scaled = np.array([scaled[v] for v in support], dtype=object)
     best_set = total = 0
     for _, family in _part_families(sub, cap):
-        best_val = best_mask = 0  # G[()]'s empty set weighs 0, any other set more
-        for mask in family:
-            val = sum(scaled[v] for v in _bits(mask))
-            if val > best_val:
-                best_val, best_mask = val, mask
+        best_val = best_mask = -1  # every set weighs at least 0: the first block's maximum is kept
+        for start in range(0, len(family), _SCAN_ROWS):
+            block = family[start : start + _SCAN_ROWS]
+            scores = _exact_matvec(_incidence(block, sub.n), scaled)
+            i = int(scores.argmax())  # the first maximum of the block
+            if scores[i] > best_val:
+                best_val, best_mask = int(scores[i]), block[i]
         best_set |= best_mask
         total += best_val
     if not ints:  # int / int is the exact quotient, rounded once

@@ -19,8 +19,12 @@ from gelab.graphs import (
     Distribution,
     Graph,
     IndependentSet,
+    WeightedAlpha,
     _bits,
+    _common_denominator,
     _incidence,
+    _lift,
+    _part_families,
     enumerate_maximal_independent_sets,
     max_weighted_independent_set,
     resolve_cap,
@@ -385,3 +389,39 @@ def enumerate_maximum_weighted_independent_sets(
 
     walk(0, 0, Fraction(0))
     return [IndependentSet(g, members) for members in sorted(out)]
+
+
+def reference_max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = None) -> WeightedAlpha:
+    """`max_weighted_independent_set` with its scan as a per-set loop, the reference of the blocked scan.
+
+    The same checks, support and part split; each set's weight is summed
+    member by member in Python, and a set replaces the best so far only
+    when strictly heavier, so the witness is the first maximum.
+    """
+    if len(weights) != g.n:
+        raise ValueError("weight vector length differs from vertex count")
+    ints = all(isinstance(w, int) for w in weights)
+    rational = ints or all(isinstance(w, (int, Fraction)) for w in weights)
+    if not rational and any(not 0 <= w < math.inf for w in weights):
+        raise ValueError("weights must be finite and nonnegative")
+    if ints:
+        den, scaled = 1, weights
+    else:
+        den, scaled = _common_denominator(weights if rational else [Fraction(w) for w in weights])
+    if any(w < 0 for w in scaled):
+        raise ValueError("weights must be finite and nonnegative")
+    support = [v for v in range(g.n) if scaled[v] > 0]
+    sub = g.induced(support)
+    scaled = [scaled[v] for v in support]
+    best_set = total = 0
+    for _, family in _part_families(sub, cap):
+        best_val = best_mask = 0
+        for mask in family:
+            val = sum(scaled[v] for v in _bits(mask))
+            if val > best_val:
+                best_val, best_mask = val, mask
+        best_set |= best_mask
+        total += best_val
+    if not ints:
+        total = Fraction(total, den) if rational else total / den
+    return WeightedAlpha(value=total, witness=IndependentSet._from_mask(g, _lift(best_set, support)))

@@ -14,6 +14,7 @@ from gelab.errors import CapExceeded, NotRational
 from gelab.exactlp import b_fold_realization
 from gelab.graphs import (
     Distribution,
+    IndependentSet,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -142,6 +143,41 @@ class TestIsSymmetric:
             sym = is_symmetric(g).is_symmetric
             maxi = is_entropy_maximizer(g, Distribution.uniform(g.n)).is_maximizer
             assert sym == maxi
+
+
+class TestCertificateSets:
+    """A certificate's sets are built once; only a partial support's are lifted to G."""
+
+    def test_petersen_wraps_the_certificate_and_the_witness_only(self, monkeypatch):
+        real = IndependentSet._trusted.__func__
+        wrapped = []
+
+        def counted(cls, graph, masks):
+            wrapped.extend(masks)
+            return real(cls, graph, masks)
+
+        monkeypatch.setattr(IndependentSet, "_trusted", classmethod(counted))
+        g = petersen()
+        v = is_symmetric(g)
+        assert v.is_symmetric and v.certificate.fold == 2
+        # 5 certificate sets, wrapped once, and the alpha witness
+        assert len(v.certificate.multiplicities) == 5 and len(wrapped) == 6
+        assert all(s.graph is g for s in v.certificate.multiplicities)
+
+    def test_corpus7_certificates_verify(self, corpus7):
+        rng = random.Random(58)
+        yes = {"full": 0, "partial": 0}
+        for g in corpus7:
+            uniform = Distribution.uniform(g.n)
+            p = rand_rational_distribution(rng, g.n, strict=False)
+            for p, v in ((uniform, is_symmetric(g)), (p, is_entropy_maximizer(g, p))):
+                cert = v.certificate
+                if cert is None:
+                    continue
+                yes["full" if len(p.support) == g.n else "partial"] += 1
+                assert all(s.graph is g for s in cert.multiplicities)
+                assert verify_certificate(g, p, cert)
+        assert min(yes.values()) >= 20  # sets used as they are, and sets lifted
 
 
 class TestEntropyEqualsLogChiF:

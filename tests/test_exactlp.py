@@ -597,10 +597,11 @@ class TestBareissSolve:
 
 
 @pytest.mark.parametrize(
-    "v", [[5, 7, 11], [2**59, 2**59, 2**59], [2**62, 2**62, -1], [-(2**70), 3, 2**61], [2**62] * 3]
+    "v", [[5, 7, 11], [2**59, 2**59, 2**59], [2**62, 2**62, -1], [-(2**70), 3, 2**61], [2**62] * 3, [2**63, 1, 0]]
 )
 def test_exact_matvec_is_exact_past_int64(v):
-    # entries in {-1, 0, 1}; the all-ones row sums 3 * 2**62 past int64
+    # entries in {-1, 0, 1}; the all-ones row sums 3 * 2**62 past int64, and a
+    # list holding 2**63 is read as ints, where numpy would read it as float64
     M = np.array([[1, -1, 0], [-1, 1, -1], [1, 1, 1]], dtype=np.int64)
     expected = [sum(int(a) * b for a, b in zip(row, v)) for row in M]
     assert exactlp._exact_matvec(M, v).tolist() == expected

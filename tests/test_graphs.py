@@ -39,7 +39,13 @@ from gelab.oracle import (
     brute_maximal_independent_sets,
 )
 
-from helpers import complete_bipartite, enumerate_maximum_weighted_independent_sets, rand_graph, triangle_union
+from helpers import (
+    complete_bipartite,
+    enumerate_maximum_weighted_independent_sets,
+    rand_graph,
+    reference_max_weighted_independent_set,
+    triangle_union,
+)
 
 
 def members(sets):
@@ -509,6 +515,30 @@ class TestFamilyCacheBudget:
         cache(k5)
         assert len(searches) == 6
 
+    def test_evicts_the_least_recent_past_the_family_bound_and_a_hit_reorders(self, monkeypatch):
+        searches = count_calls(monkeypatch, "_maximal_independent_masks")
+        bound = graphs_mod._MAX_FAMILIES
+        graphs = [empty_graph(k) for k in range(1, bound + 3)]  # one set each
+        cache = graphs_mod._maximal_sets_cached
+        for i, g in enumerate(graphs[:bound]):
+            cache(g)
+            assert cache.cache_info() == (i + 1, i + 1)
+        cache(graphs[0])  # a hit: graphs[0] becomes the most recent, graphs[1] the least
+        assert cache.cache_info() == (bound, bound) and len(searches) == bound
+        cache(graphs[bound])  # one family past the bound: graphs[1] goes
+        assert cache.cache_info() == (bound, bound) and len(searches) == bound + 1
+        cache(graphs[0])
+        assert cache.cache_info() == (bound, bound) and len(searches) == bound + 1
+        cache(graphs[1])  # evicted: searched again, and graphs[2] goes
+        assert cache.cache_info() == (bound, bound) and len(searches) == bound + 2
+        cache(graphs[bound + 1])  # graphs[3] goes, the oldest left
+        cache(graphs[0])
+        cache(graphs[1])
+        assert cache.cache_info() == (bound, bound) and len(searches) == bound + 3
+        cache(graphs[2])
+        cache(graphs[3])
+        assert cache.cache_info() == (bound, bound) and len(searches) == bound + 5
+
     def test_budget_is_read_at_each_insertion(self, monkeypatch):
         cache = graphs_mod._maximal_sets_cached
         for k in (3, 4, 5):
@@ -645,6 +675,93 @@ class TestMaxWeighted:
         ]
         best, _ = brute_max_weight(g, w)
         assert max_weighted_independent_set(g, w).value == best
+
+
+def triangle_chain(k: int) -> Graph:
+    """k triangles, each joined to the next by one edge: one part, Fibonacci(2k + 2) maximal sets."""
+    g = triangle_union(k)
+    return Graph(3 * k, list(g.edges) + [(3 * i + 2, 3 * i + 3) for i in range(k - 1)])
+
+
+def weight_vectors(rng: random.Random, n: int) -> dict:
+    """Int, rational and float weights on n vertices, with zeros (a partial support) and ties."""
+    return {
+        "int": [rng.choice([0, 1, 1, 2, 3, 7]) for _ in range(n)],
+        "rational": [Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(n)],
+        "float": [rng.choice([0.0, 0.1, 0.25, 1 / 3, 1.0, rng.random()]) for _ in range(n)],
+    }
+
+
+def assert_same_answer(g, weights):
+    res = max_weighted_independent_set(g, weights)
+    ref = reference_max_weighted_independent_set(g, weights)
+    assert type(res.value) is type(ref.value) and res.value == ref.value
+    assert res.witness == ref.witness
+
+
+class TestBlockedScan:
+    """The blocked scan gives the per-set loop's value, value type and witness."""
+
+    def test_corpus7(self, corpus7):
+        rng = random.Random(32)
+        for g in corpus7:
+            for weights in [[1] * g.n, *weight_vectors(rng, g.n).values()]:
+                assert_same_answer(g, weights)
+
+    def test_random_graphs(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            g = rand_graph(rng, rng.randint(1, 30), rng.random())
+            for weights in weight_vectors(rng, g.n).values():
+                assert_same_answer(g, weights)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_tiny_blocks(self, monkeypatch, rows):
+        monkeypatch.setattr(graphs_mod, "_SCAN_ROWS", rows)
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = rand_graph(rng, rng.randint(1, 12), rng.random())
+            for weights in weight_vectors(rng, g.n).values():
+                assert_same_answer(g, weights)
+
+    def test_first_maximum_past_the_first_block(self):
+        # every maximal set of the chain holds one vertex per triangle; the
+        # sets holding vertex 2 come after all that hold 0 or 1, blocks later
+        g = triangle_chain(10)
+        family = graphs_mod._maximal_sets_cached(g)
+        assert len(family) == 17711 > 4 * graphs_mod._SCAN_ROWS
+        weights = [1, 1, 2] + [1] * (g.n - 3)
+        first = next(i for i, mask in enumerate(family) if mask & 0b100)
+        assert first >= graphs_mod._SCAN_ROWS
+        res = max_weighted_independent_set(g, weights)
+        assert res.value == g.n // 3 + 1 and res.witness.mask == family[first]
+        assert_same_answer(g, weights)
+        # unit weights: every set ties, in every block, and the first one wins
+        assert alpha(g).witness.mask == family[0]
+        for weights in weight_vectors(random.Random(17711), g.n).values():
+            assert_same_answer(g, weights)
+
+    def test_rational_weights_past_the_float64_tier(self, monkeypatch):
+        real = graphs_mod._exact_matvec
+        tiers = []
+
+        def spy(M, v):
+            out = real(M, v)
+            tiers.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(graphs_mod, "_exact_matvec", spy)
+        g = triangle_chain(10)
+        rng = random.Random(53)
+        weights = [Fraction(rng.randint(1, 9), rng.choice([3**40, 5**30, 7])) for _ in range(g.n)]
+        assert max(graphs_mod._common_denominator(weights)[1]) * g.n >= 2**53
+        assert_same_answer(g, weights)
+        assert tiers and all(t == object for t in tiers)
+        # scaled to [2**63, 1]: ints numpy would read as float64
+        tiers.clear()
+        res = max_weighted_independent_set(empty_graph(2), [1, Fraction(1, 2**63)])
+        assert res.value == 1 + Fraction(1, 2**63) and tiers == [object]
+        assert_same_answer(empty_graph(2), [1, Fraction(1, 2**63)])
 
 
 class TestEnumerateMaxWeight:
