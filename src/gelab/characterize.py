@@ -55,9 +55,10 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
 
     Works on the support-induced subgraph G[supp P], with P restricted to
     it: the verdict is chi_f(G[supp P]) * alpha_P == 1 in exact rationals.
-    Both factors split that subgraph into its parts (`graphs._part_families`):
-    chi_f is the largest of the parts' and alpha_P the sum of theirs, and
-    neither is solved over the product of the parts' families. On a yes,
+    Both factors split that subgraph into its parts (`graphs._split_families`)
+    and read each part's family on the part's own labels: chi_f is the
+    largest of the parts' and alpha_P the sum of theirs, and neither is
+    solved over the product of the parts' families. On a yes,
     the optimal fractional coloring covers the support exactly once (see
     the module docstring); lifted back to G (`graphs._lift`) and scaled
     by `integralize_cover` to integers r*x, it is the r-fold cover

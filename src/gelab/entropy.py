@@ -355,7 +355,7 @@ def entropy(
     blocks = []
     gap = 0.0
     iterations = 0
-    for _, labels, family in split:
+    for labels, family in split:
         mass = sum(weight[j] for j in labels)
         q_part = np.array([weight[j] / mass for j in labels])
         masks = [s.mask for s in family]

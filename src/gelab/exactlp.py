@@ -40,9 +40,11 @@ in the pivoting itself cannot produce a wrong answer unnoticed. An LP's
 InternalError means a bug, never an answer: the exact lane's basis failed
 that proof, or a start failed `_simplex`'s check.
 Every graph is one LP over the concatenation of its parts' families
-(`graphs._parts_of`), never over their product: the LP is block diagonal,
-one block per part, chi_f is its largest block total, and the block
-solutions are merged into the graph's coloring and dual (`_merge_blocks`).
+(`graphs._split_families`), never over their product: the LP is block
+diagonal, one block per part, each part's family written on its own labels'
+columns, chi_f is its largest block total, and the block solutions are
+merged into the graph's coloring and dual (`_merge_blocks`), which reads
+the sets it returns off the LP's rows: no set is lifted on this path.
 The one certificate makes every block optimal, by weak duality on each
 block, so no block is proved again. A graph of one part is one block, the
 LP's own answer; the graph with no vertices is one block with no rows, of
@@ -63,6 +65,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,9 +79,10 @@ from .graphs import (
     _exact_matvec,
     _greedy_cover_indices,
     _incidence,
-    _part_families,
+    _maximal_sets_cached,
     _refinement,
     _row_masks,
+    _split_families,
 )
 
 _FLOAT_EPS = 1e-9
@@ -503,17 +507,24 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
     return chi, FractionalColoring._trusted(dict(zip(IndependentSet._trusted(g, coloring), weights)), chi)
 
 
-def _covering_lp(n: int, masks: Sequence[int]):
+def _covering_lp(n: int, split: Sequence[tuple[Sequence[int], Sequence[int]]]):
     """(cols, b, c) of min sum x_S with every vertex covered at least once.
 
-    The columns are the sets (bitmasks), then one surplus column -e_v per
-    vertex. `cols` is float64, held once for both lanes: its entries 0, 1
-    and -1 are exact, the float lane and BLAS read it as it is, and the
-    exact layer reads it through int64 (`_simplex`, `_exact_matvec`,
-    `_bareiss_solve`).
+    `split` is (labels, family) per part, as `graphs._split_families` gives
+    it: the family's bitmasks over the part's own labels, vertex j being
+    labels[j] of the n vertices. The columns are the parts' sets in order,
+    each part's incidence matrix written onto its labels' columns, then one
+    surplus column -e_v per vertex. `cols` is float64, held once for both
+    lanes: its entries 0, 1 and -1 are exact, the float lane and BLAS read
+    it as it is, and the exact layer reads it through int64 (`_simplex`,
+    `_exact_matvec`, `_bareiss_solve`).
     """
-    cols = np.concatenate([_incidence(masks, n), -np.eye(n)])
-    return cols, [1] * n, [1] * len(masks) + [0] * n
+    starts = list(accumulate((len(family) for _, family in split), initial=0))
+    # placed as 0/1 bytes, then cast once: one float64 matrix is allocated
+    sets = np.zeros((starts[-1], n), dtype=np.uint8)
+    for (labels, family), start in zip(split, starts):
+        sets[start : start + len(family), labels] = _incidence(family, len(labels))
+    return np.concatenate([sets, -np.eye(n)]), [1] * n, [1] * starts[-1] + [0] * n
 
 
 def _solve_blocks(g: Graph, cap: int | None) -> tuple[Fraction, int, dict, tuple]:
@@ -523,25 +534,28 @@ def _solve_blocks(g: Graph, cap: int | None) -> tuple[Fraction, int, dict, tuple
     parts' chi_f, and the maximal sets of g are the products of the parts'
     (Scheinerman & Ullman, *Fractional Graph Theory*, 1997, ch. 3). So one
     LP is solved over the concatenation of the parts' families
-    (`_part_families`, bitmasks over g), for every g: one part, several, or
-    no vertices at all. The LP has one block per part and its optimum is
-    the sum of their chi_f. `_solve_exact` proves its answer, and
-    `_merge_blocks` turns that certificate into g's answer.
+    (`graphs._split_families`, each on the part's own labels), for every g:
+    one part, several, or no vertices at all. The LP has one block per part
+    and its optimum is the sum of their chi_f. `_solve_exact` proves its
+    answer, and `_merge_blocks` turns that certificate into g's answer.
     """
-    families = _part_families(g, cap)
-    masks = [mask for _, family in families for mask in family]
-    return _merge_blocks(g, [part for part, _ in families], masks, _solve_exact(*_covering_lp(g.n, masks)))
+    split = _split_families(g, cap, _maximal_sets_cached)
+    cols, b, c = _covering_lp(g.n, split)
+    return _merge_blocks(g, split, cols, _solve_exact(cols, b, c))
 
 
-def _merge_blocks(g: Graph, parts: Sequence[int], masks, res: _Certified) -> tuple[Fraction, int, dict, tuple]:
+def _merge_blocks(g: Graph, split, cols, res: _Certified) -> tuple[Fraction, int, dict, tuple]:
     """g's chi_f, coloring and dual from the certified LP over its parts' families.
 
-    `res` is the answer `_certify_basis` proved, read as its integers over
-    its one denominator d: the support (the set columns with nonzero d x,
-    ascending), d x on it, and d y. Block i holds the support's sets inside
-    part i, in column order. Returns chi_f, then the coloring as den and
-    {mask: den * weight}, then the dual as (d, d y), all on integers: the
-    public functions build the Fractions of what they return.
+    `split` and `cols` are the parts and the LP matrix of `_covering_lp`,
+    and `res` is the answer `_certify_basis` proved, read as its integers
+    over its one denominator d: the support (the set columns with nonzero
+    d x, ascending), d x on it, and d y. The support's sets are read off
+    their rows of `cols` as bitmasks over g (`_row_masks`), so none is
+    lifted. Block i holds the support's columns of part i, in column order.
+    Returns chi_f, then the coloring as den and {mask: den * weight}, then
+    the dual as (d, d y), all on integers: the public functions build the
+    Fractions of what they return.
 
     One block, a graph of one part, is returned as it is: the coloring is
     x on the support, over d, and the dual is y. The empty block of the
@@ -559,11 +573,13 @@ def _merge_blocks(g: Graph, parts: Sequence[int], masks, res: _Certified) -> tup
     on what the merge builds.
     """
     d, y = res.d, res.y_num
+    starts = list(accumulate((len(family) for _, family in split), initial=0))
+    support = [j for j in sorted(res.num) if j < starts[-1] and res.num[j]]
     # (mask, d x) on the support, in column order
-    columns = [(masks[j], res.num[j]) for j in sorted(res.num) if j < len(masks) and res.num[j]]
-    if len(parts) == 1:
+    columns = list(zip(_row_masks(cols[support] > 0), [res.num[j] for j in support]))
+    if len(split) == 1:
         return Fraction(res.obj_num, d), d, dict(columns), (d, y)
-    blocks = [[(mask, xj) for mask, xj in columns if mask & part] for part in parts]
+    blocks = [[c for j, c in zip(support, columns) if lo <= j < hi] for lo, hi in zip(starts, starts[1:])]
     totals = [sum(xj for _, xj in block) for block in blocks]
     top = max(totals)
     # every block scaled to total `width`, the stretch of chi_f = top / d
@@ -575,8 +591,8 @@ def _merge_blocks(g: Graph, parts: Sequence[int], masks, res: _Certified) -> tup
     cover = _exact_matvec(_incidence([mask for mask, _ in pieces], g.n).T, lengths).tolist()
     if sum(lengths) != width or any(c * top < d * width for c in cover):
         raise InternalError("internal LP error: merged coloring not covering")
-    first = parts[totals.index(top)]
-    dual = [yv if first >> v & 1 else 0 for v, yv in enumerate(y)]
+    first = set(split[totals.index(top)][0])
+    dual = [yv if v in first else 0 for v, yv in enumerate(y)]
     return Fraction(top, d), d * width, {mask: k * top for mask, k in pieces}, (d, dual)
 
 

@@ -37,7 +37,8 @@ read its bitmasks, scanned or turned into a matrix (`_incidence`, from the
 same layout); a set is wrapped only when a result returns it. The vertex
 cap alone does not bound memory: 13 disjoint triangles (39 vertices) have
 3**13 = 1.59M maximal independent sets. Every solver splits a graph into
-its parts (`_parts_of`), enumerates each part alone, and raises the same
+its parts (`_parts_of`), enumerates and reads each part alone on its own
+labels, lifts only the sets a result returns, and raises the same
 `CapExceeded` once the product of the parts' family sizes, the size of the
 graph's own family, exceeds the budget (`_split_families`). It also bounds
 the sets the family memo holds (`_family_cache`), beside its bound of
@@ -661,49 +662,37 @@ def _parts_of(g: Graph) -> list[int]:
 
 def _split_families(
     g: Graph, cap: int | None, read: Callable[[Graph], Sequence]
-) -> list[tuple[int, list[int], Sequence]]:
-    """(part, its labels, read(G[part])) for each part of g (`_parts_of`), in order.
+) -> list[tuple[list[int], Sequence]]:
+    """(its labels, read(G[labels])) for each part of g (`_parts_of`), in order.
 
-    The one owner of the set budget across parts. `read` returns a part's
-    maximal sets, as cached masks (`_part_families`) or as the public list
-    (`entropy`), over G[part]'s labels: vertex j of G[part] is labels[j] of
-    g. A single part's G[part] is g itself. The vertex cap is checked on g
-    once. Raises CapExceeded when g has more vertices than the vertex cap,
-    or once the product of the family sizes so far exceeds `SET_COUNT_CAP`,
-    with the message one enumeration of g would raise: that product is g's
-    count.
+    The one form of the split, and the one owner of the set budget across
+    parts. `read` returns a part's maximal sets, as cached masks
+    (`_maximal_sets_cached`) or as the public list (`entropy`), over
+    G[labels]'s own labels: vertex j of G[labels] is labels[j] of g. A
+    single part's G[labels] is g itself (`Graph.induced`). Every solver
+    reads each family on those labels, and only a set a result returns is
+    lifted to g's (`_lift`). The vertex cap is checked on g once. Raises
+    CapExceeded when g has more vertices than the vertex cap, or once the
+    product of the family sizes so far exceeds `SET_COUNT_CAP`, with the
+    message one enumeration of g would raise: that product is g's count.
     """
     _check_vertex_cap(g, cap)
-    parts = _parts_of(g)
     split, count = [], 1
-    for part in parts:
+    for part in _parts_of(g):
         labels = list(_bits(part))
-        family = read(g.induced(labels) if len(parts) > 1 else g)
+        family = read(g.induced(labels))
         count *= len(family)
         if count > SET_COUNT_CAP:
             raise CapExceeded(f"more than {SET_COUNT_CAP} maximal independent sets")
-        split.append((part, labels, family))
+        split.append((labels, family))
     return split
 
 
-def _part_families(g: Graph, cap: int | None) -> list[tuple[int, Sequence[int]]]:
-    """(part, its maximal sets as bitmasks over g) for each part of g (`_parts_of`), in order.
-
-    Solvers read these masks and wrap only the sets a result returns. Each
-    family is read from the memo (`_maximal_sets_cached`) under the checks
-    of `_split_families`: a single part's is g's own, and otherwise each
-    part is enumerated alone, as G[part], its masks lifted to g's labels
-    (`_lift`); no edge leaves a part, so they are independent in g.
-    """
-    split = _split_families(g, cap, _maximal_sets_cached)
-    if len(split) == 1:
-        part, _, family = split[0]
-        return [(part, family)]
-    return [(part, [_lift(mask, labels) for mask in family]) for part, labels, family in split]
-
-
 def _lift(mask: int, labels: Sequence[int]) -> int:
-    """A bitmask over G[labels]'s vertices, relabelled to g's: bit j goes to labels[j]."""
+    """A bitmask over G[labels]'s vertices, relabelled to g's: bit j goes to labels[j].
+
+    Run only on sets a result returns, never on a family a solver reads.
+    """
     lifted = 0
     for j in _bits(mask):
         lifted |= 1 << labels[j]
@@ -764,8 +753,9 @@ def enumerate_maximal_independent_sets(g: Graph, cap: int | None = None) -> list
     family is checked for independence once, in bulk, when it is enumerated
     and cached, so each set is wrapped here without a check of its own
     (`IndependentSet._trusted`). Of the solvers only `entropy` reads this
-    list, once for each part of its support (`_split_families`); the
-    others read the cached masks (`_part_families`).
+    list, once for each part of its support; the others read the cached
+    masks (`_maximal_sets_cached`), through the same split
+    (`_split_families`).
     """
     _check_vertex_cap(g, cap)
     return IndependentSet._trusted(g, _maximal_sets_cached(g))
@@ -801,14 +791,15 @@ def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = 
     and a later block's replaces it only when strictly heavier, so the
     part's first maximum in enumeration order is kept, as a per-set scan
     keeps it. The support-induced subgraph is solved part by part
-    (`_part_families`): each part's first maximum is taken, and their union
-    is the subgraph's own first maximum, because two maximal sets are
-    ordered at the first vertex where they differ, and that vertex lies in
-    one part. All-zero weights (and no weights, on the graph with no
-    vertices) have an empty support, and G[()] has one maximal set, the
-    empty one: the value is 0 of the kind any value of those weights has
-    (int for int weights, Fraction for other rationals, float otherwise),
-    with the empty witness.
+    (`_split_families`), each part's family scored on the part's own labels
+    against its own weights: each part's first maximum is taken, lifted
+    alone (`_lift`), and their union is the subgraph's own first maximum,
+    because two maximal sets are ordered at the first vertex where they
+    differ, and that vertex lies in one part. All-zero weights (and no
+    weights, on the graph with no vertices) have an empty support, and
+    G[()] has one maximal set, the empty one: the value is 0 of the kind
+    any value of those weights has (int for int weights, Fraction for other
+    rationals, float otherwise), with the empty witness.
     """
     if len(weights) != g.n:
         raise ValueError("weight vector length differs from vertex count")
@@ -823,18 +814,18 @@ def max_weighted_independent_set(g: Graph, weights: Sequence, cap: int | None = 
     if any(w < 0 for w in scaled):
         raise ValueError("weights must be finite and nonnegative")
     support = [v for v in range(g.n) if scaled[v] > 0]
-    sub = g.induced(support)
     scaled = np.array([scaled[v] for v in support], dtype=object)
     best_set = total = 0
-    for _, family in _part_families(sub, cap):
+    for labels, family in _split_families(g.induced(support), cap, _maximal_sets_cached):
+        part_scaled = scaled[labels]
         best_val = best_mask = -1  # every set weighs at least 0: the first block's maximum is kept
         for start in range(0, len(family), _SCAN_ROWS):
             block = family[start : start + _SCAN_ROWS]
-            scores = _exact_matvec(_incidence(block, sub.n), scaled)
+            scores = _exact_matvec(_incidence(block, len(labels)), part_scaled)
             i = int(scores.argmax())  # the first maximum of the block
             if scores[i] > best_val:
                 best_val, best_mask = int(scores[i]), block[i]
-        best_set |= best_mask
+        best_set |= _lift(best_mask, labels)
         total += best_val
     if not ints:  # int / int is the exact quotient, rounded once
         total = Fraction(total, den) if rational else total / den

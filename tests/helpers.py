@@ -13,7 +13,7 @@ import numpy as np
 
 from gelab.entropy import _line_search, entropy
 from gelab.errors import CapExceeded, InternalError, NotRational
-from gelab.exactlp import FractionalColoring, _cover_start, _simplex, fractional_chromatic_number
+from gelab.exactlp import FractionalColoring, _cover_start, _covering_lp, _simplex, fractional_chromatic_number
 from gelab.graphs import (
     SET_COUNT_CAP,
     Distribution,
@@ -24,7 +24,8 @@ from gelab.graphs import (
     _common_denominator,
     _incidence,
     _lift,
-    _part_families,
+    _maximal_sets_cached,
+    _split_families,
     enumerate_maximal_independent_sets,
     max_weighted_independent_set,
     resolve_cap,
@@ -395,8 +396,9 @@ def reference_max_weighted_independent_set(g: Graph, weights: Sequence, cap: int
     """`max_weighted_independent_set` with its scan as a per-set loop, the reference of the blocked scan.
 
     The same checks, support and part split; each set's weight is summed
-    member by member in Python, and a set replaces the best so far only
-    when strictly heavier, so the witness is the first maximum.
+    member by member in Python, on the part's own labels, and a set
+    replaces the best so far only when strictly heavier, so the witness is
+    the first maximum.
     """
     if len(weights) != g.n:
         raise ValueError("weight vector length differs from vertex count")
@@ -411,17 +413,38 @@ def reference_max_weighted_independent_set(g: Graph, weights: Sequence, cap: int
     if any(w < 0 for w in scaled):
         raise ValueError("weights must be finite and nonnegative")
     support = [v for v in range(g.n) if scaled[v] > 0]
-    sub = g.induced(support)
     scaled = [scaled[v] for v in support]
     best_set = total = 0
-    for _, family in _part_families(sub, cap):
+    for labels, family in _split_families(g.induced(support), cap, _maximal_sets_cached):
         best_val = best_mask = 0
         for mask in family:
-            val = sum(scaled[v] for v in _bits(mask))
+            val = sum(scaled[labels[j]] for j in _bits(mask))
             if val > best_val:
                 best_val, best_mask = val, mask
-        best_set |= best_mask
+        best_set |= _lift(best_mask, labels)
         total += best_val
     if not ints:
         total = Fraction(total, den) if rational else total / den
     return WeightedAlpha(value=total, witness=IndependentSet._from_mask(g, _lift(best_set, support)))
+
+
+def weight_vectors(rng: random.Random, n: int) -> dict:
+    """Int, rational and float weights on n vertices, with zeros (a partial support) and ties."""
+    return {
+        "int": [rng.choice([0, 1, 1, 2, 3, 7]) for _ in range(n)],
+        "rational": [Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(n)],
+        "float": [rng.choice([0.0, 0.1, 0.25, 1 / 3, 1.0, rng.random()]) for _ in range(n)],
+    }
+
+
+def assert_same_answer(g: Graph, weights: Sequence) -> None:
+    """`max_weighted_independent_set` gives the reference's value, value type and witness."""
+    res = max_weighted_independent_set(g, weights)
+    ref = reference_max_weighted_independent_set(g, weights)
+    assert type(res.value) is type(ref.value) and res.value == ref.value
+    assert res.witness == ref.witness
+
+
+def graph_covering_lp(g: Graph, cap: int | None = None):
+    """(cols, b, c) of g's covering LP as `fractional_chromatic_number` builds it, over its parts' families."""
+    return _covering_lp(g.n, _split_families(g, cap, _maximal_sets_cached))

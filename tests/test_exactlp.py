@@ -34,6 +34,7 @@ from gelab.oracle import brute_alpha
 import corpus
 from helpers import (
     coverage,
+    graph_covering_lp,
     kneser,
     lex_product,
     mycielski,
@@ -161,7 +162,7 @@ class TestColdExactFallback:
         graphs = [(cycle_graph(5), Fraction(5, 2)), (cycle_graph(7), Fraction(7, 3))]
         graphs += [(petersen(), Fraction(5, 2)), (kneser(6, 2), Fraction(3))]
         for g, chi in graphs:
-            lp = exactlp._covering_lp(g.n, [s.mask for s in enumerate_maximal_independent_sets(g)])
+            lp = exactlp._covering_lp(g.n, [(range(g.n), [s.mask for s in enumerate_maximal_independent_sets(g)])])
             assert exactlp._solve_exact(*lp).obj == chi
         assert exact_calls == [g.n for g, _ in graphs]
 
@@ -210,7 +211,7 @@ class TestCoveringProof:
 
     def named(self, g, names):
         """The basis of sets and surpluses `names` in g's covering LP, and its x and y."""
-        cols, b, c = exactlp._covering_lp(g.n, [s.mask for s in enumerate_maximal_independent_sets(g)])
+        cols, b, c = exactlp._covering_lp(g.n, [(range(g.n), [s.mask for s in enumerate_maximal_independent_sets(g)])])
         x, y, _ = TestCertifyBasis.full_reference(cols, b, c, self.columns(cols, g.n, names))
         x = x[: len(cols) - g.n]  # the sets' weights
         coverage = [sum(int(a) * xj for a, xj in zip(cols[:, v], x)) for v in range(g.n)]
@@ -617,7 +618,7 @@ class TestCertifyBasis:
         g = cycle_graph(5)
         sets = enumerate_maximal_independent_sets(g)
         assert [s.sorted_members() for s in sets] == cls.SETS
-        return exactlp._covering_lp(g.n, [s.mask for s in sets])
+        return exactlp._covering_lp(g.n, [(range(g.n), [s.mask for s in sets])])
 
     @classmethod
     def column(cls, name):
@@ -723,7 +724,8 @@ class TestCertifyBasis:
         graphs += [rand_graph(rng, rng.randint(2, 30), rng.random()) for _ in range(300)]
         surplus_read = 0
         for g in graphs:
-            cols, b, c = exactlp._covering_lp(g.n, [s.mask for s in enumerate_maximal_independent_sets(g)])
+            family = [s.mask for s in enumerate_maximal_independent_sets(g)]
+            cols, b, c = exactlp._covering_lp(g.n, [(range(g.n), family)])
             start = exactlp._cover_start(cols, len(b))
             basis = exactlp._simplex(cols, b, c, exact=False, start=start).basis
             res = exactlp._certify_basis(cols, b, c, basis)
@@ -738,7 +740,7 @@ class TestCertifyBasis:
         rng = random.Random(1616)
         graphs = list(corpus7) + [rand_graph(rng, rng.randint(1, 14), rng.random()) for _ in range(300)]
         for g in graphs:
-            cols, b, c = exactlp._covering_lp(g.n, [m for _, fam in exactlp._part_families(g, None) for m in fam])
+            cols, b, c = graph_covering_lp(g)
             cold = exactlp._simplex(cols, b, c, exact=True, start=exactlp._cover_start(cols, len(b)))
             res = exactlp._certify_basis(cols, b, c, cold.basis)
             assert (res.x, res.y, res.obj, res.basis) == (cold.x, cold.y, cold.obj, cold.basis)
@@ -782,7 +784,7 @@ class TestRoundedCertificate:
     def lps(graphs):
         """Each graph's covering LP, (cols, b, c), with the float lane's answer on it."""
         for g in graphs:
-            cols, b, c = exactlp._covering_lp(g.n, [m for _, fam in exactlp._part_families(g, 47) for m in fam])
+            cols, b, c = graph_covering_lp(g, 47)
             yield cols, b, c, exactlp._simplex(cols, b, c, exact=False, start=exactlp._cover_start(cols, len(b)))
 
     @staticmethod
@@ -948,7 +950,7 @@ class TestRevisedSimplex:
 
     @staticmethod
     def covering_lp(g):
-        return exactlp._covering_lp(g.n, [s.mask for s in enumerate_maximal_independent_sets(g)])
+        return exactlp._covering_lp(g.n, [(range(g.n), [s.mask for s in enumerate_maximal_independent_sets(g)])])
 
     def test_lanes_agree_and_float_basis_certifies(self):
         rng = random.Random(1010)
@@ -1037,7 +1039,7 @@ class TestCoverStart:
 
     @staticmethod
     def covering_lp(g):
-        return exactlp._covering_lp(g.n, [s.mask for s in enumerate_maximal_independent_sets(g)])
+        return exactlp._covering_lp(g.n, [(range(g.n), [s.mask for s in enumerate_maximal_independent_sets(g)])])
 
     def check_start(self, g):
         cols, b, c = self.covering_lp(g)
@@ -1138,7 +1140,8 @@ class TestFloat64Matrix:
         assert all(type(w) is int for w in res.tolist())
 
     def test_covering_lp_is_float64(self):
-        cols, b, c = exactlp._covering_lp(5, [s.mask for s in enumerate_maximal_independent_sets(cycle_graph(5))])
+        family = [s.mask for s in enumerate_maximal_independent_sets(cycle_graph(5))]
+        cols, b, c = exactlp._covering_lp(5, [(range(5), family)])
         assert cols.dtype == np.float64 and set(np.unique(cols).tolist()) == {-1.0, 0.0, 1.0}
         start = exactlp._cover_start(cols, len(b))
         assert start[1].dtype == np.float64
@@ -1160,7 +1163,7 @@ class TestFloat64Matrix:
 
         monkeypatch.setattr(exactlp, "_simplex", simplex)
         for g in graphs:
-            cols, b, c = exactlp._covering_lp(g.n, [m for _, fam in exactlp._part_families(g, None) for m in fam])
+            cols, b, c = graph_covering_lp(g)
             answers.append(exactlp._solve_exact(cols, b, c))
         assert len(exact_calls) == len(graphs) and len(answers) == 2 * len(graphs)
         for res in answers:

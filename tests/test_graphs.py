@@ -40,11 +40,12 @@ from gelab.oracle import (
 )
 
 from helpers import (
+    assert_same_answer,
     complete_bipartite,
     enumerate_maximum_weighted_independent_sets,
     rand_graph,
-    reference_max_weighted_independent_set,
     triangle_union,
+    weight_vectors,
 )
 
 
@@ -681,22 +682,6 @@ def triangle_chain(k: int) -> Graph:
     """k triangles, each joined to the next by one edge: one part, Fibonacci(2k + 2) maximal sets."""
     g = triangle_union(k)
     return Graph(3 * k, list(g.edges) + [(3 * i + 2, 3 * i + 3) for i in range(k - 1)])
-
-
-def weight_vectors(rng: random.Random, n: int) -> dict:
-    """Int, rational and float weights on n vertices, with zeros (a partial support) and ties."""
-    return {
-        "int": [rng.choice([0, 1, 1, 2, 3, 7]) for _ in range(n)],
-        "rational": [Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(n)],
-        "float": [rng.choice([0.0, 0.1, 0.25, 1 / 3, 1.0, rng.random()]) for _ in range(n)],
-    }
-
-
-def assert_same_answer(g, weights):
-    res = max_weighted_independent_set(g, weights)
-    ref = reference_max_weighted_independent_set(g, weights)
-    assert type(res.value) is type(ref.value) and res.value == ref.value
-    assert res.witness == ref.witness
 
 
 class TestBlockedScan:

@@ -8,6 +8,7 @@ order, and the entropy loop run on that whole family.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -30,13 +31,25 @@ from gelab.graphs import (
     _incidence,
     _parts_of,
     alpha,
+    complete_graph,
     cycle_graph,
     enumerate_maximal_independent_sets,
     max_weighted_independent_set,
 )
 from gelab.oracle import verify_certificate
 
-from helpers import coverage, petersen, rand_graph, rand_rational_distribution, triangle_union
+from helpers import (
+    assert_same_answer,
+    coverage,
+    disjoint_union,
+    graph_covering_lp,
+    petersen,
+    rand_graph,
+    rand_rational_distribution,
+    reference_max_weighted_independent_set,
+    triangle_union,
+    weight_vectors,
+)
 
 
 def random_union(rng: random.Random) -> Graph:
@@ -59,7 +72,7 @@ UNIONS = [random_union(random.Random(seed)) for seed in range(200)]
 def reference_chi(g: Graph):
     """The covering LP over every maximal set of g: (result, support, family)."""
     family = enumerate_maximal_independent_sets(g)
-    res = exactlp._solve_exact(*exactlp._covering_lp(g.n, [s.mask for s in family]))
+    res = exactlp._solve_exact(*exactlp._covering_lp(g.n, [(range(g.n), [s.mask for s in family])]))
     support = sorted(j for j, v in res.num.items() if j < len(family) and v)
     return res, support, family
 
@@ -343,22 +356,23 @@ def test_vertex_cap_is_on_the_whole_graph():
 
 
 def test_merged_coloring_is_rechecked(monkeypatch):
-    # the LP matrix is built first, then the merged coloring's: a merge that
-    # leaves vertex 0 uncovered must raise
+    # the LP matrix is built first, one triangle's rows at a time on its own
+    # 3 labels, then the merged coloring's on all 6: a merge that leaves
+    # vertex 0 uncovered must raise
     real = exactlp._incidence
     calls = []
 
     def incidence(sets, n):
         rows = real(sets, n)
         calls.append(n)
-        if len(calls) == 2:
+        if n == 6:
             rows[:, 0] = 0
         return rows
 
     monkeypatch.setattr(exactlp, "_incidence", incidence)
     with pytest.raises(exactlp.InternalError, match="merged coloring not covering"):
         fractional_chromatic_number(triangle_union(2))
-    assert len(calls) == 2
+    assert calls == [3, 3, 6]
 
 
 def test_a_non_optimal_block_is_rejected_by_the_one_proof():
@@ -368,8 +382,8 @@ def test_a_non_optimal_block_is_rejected_by_the_one_proof():
     # 5 against the optimum 5/2 + 2. Only the C5 block is not optimal, and
     # `_certify_basis` alone rejects it: the merge proves no block again.
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])
-    masks = [mask for _, family in graphs_mod._part_families(g, None) for mask in family]
-    cols, b, c = exactlp._covering_lp(g.n, masks)
+    cols, b, c = graph_covering_lp(g)
+    masks = graphs_mod._row_masks(cols[: len(cols) - g.n] > 0)
     column = {tuple(_bits(mask)): j for j, mask in enumerate(masks)}
     surplus2 = len(masks) + 2
     basis = [column[s] for s in [(0, 2), (0, 3), (1, 3), (2, 4), (5,), (6,)]] + [surplus2]
@@ -382,3 +396,53 @@ def test_a_non_optimal_block_is_rejected_by_the_one_proof():
     with pytest.raises(exactlp._WarmStartFailed):
         exactlp._certify_basis(cols, b, c, basis)
     assert exactlp._solve_exact(cols, b, c).obj == Fraction(9, 2)
+
+
+def test_only_returned_sets_are_lifted(monkeypatch):
+    # G(20, .3), C5 and K2 side by side, labels shuffled so that the parts
+    # interleave: the solvers read each part's family on its own labels and
+    # lift (`graphs._lift`) only what they return
+    union = disjoint_union(rand_graph(random.Random(4), 20, 0.3), cycle_graph(5), complete_graph(2))
+    label = list(range(union.n))
+    random.Random(27).shuffle(label)
+    g = Graph(union.n, [(label[u], label[v]) for u, v in union.edges])
+    parts = [list(_bits(part)) for part in _parts_of(g)]
+    assert len(parts) >= 3 and all(labels != list(range(labels[0], labels[-1] + 1)) for labels in parts)
+    lifted = []
+    real = graphs_mod._lift
+
+    def lift(mask, labels):
+        lifted.append(mask)
+        return real(mask, labels)
+
+    binders = [m for name, m in list(sys.modules.items()) if name.startswith("gelab") and hasattr(m, "_lift")]
+    assert graphs_mod in binders
+    for module in binders:
+        monkeypatch.setattr(module, "_lift", lift)
+
+    rational = [Fraction(v % 5 + 1, v % 3 + 1) for v in range(g.n)]
+    solvers = [(alpha, [1] * g.n), (lambda g: max_weighted_independent_set(g, rational), rational)]
+    for solve, weights in solvers:
+        ref = reference_max_weighted_independent_set(g, weights)
+        lifted.clear()
+        res = solve(g)
+        assert len(lifted) <= len(parts) + 1  # one winner per part, then the support's
+        assert (res.value, res.witness) == (ref.value, ref.witness)
+
+    lifted.clear()
+    chi, coloring = fractional_chromatic_number(g)
+    cm = b_fold_realization(g)
+    assert lifted == []
+    assert chi == reference_chi(g)[0].obj == Fraction(cm.size, cm.fold)
+    assert all(coverage(coloring, v) >= 1 for v in range(g.n))
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_blocked_scan_per_part(monkeypatch, rows):
+    # each part's family scored against its own labels' weights, across block
+    # boundaries, on graphs whose parts interleave
+    monkeypatch.setattr(graphs_mod, "_SCAN_ROWS", rows)
+    rng = random.Random(rows)
+    for g in UNIONS:
+        for weights in weight_vectors(rng, g.n).values():
+            assert_same_answer(g, weights)
