@@ -319,14 +319,22 @@ class Distribution:
         object.__setattr__(self, "exact", exact)
 
     @classmethod
+    def _trusted(cls, weights: tuple) -> "Distribution":
+        """The exact distribution `weights`, unchecked: a nonempty tuple of nonnegative Fractions summing to 1.
+
+        For weights already proved: `uniform`'s n equal weights, and a
+        distribution file, whose parse (`io.parse_distribution`) is its
+        one check.
+        """
+        p = object.__new__(cls)
+        vars(p).update(weights=weights, exact=True)
+        return p
+
+    @classmethod
     def uniform(cls, n: int) -> "Distribution":
         if n < 1:
             raise ValueError("distribution needs at least one vertex")
-        # n equal weights summing to 1 need no validation
-        p = object.__new__(cls)
-        object.__setattr__(p, "weights", (Fraction(1, n),) * n)
-        object.__setattr__(p, "exact", True)
-        return p
+        return cls._trusted((Fraction(1, n),) * n)
 
     @property
     def n(self) -> int:

@@ -1,10 +1,14 @@
 """Parsing and serialization for graph and distribution files.
 
-Two graph formats: a plain edge list (lines "u v", 0-based labels, '#'
-comments, optional "n <count>" header) and DIMACS ("p edge n m" header with
-1-based "e u v" lines). Distribution files hold lines "v p_v" where p_v is
-a rational "a/b" or a decimal; decimals are expanded exactly (0.25 -> 1/4),
-so parsed distributions are always exact rationals.
+Two graph formats: a plain edge list (lines "u v", 0-based labels, an
+optional "n <count>" header) and DIMACS ("p edge n m" header with 1-based
+"e u v" lines, whole 'c' and '#' comment lines). One header per graph file:
+a second one is a ParseError naming its line. Distribution files hold
+lines "v p_v" where p_v is a rational "a/b" or a decimal; decimals are
+expanded exactly (0.25 -> 1/4), so parsed distributions are always exact
+rationals. Edge lists and distribution files share one line rule
+(`_records`): a '#' starts a comment that runs to the end of the line,
+and a line with no token before it is skipped.
 """
 
 from __future__ import annotations
@@ -39,18 +43,28 @@ def _looks_like_dimacs(text: str) -> bool:
     return False
 
 
+def _records(text: str):
+    """(line number, line, tokens) of each line with a token before any '#'.
+
+    The line rule of the '#'-comment formats, edge lists and distribution
+    files; DIMACS keeps its own rule of whole 'c' and '#' comment lines.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw, tokens
+
+
 def _parse_edge_list(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     declared_n: int | None = None
     max_label = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in _records(text):
         if parts[0] == "n":
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: malformed vertex-count header")
+            if declared_n is not None:
+                raise ParseError(f"line {lineno}: second vertex-count header")
             declared_n = _vertex_count(parts[1], lineno)
             continue
         if len(parts) != 2:
@@ -77,6 +91,8 @@ def _parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) < 4 or parts[1] not in ("edge", "edges", "col"):
                 raise ParseError(f"line {lineno}: malformed DIMACS problem line")
+            if n is not None:
+                raise ParseError(f"line {lineno}: second DIMACS problem line")
             n = _vertex_count(parts[2], lineno)
         elif parts[0] == "e":
             if n is None:
@@ -135,23 +151,24 @@ def parse_distribution(text: str, n: int) -> tuple[Distribution, list[str]]:
     Unlisted vertices get weight zero. Rational entries must sum to exactly
     one; if any entry was written as a decimal and the sum is off, the
     weights are renormalized and a warning is returned.
+
+    The parse is the distribution's one check: each entry's syntax, vertex
+    range, uniqueness and sign, then the exact sum or the renormalization,
+    prove what `Distribution` would check again, so the result is built
+    unchecked (`Distribution._trusted`). Only the listed entries are
+    checked, summed and scaled; the unlisted vertices share one
+    `Fraction(0)`.
     """
-    weights = [Fraction(0)] * n
-    seen: set[int] = set()
+    entries: dict[int, Fraction] = {}
     any_decimal = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in _records(text):
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'v p_v', got {raw!r}")
         v = _int(parts[0], lineno)
         if not 0 <= v < n:
             raise ParseError(f"line {lineno}: vertex {v} outside 0..{n - 1}")
-        if v in seen:
+        if v in entries:
             raise ParseError(f"line {lineno}: duplicate entry for vertex {v}")
-        seen.add(v)
         token = parts[1]
         _check_exponent(token, lineno)
         try:
@@ -162,19 +179,22 @@ def parse_distribution(text: str, n: int) -> tuple[Distribution, list[str]]:
             raise ParseError(f"line {lineno}: negative probability {token}")
         if "." in token or "e" in token.lower():
             any_decimal = True
-        weights[v] = value
-    den, nums = _common_denominator(weights)
+        entries[v] = value
+    den, nums = _common_denominator(entries.values())
     mass = sum(nums)
     warnings: list[str] = []
     if mass == 0:
         raise ParseError("distribution has zero total mass")
     if mass != den:
         if any_decimal:  # w / total is (w * den) / mass
-            weights = [Fraction(k, mass) for k in nums]
+            entries = {v: Fraction(k, mass) for v, k in zip(entries, nums)}
             warnings.append(f"decimal weights summed to {Fraction(mass, den)}; renormalized")
         else:
             raise ParseError(f"rational weights must sum to 1 exactly, got {Fraction(mass, den)}")
-    return Distribution(weights), warnings
+    weights = [Fraction(0)] * n
+    for v, w in entries.items():
+        weights[v] = w
+    return Distribution._trusted(tuple(weights)), warnings
 
 
 def format_rational(x: Fraction) -> str:

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import pathlib
+import random
+import re
 import sys
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ import pytest
 from gelab.cli import main
 from gelab.graphs import Distribution, cycle_graph
 from gelab.io import (
+    _records,
     format_graph,
     parse_distribution,
     parse_graph,
@@ -70,6 +73,29 @@ class TestGraphParsing:
             with pytest.raises(ParseError):
                 parse_graph(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 3\n0 1\nn 6\n", "line 3: second vertex-count header"),
+            ("# c\nn 3 # first\n\nn 3\n0 1\n", "line 4: second vertex-count header"),
+            ("p edge 3 0\ne 1 2\np edge 5 0\n", "line 3: second DIMACS problem line"),
+            ("c x\np edge 3 0\nc y\np col 3 0\n", "line 4: second DIMACS problem line"),
+        ],
+    )
+    def test_second_header_is_rejected(self, text, message):
+        # a later header must not resize the graph behind the edges already read
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_graph(text)
+
+    def test_records_line_rule(self):
+        text = "# only a comment\r\n0 1#x\r\n\r\n   \n\t# indented\n2\t3  # two # hashes\r\n#\n4"
+        assert list(_records(text)) == [
+            (2, "0 1#x", ["0", "1"]),
+            (6, "2\t3  # two # hashes", ["2", "3"]),
+            (8, "4", ["4"]),
+        ]
+        assert list(_records("")) == [] and list(_records("#\n \n")) == []
+
 
     @pytest.mark.parametrize(
         "text, line",
@@ -79,6 +105,66 @@ class TestGraphParsing:
         # no edge at all: the header alone is wrong, and is named as such
         with pytest.raises(ParseError, match=f"^line {line}: negative vertex count -"):
             parse_graph(text)
+
+
+def _dist_case(rng: random.Random):
+    """(text, n, (weights, warning count, error message or None)) of one seeded distribution file.
+
+    Entries are exact rationals or 3-digit decimals over a random part of
+    the n vertices, with trailing and whole-line '#' comments, blank lines
+    and CRLF endings. At most one line carries a defect, so the first error
+    is known: a negative, malformed, duplicate, out-of-range or three-token
+    line. Without one, an off sum of rationals or a zero mass is the error.
+    """
+    n = rng.randint(1, 14)
+    verts = rng.sample(range(n), rng.randint(0, n))
+    decimal = rng.random() < 0.5
+    if decimal:
+        values = [Fraction(rng.randint(0, 999), 1000) for _ in verts]
+        tokens = [f"{float(x):.3f}" for x in values]
+    else:
+        cuts = sorted(rng.randint(0, 60) for _ in verts[1:])
+        values = [Fraction(b - a, 60) for a, b in zip([0, *cuts], [*cuts, 60])][: len(verts)]
+        if values and rng.random() < 0.1:
+            values[0] += Fraction(1, 60)
+        tokens = [str(x) for x in values]
+    lines = []
+    for v, token in zip(verts, tokens):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "   ", "# whole line", "\t#"]))
+        lines.append(f"{v} {token}" + rng.choice(["", "", " # note", "#x"]))
+    weights = [Fraction(0)] * n
+    for v, x in zip(verts, values):
+        weights[v] = x
+    mass, warned, message = sum(values), 0, None
+    defects = [
+        ("x 1/2", "'x' is not an integer"),
+        (f"{n} 0", f"vertex {n} outside 0..{n - 1}"),
+        ("0 1 2", "expected 'v p_v', got '0 1 2'"),
+    ]
+    free = sorted(set(range(n)).difference(verts))
+    if free:  # a vertex of its own, so that no duplicate comes first
+        defects += [(f"{free[0]} -1/2", "negative probability -1/2"), (f"{free[0]} 1/0", "'1/0' is not a probability")]
+    if rng.random() < 0.2:
+        line, error = rng.choice(defects)
+        at = rng.randint(0, len(lines))
+        lines.insert(at, line)
+        message = f"line {at + 1}: {error}"
+    elif verts and rng.random() < 0.05:
+        lines.append(f"{verts[0]} 0")
+        message = f"line {len(lines)}: duplicate entry for vertex {verts[0]}"
+    elif mass == 0:
+        message = "distribution has zero total mass"
+    elif mass != 1 and decimal:
+        weights, warned = [w / mass for w in weights], 1
+    elif mass != 1:
+        message = f"rational weights must sum to 1 exactly, got {mass}"
+    sep = "\r\n" if rng.random() < 0.1 else "\n"
+    return sep.join(lines) + sep, n, (tuple(weights), warned, message)
+
+
+_DIST_RNG = random.Random(34)
+DIST_CORPUS = [_dist_case(_DIST_RNG) for _ in range(600)]
 
 
 class TestDistributionParsing:
@@ -124,6 +210,34 @@ class TestDistributionParsing:
         finally:
             sys.set_int_max_str_digits(limit)
         assert d.weights[0] == Fraction(1, 10**limit + 1)
+
+    def test_point_mass_on_a_million_vertices(self):
+        d, warnings = parse_distribution("0 1", 10**6)
+        assert not warnings and d.exact and d.n == 10**6
+        assert d.weights[0] == 1 and type(d.weights[0]) is Fraction
+        assert all(w is d.weights[1] for w in d.weights[1:]) and d.weights[1] == Fraction(0)
+
+    def test_the_parse_is_the_only_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(Distribution, "__init__", lambda self, weights: calls.append(weights))
+        for text, n, _ in DIST_CORPUS:
+            try:
+                parse_distribution(text, n)
+            except ParseError:
+                pass
+        assert calls == []
+
+    def test_corpus(self):
+        """Each parse equals the checked constructor's, and each defect keeps its message."""
+        for text, n, (expected, warned, message) in DIST_CORPUS:
+            if message is not None:
+                with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                    parse_distribution(text, n)
+                continue
+            d, warnings = parse_distribution(text, n)
+            checked = Distribution(list(d.weights))
+            assert (d.weights, d.exact) == (checked.weights, checked.exact) == (expected, True)
+            assert len(warnings) == warned
 
 
 class TestCommands:
@@ -327,6 +441,23 @@ class TestExitCodes:
         monkeypatch.setattr(Distribution, "uniform", staticmethod(fail))
         assert main(["entropy", files("edgeless", "n 41\n")]) == 4
         assert "graph has 41 vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["n 3\n0 1\nn 6\n", "p edge 3 0\ne 1 2\np edge 5 0\n"])
+    def test_second_header_is_2(self, files, capsys, text):
+        assert main(["symmetric", files("twice", text)]) == 2
+        assert "line 3: second" in capsys.readouterr().err
+
+    def test_vertex_cap_bounds_the_support_with_a_distribution(self, files, capsys, monkeypatch):
+        # 100 vertices, over the default cap of 40, but P lives on the edge 0 1
+        monkeypatch.delenv("GELAB_CAP", raising=False)
+        g, dist = files("g", "n 100\n0 1\n"), files("d", "0 1/2\n1 1/2\n")
+        assert main(["maximizer", g, dist]) == 0
+        assert main(["entropy", g, dist]) == 0
+        capsys.readouterr()
+        # with no distribution the support is every vertex
+        assert main(["symmetric", g]) == 4
+        assert main(["entropy", g]) == 4
+        assert capsys.readouterr().err.count("graph has 100 vertices") == 2
 
     @pytest.mark.parametrize("command", ["entropy", "blowup"])
     def test_zero_vertex_uniform_is_2(self, files, capsys, command):
