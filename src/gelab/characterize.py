@@ -17,11 +17,12 @@ call of `is_entropy_maximizer` with the uniform distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRational
-from .exactlp import CoverMultiset, FractionalColoring, fractional_chromatic_number, integralize_cover
+from .exactlp import CoverMultiset, fractional_chromatic_number
 from .graphs import (
     Distribution, Graph, IndependentSet, _check_vertex_cap, _lift, max_weighted_independent_set
 )
@@ -61,10 +62,14 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
     solved over the product of the parts' families. On a yes,
     the optimal fractional coloring covers the support exactly once (see
     the module docstring); lifted back to G (`graphs._lift`) and scaled
-    by `integralize_cover` to integers r*x, it is the r-fold cover
-    certificate. A full support's subgraph is G itself, and its coloring's
-    sets are G's as they are: only a partial support's are lifted and
-    checked again. That coloring is the merged one of
+    to integers r*x, it is the r-fold cover certificate. The integers are
+    the LP's own, den*x over den, which the coloring keeps: with
+    c = gcd(den, every den*x_T), the multiplicities are den*x_T / c and
+    the fold is r = den / c, the common denominator of x, so no common
+    denominator is taken again; `CoverMultiset` checks the coverage. A
+    full support's subgraph is G itself, and its coloring's sets are G's
+    as they are: only a partial support's are lifted and checked again.
+    That coloring is the merged one of
     `exactlp.fractional_chromatic_number`, one part or several, whose sets
     are maximal.
     """
@@ -84,14 +89,17 @@ def is_entropy_maximizer(g: Graph, p: Distribution, cap: int | None = None) -> M
             certificate=None,
             reason=REASON_NO_UNIFORM_COVER,
         )
+    sets = coloring.weights
     if sub is not g:
-        sets = [IndependentSet._from_mask(g, _lift(s.mask, supp)) for s in coloring.weights]
-        coloring = FractionalColoring._trusted(dict(zip(sets, coloring.weights.values())), coloring.total)
+        sets = [IndependentSet._from_mask(g, _lift(s.mask, supp)) for s in sets]
+    den, counts = coloring._integers
+    scale = math.gcd(den, *counts)
+    certificate = CoverMultiset({s: k // scale for s, k in zip(sets, counts)}, den // scale, supp)
     return MaximizerVerdict(
         is_maximizer=True,
         chi_f_support=chi_supp,
         alpha_p=alpha_p,
-        certificate=integralize_cover(coloring),
+        certificate=certificate,
         reason=None,
     )
 

@@ -16,7 +16,11 @@ is minimized over its own maximal independent sets, never over their
 product. On each part, each iteration makes one full scan of every
 maximal independent set of the part (the oracle and the gap) and then one
 step: a Newton step on the face spanned by the active sets plus the
-oracle's set. This is simplicial decomposition
+oracle's set. The Newton system is reduced to the plane where the mixture
+weights keep their sum and solved there, after a Cholesky factorization
+has shown it full rank; a rank-deficient face (its sets affinely
+dependent) is solved by least squares on the bordered system instead.
+This is simplicial decomposition
 (Von Hohenbalken, Math. Programming 1977) with a single Newton step per
 round on the mixture weights: on a face the objective is a log-likelihood
 over mixture weights, which Newton's method minimizes in a few steps (Wang,
@@ -58,6 +62,7 @@ from .graphs import (
 )
 
 _LN2 = math.log(2)
+_EPS = float(np.finfo(np.float64).eps)
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10**6
 
@@ -213,11 +218,19 @@ def _face_newton_step(
 ) -> np.ndarray:
     """One Newton step on the face of the active atoms and `enter`; returns the new a.
 
-    On a face F of atoms the objective f(lam) = -sum q*ln(lam @ M) has
-    gradient -M_F @ (q/a) and Hessian M_F diag(q/a^2) M_F^T. The step solves
-    the KKT system of that quadratic model on {sum_F lam = 1} by least
-    squares (faces are often affinely dependent, so the system is singular;
-    the a-space direction is unique all the same). F is the active atoms W
+    On a face F of w atoms the objective f(lam) = -sum q*ln(lam @ M) has
+    gradient -M_F @ (q/a) and Hessian R R^T, with R = M_F diag(sqrt(q)/a).
+    The step minimizes that quadratic model on {sum_F lam = 1}. Written as
+    step = (t, -sum t), the model reduces to the (w-1)-square system
+    (D D^T) t = D sqrt(q), D = R[:-1] - R[-1]. The face counts as full rank
+    when D D^T has a Cholesky factor whose smallest pivot squared exceeds
+    eps * w * its largest diagonal entry, the scale of the rcond cutoff of
+    least squares; the factorization is that test, and the system it
+    passes is then solved by `np.linalg.solve`, which costs less than the
+    two triangular solves on the factor. Any other face (faces are often
+    affinely dependent, so the system is singular; the a-space direction
+    is unique all the same) solves the bordered (w+1)-square KKT system by
+    least squares. F is the active atoms W
     (lam > 0) plus `enter` when it is given with zero weight; if the entering
     atom's Newton component comes out <= 0 it cannot gain weight, and the
     step is the same rule on W alone. The step length is the exact
@@ -227,7 +240,9 @@ def _face_newton_step(
     `a` itself when the step does not move. Faces hold at most a few dozen
     atoms, so each array call costs about a microsecond whatever its size
     and the step is written with as few as its formulas allow; its floats
-    are those of the one-call-per-formula form kept in `tests/helpers.py`.
+    are those of the one-call-per-formula references in `tests/helpers.py`:
+    the Cholesky rule's, and the least-squares rule's, kept as it was, on
+    a step whose every face is rank-deficient.
     """
     face = lam.nonzero()[0]
     entering = enter is not None and not lam[enter]
@@ -235,14 +250,28 @@ def _face_newton_step(
         face = np.concatenate((face, (enter,)))
     m_w = M[face]
     w = len(face)
-    root = m_w * (np.sqrt(q) / a)
-    kkt = np.ones((w + 1, w + 1))
-    kkt[:w, :w] = root @ root.T
-    kkt[w, w] = 0.0
-    rhs = np.zeros(w + 1)
-    rhs[:w] = m_w @ (q / a)
-    step = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:w]
-    step -= step.sum() / w  # sum(step) = 0 to rounding: keep a on the polytope
+    sqrt_q = np.sqrt(q)
+    root = m_w * (sqrt_q / a)
+    # the system reduced to sum(step) = 0, with step = (t, -sum t)
+    d = root[:-1] - root[-1]
+    gram = d @ d.T
+    try:
+        pivots = np.linalg.cholesky(gram).diagonal()
+        full_rank = pivots.min(initial=math.inf) ** 2 > _EPS * w * gram.diagonal().max(initial=0.0)
+    except np.linalg.LinAlgError:
+        full_rank = False
+    if full_rank:
+        step = np.empty(w)
+        step[:-1] = np.linalg.solve(gram, d @ sqrt_q)
+        step[-1] = -step[:-1].sum()
+    else:
+        kkt = np.ones((w + 1, w + 1))
+        kkt[:w, :w] = root @ root.T
+        kkt[w, w] = 0.0
+        rhs = np.zeros(w + 1)
+        rhs[:w] = m_w @ (q / a)
+        step = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:w]
+        step -= step.sum() / w  # sum(step) = 0 to rounding: keep a on the polytope
     if entering and step[-1] <= 0.0:
         return _face_newton_step(q, M, lam, a)
     shrinking = step < 0.0

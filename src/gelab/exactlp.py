@@ -430,10 +430,15 @@ class FractionalColoring:
         vars(self).update(weights=weights, total=Fraction(sum(nums), den))
 
     @classmethod
-    def _trusted(cls, weights: dict, total: Fraction) -> "FractionalColoring":
-        """The coloring with `weights`, unchecked: each a positive Fraction, and `total` their sum."""
+    def _trusted(cls, weights: dict, total: Fraction, integers: tuple) -> "FractionalColoring":
+        """The coloring with `weights`, unchecked: each a positive Fraction, and `total` their sum.
+
+        `integers` is (den, counts), the LP's own integers: weight i is
+        counts[i] / den, in the order of `weights`. The verdict's
+        certificate is built from them (`characterize.is_entropy_maximizer`).
+        """
         fc = object.__new__(cls)
-        vars(fc).update(weights=weights, total=total)
+        vars(fc).update(weights=weights, total=total, _integers=integers)
         return fc
 
     def covered_vertices(self) -> frozenset[int]:
@@ -498,13 +503,14 @@ def fractional_chromatic_number(g: Graph, cap: int | None = None) -> tuple[Fract
     wrapped here, the only place they are, and its weights are the only
     Fractions built, one per set; the coloring is built by
     `FractionalColoring._trusted`, since those proofs already cover its
-    weights and total. On the graph with no vertices the one maximal set
-    is the empty set, whose LP has no rows and optimum 0, so chi_f is 0
-    with the empty coloring.
+    weights and total, and it keeps the LP's integers they came from. On
+    the graph with no vertices the one maximal set is the empty set, whose
+    LP has no rows and optimum 0, so chi_f is 0 with the empty coloring.
     """
     chi, den, coloring, _ = _solve_blocks(g, cap)
-    weights = (Fraction(k, den) for k in coloring.values())
-    return chi, FractionalColoring._trusted(dict(zip(IndependentSet._trusted(g, coloring), weights)), chi)
+    counts = tuple(coloring.values())
+    weights = dict(zip(IndependentSet._trusted(g, coloring), (Fraction(k, den) for k in counts)))
+    return chi, FractionalColoring._trusted(weights, chi, (den, counts))
 
 
 def _covering_lp(n: int, split: Sequence[tuple[Sequence[int], Sequence[int]]]):

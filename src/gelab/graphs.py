@@ -319,29 +319,35 @@ class Distribution:
         object.__setattr__(self, "exact", exact)
 
     @classmethod
-    def _trusted(cls, weights: tuple) -> "Distribution":
+    def _trusted(cls, weights: tuple, support: Sequence[int]) -> "Distribution":
         """The exact distribution `weights`, unchecked: a nonempty tuple of nonnegative Fractions summing to 1.
 
         For weights already proved: `uniform`'s n equal weights, and a
         distribution file, whose parse (`io.parse_distribution`) is its
-        one check.
+        one check. `support` is the ascending labels of the nonzero
+        weights, which the caller knows without a scan of all n.
         """
         p = object.__new__(cls)
-        vars(p).update(weights=weights, exact=True)
+        vars(p).update(weights=weights, exact=True, support=support)
         return p
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
         if n < 1:
             raise ValueError("distribution needs at least one vertex")
-        return cls._trusted((Fraction(1, n),) * n)
+        return cls._trusted((Fraction(1, n),) * n, range(n))
 
     @property
     def n(self) -> int:
         return len(self.weights)
 
-    @property
-    def support(self) -> tuple[int, ...]:
+    @cached_property
+    def support(self) -> Sequence[int]:
+        """The vertices of nonzero weight, ascending: a tuple, or `range(n)` from `uniform`.
+
+        Worked out once per distribution, on first use, unless `_trusted`
+        was handed it.
+        """
         # every weight is validated nonnegative and not NaN: nonzero is positive
         return tuple(v for v, w in enumerate(self.weights) if w)
 

@@ -157,7 +157,7 @@ def parse_distribution(text: str, n: int) -> tuple[Distribution, list[str]]:
     prove what `Distribution` would check again, so the result is built
     unchecked (`Distribution._trusted`). Only the listed entries are
     checked, summed and scaled; the unlisted vertices share one
-    `Fraction(0)`.
+    `Fraction(0)`, and the support is read off the listed entries.
     """
     entries: dict[int, Fraction] = {}
     any_decimal = False
@@ -194,7 +194,7 @@ def parse_distribution(text: str, n: int) -> tuple[Distribution, list[str]]:
     weights = [Fraction(0)] * n
     for v, w in entries.items():
         weights[v] = w
-    return Distribution._trusted(tuple(weights)), warnings
+    return Distribution._trusted(tuple(weights), tuple(sorted(v for v, w in entries.items() if w))), warnings
 
 
 def format_rational(x: Fraction) -> str:

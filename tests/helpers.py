@@ -295,6 +295,76 @@ def reference_face_newton_step(
     return lam_w @ m_w
 
 
+def reference_cholesky_face_newton_step(
+    q: np.ndarray,
+    M: np.ndarray,
+    lam: np.ndarray,
+    a: np.ndarray,
+    enter: int | None = None,
+    rules: list | None = None,
+) -> np.ndarray:
+    """`gelab.entropy._face_newton_step`, written with one array call per formula.
+
+    The reference its lean form must match bit for bit. The Newton system
+    is reduced to the plane sum(step) = 0: with D = root[:-1] - root[-1],
+    the step is (t, -sum t) where (D D^T) t = D sqrt(q), solved when D D^T
+    has a Cholesky factor whose smallest pivot squared exceeds
+    eps * w * its largest diagonal entry. Any other face takes the
+    least-squares lines of `reference_face_newton_step`; the entering,
+    bound and line-search rules are that function's. `rules`, when given,
+    receives "cholesky" or "lstsq" for each face solved, in order: the face
+    with the entering atom, then the face without it when the atom cannot
+    gain weight. Updates lam in place and returns `a` itself when the step
+    does not move.
+    """
+    face = np.flatnonzero(lam)
+    entering = enter is not None and not lam[enter]
+    if entering:
+        face = np.append(face, enter)
+    m_w = M[face]
+    w = len(face)
+    root = m_w * (np.sqrt(q) / a)
+    d = root[:-1] - root[-1]
+    gram = d @ d.T
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        chol = None
+    rule = "lstsq"
+    if chol is not None:
+        smallest = np.min(np.diag(chol), initial=np.inf) ** 2
+        if smallest > np.finfo(np.float64).eps * w * np.max(np.diag(gram), initial=0.0):
+            rule = "cholesky"
+    if rules is not None:
+        rules.append(rule)
+    if rule == "cholesky":
+        t = np.linalg.solve(gram, d @ np.sqrt(q))
+        step = np.append(t, -np.sum(t))
+    else:
+        kkt = np.ones((w + 1, w + 1))
+        kkt[:w, :w] = root @ root.T
+        kkt[w, w] = 0.0
+        rhs = np.append(m_w @ (q / a), 0.0)
+        step = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:w]
+        step -= step.mean()  # sum(step) = 0 to rounding: keep a on the polytope
+    if entering and step[-1] <= 0.0:
+        return reference_cholesky_face_newton_step(q, M, lam, a, rules=rules)
+    lam_w = lam[face]
+    shrinking = np.flatnonzero(step < 0.0)
+    if not len(shrinking):
+        return a
+    bounds = lam_w[shrinking] / -step[shrinking]
+    gamma = _line_search(q, a, step @ m_w, float(bounds.min()))
+    if gamma == 0.0:
+        return a
+    lam_w += gamma * step
+    # a shrinking weight is -step * (its bound - gamma): never negative, and
+    # exactly 0 for every atom whose bound gamma reaches
+    lam_w[shrinking] = -step[shrinking] * (bounds - gamma)
+    lam[face] = lam_w
+    return lam_w @ m_w
+
+
 def coverage(fc: FractionalColoring, v: int) -> Fraction:
     """Total weight of the sets of `fc` that hold vertex v."""
     return sum((w for s, w in fc.weights.items() if v in s), Fraction(0))

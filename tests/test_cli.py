@@ -189,6 +189,13 @@ class TestDistributionParsing:
         d, _ = parse_distribution("0 1\n", 3)
         assert d.support == (0,)
 
+    @pytest.mark.parametrize("text", ["3 1/2\n0 0\n1 1/2\n", "3 0.25\n0 0.0\n1 0.25\n"])
+    def test_support_is_handed_over_ascending_without_zero_entries(self, text):
+        # the parse hands its support to the distribution: the same one a scan
+        # of the weights finds, listed zeros left out, whatever the line order
+        d, _ = parse_distribution(text, 5)
+        assert d.support == (1, 3) == Distribution(d.weights).support
+
     def test_duplicate_vertex(self):
         with pytest.raises(ParseError):
             parse_distribution("0 1/2\n0 1/2\n", 2)

@@ -1,8 +1,10 @@
 """Entropy solver: certified values, the oracle step, and entropy laws."""
 
+import contextlib
 import importlib
 import math
 import random
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -46,6 +48,7 @@ from helpers import (
     rand_graph,
     rand_rational_distribution,
     rand_spanning_subgraph,
+    reference_cholesky_face_newton_step,
     reference_face_newton_step,
 )
 
@@ -340,6 +343,23 @@ def nats(q, a):
     return float(-(q * np.log(a)).sum())
 
 
+@contextlib.contextmanager
+def counting_lstsq():
+    """Record each np.linalg.lstsq call made inside the block, e.g. by a face step."""
+    real = np.linalg.lstsq
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    np.linalg.lstsq = counted
+    try:
+        yield calls
+    finally:
+        np.linalg.lstsq = real
+
+
 class TestFaceNewtonStep:
     def test_stays_in_simplex_and_never_increases_the_objective(self):
         moved = 0
@@ -403,34 +423,87 @@ class TestFaceNewtonStep:
     def test_tied_atoms_reaching_their_bound_never_go_negative(self):
         # sets {0}, {0} and {0, 1}: the two copies shrink at the same rate up
         # to rounding, and the objective falls until both reach zero; computed
-        # as lam + gamma * step, the later copy came out at -1e-17 now and then
+        # as lam + gamma * step, the later copy came out at -1e-17 now and then.
+        # The two copies make the face rank-deficient, so every step takes the
+        # least-squares branch
         M = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
         rng = random.Random(18)
         for _ in range(2000):
             x, q0 = rng.uniform(0.01, 0.49), rng.uniform(0.1, 0.9)
             lam = np.array([x, x, 1.0 - 2.0 * x])
-            _face_newton_step(np.array([q0, 1.0 - q0]), M, lam, lam @ M)
+            with counting_lstsq() as calls:
+                _face_newton_step(np.array([q0, 1.0 - q0]), M, lam, lam @ M)
+            assert len(calls) == 1
             assert min(lam[0], lam[1]) == 0.0 and max(lam[0], lam[1]) <= 1e-12
             assert lam[0] >= 0.0 and lam[1] >= 0.0
             assert abs(lam.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("seed, count", [(16, 300), (17, 300), (21, 600)])
     def test_floats_equal_the_reference_step(self, seed, count):
-        # the lean step against the one-call-per-formula form it replaced,
-        # on the faces of the three tests above, with and without an
-        # entering atom: every returned point and weight bit for bit
+        # the lean step against the one-call-per-formula reference of the rule
+        # it takes, on the faces of the three tests above, with and without an
+        # entering atom: the least-squares reference when every face solved
+        # fails the rank test, the Cholesky reference otherwise; every returned
+        # point and weight bit for bit, and one lstsq call per rank-deficient face
         entering = 0
+        taken = Counter()
         for q, M, lam in random_faces(random.Random(seed), count):
             a = lam @ M
             enter = int(np.argmax(M @ (q / a)))
             for atom in (None, enter):
                 new, ref = lam.copy(), lam.copy()
-                new_a = _face_newton_step(q, M, new, a, atom)
-                ref_a = reference_face_newton_step(q, M, ref, a, atom)
+                with counting_lstsq() as calls:
+                    new_a = _face_newton_step(q, M, new, a, atom)
+                rules = []
+                ref_a = reference_cholesky_face_newton_step(q, M, ref, a, atom, rules)
+                if "cholesky" not in rules:
+                    ref = lam.copy()
+                    ref_a = reference_face_newton_step(q, M, ref, a, atom)
                 assert np.array_equal(new, ref) and np.array_equal(new_a, ref_a)
                 assert (new_a is a) == (ref_a is a)
+                assert len(calls) == rules.count("lstsq")
+                taken.update(rules)
             entering += not lam[enter]
         assert entering >= 20
+        # faces solved by each rule, a face without its entering atom included
+        assert taken == {
+            16: {"cholesky": 524, "lstsq": 87},
+            17: {"cholesky": 518, "lstsq": 97},
+            21: {"cholesky": 1036, "lstsq": 193},
+        }[seed]
+
+    @pytest.mark.parametrize("seed, count", [(16, 300), (17, 300), (21, 600)])
+    def test_full_rank_faces_agree_with_least_squares(self, seed, count):
+        # on a face the rank test passes, the Cholesky step and the
+        # least-squares step solve the same Newton system, each stably, so
+        # they differ by their rounding, which grows with the condition number
+        # c of the bordered KKT matrix: the points agree within 1e-12 where
+        # 4 eps c is smaller, within 4 eps c elsewhere, and the objective is
+        # no higher than the reference's beyond 16 eps c of its size. These
+        # faces reach c = 1.9e12, where the two points differ by 1.2e-6
+        eps = np.finfo(np.float64).eps
+        tight = 0
+        for q, M, lam in random_faces(random.Random(seed), count):
+            a = lam @ M
+            enter = int(np.argmax(M @ (q / a)))
+            for atom in (None, enter):
+                new, ref = lam.copy(), lam.copy()
+                rules = []
+                reference_cholesky_face_newton_step(q, M, lam.copy(), a, atom, rules)
+                if rules != ["cholesky"]:  # one face solved, by the Cholesky rule
+                    continue
+                face = np.flatnonzero(lam)
+                if atom is not None and not lam[atom]:
+                    face = np.append(face, atom)
+                root = M[face] * (np.sqrt(q) / a)
+                kkt = np.block([[root @ root.T, np.ones((len(face), 1))], [np.ones(len(face)), 0.0]])
+                rounding = 4 * eps * np.linalg.cond(kkt)
+                tight += rounding <= 1e-12
+                new_a = _face_newton_step(q, M, new, a, atom)
+                ref_a = reference_face_newton_step(q, M, ref, a, atom)
+                assert np.abs(new_a - ref_a).max() <= max(rounding, 1e-12)
+                assert nats(q, new_a) <= nats(q, ref_a) + max(4 * rounding, 1e-15) * abs(nats(q, ref_a))
+        assert tight >= {16: 150, 17: 150, 21: 290}[seed], tight
 
     @pytest.mark.parametrize("distribution", ["uniform", "rational"])
     def test_converges_in_tens_of_iterations_on_g_40(self, distribution):

@@ -130,6 +130,10 @@ class TestDistribution:
         assert p.support == (0, 2)
         tiny = Fraction(1, 10**40)
         assert Distribution([tiny, Fraction(0), 1 - tiny]).support == (0, 2)
+        assert p.support is p.support  # worked out once, on first use
+
+    def test_uniform_support_is_every_vertex(self):
+        assert Distribution.uniform(4).support == range(4)
 
     def test_float_sum_tolerance(self):
         Distribution([0.25, 0.75])
