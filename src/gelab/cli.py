@@ -10,9 +10,10 @@ by the sets' members (`_by_members`).
 
 Exit codes: 0 success (and "yes" verdicts), 1 "no" verdicts, 2 parse or
 usage errors, 3 solver non-convergence, 4 enumeration cap or set budget
-exceeded, 5 internal error (a self-check failed or an unexpected exception
-was raised, so no answer is given), 141 (128 + SIGPIPE) standard output was
-closed before the answer was written, so nothing more is printed. The
+exceeded, or an input too large to hold in memory, 5 internal error (a
+self-check failed or an unexpected exception was raised, so no answer is
+given), 141 (128 + SIGPIPE) standard output was closed before the answer
+was written, so nothing more is printed. The
 environment variable GELAB_CAP overrides the default enumeration cap; a
 cap that is negative or not an integer, from --cap or GELAB_CAP, is a
 usage error (exit 2).
@@ -323,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PIPE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:  # an input too large to hold: a size limit, like the cap
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

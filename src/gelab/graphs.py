@@ -1,8 +1,9 @@
 """Graphs, independent sets, vertex distributions, and the weighted-alpha oracles.
 
-Vertices are always labelled 0..n-1. Adjacency is kept both as a canonical
-edge tuple (for hashing/equality) and as per-vertex bitmasks (for the
-enumeration inner loops). An independent set is stored only as its bitmask;
+Vertices are always labelled 0..n-1. A graph is stored only as its
+per-vertex adjacency bitmasks: equality, hashing and every solver read
+them, and its sorted edge tuple is derived on first use and cached, for
+output and the constructions. An independent set is stored only as its bitmask;
 its member frozenset is derived on first use and cached. All types are
 immutable values; every operation here is pure, so results can be cached
 and shared freely across threads.
@@ -15,7 +16,7 @@ import os
 import threading
 from bisect import bisect_right
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import accumulate
@@ -69,41 +70,46 @@ def resolve_cap(cap: int | None) -> int:
     return cap
 
 
-def _normalize_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    seen = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexNotFound(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        seen.add((u, v) if u < v else (v, u))
-    return tuple(sorted(seen))
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1.
+
+    `_adj` is the graph: bit v of `_adj[u]` is set iff u and v are adjacent.
+    Duplicate and reversed pairs given to the constructor collapse in it.
+    `edges` (each edge once as (u, v) with u < v, ascending) and the hash
+    are read off it on first use and cached.
+    """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    _adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _adj: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", _normalize_edges(n, edges))
         adj = [0] * n
-        for u, v in self.edges:
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise VertexNotFound(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         object.__setattr__(self, "_adj", tuple(adj))
-        object.__setattr__(self, "_hash", hash((n, self.edges)))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        # no vertex is its own neighbour: the bits of row u from u up are those above u
+        return tuple((u, v) for u, row in enumerate(self._adj) for v in _bits(row >> u << u))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._adj)  # its length is n
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
         return self._hash
@@ -148,11 +154,9 @@ class Graph:
         if len(order) == self.n:
             return self
         relabel = {old: new for new, old in enumerate(order)}
-        edges = [
-            (relabel[u], relabel[v])
-            for u, v in self.edges
-            if u in relabel and v in relabel
-        ]
+        kept = sum(1 << v for v in order)
+        # each kept edge once, from its lower end, as in `edges`
+        edges = [(i, relabel[w]) for i, v in enumerate(order) for w in _bits(self._adj[v] & kept >> v << v)]
         return Graph(len(order), edges)
 
     def _check_vertex(self, v: int) -> None:
@@ -538,9 +542,10 @@ def _check_family(graph: Graph, masks: Sequence[int]) -> np.ndarray:
         held = np.packbits(bits, axis=0, bitorder="little")
         raw, width = held.T.tobytes(), held.shape[0]  # per vertex: bit i of its bytes is set i
         holders += [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-    for u, v in graph.edges:
-        if holders[u] & holders[v]:
-            raise InternalError(f"enumerated set contains the edge ({u}, {v})")
+    for u, row in enumerate(graph._adj):
+        for v in _bits(row >> u << u):  # each edge once, as in `Graph.edges`
+            if holders[u] & holders[v]:
+                raise InternalError(f"enumerated set contains the edge ({u}, {v})")
     return rows
 
 

@@ -39,7 +39,7 @@ def _looks_like_dimacs(text: str) -> bool:
         stripped = line.strip()
         if not stripped or stripped.startswith(("c", "#")):
             continue
-        return stripped.startswith("p ")
+        return stripped.split()[0] == "p"  # the first token, as `_parse_dimacs` reads it
     return False
 
 

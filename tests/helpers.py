@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from gelab.entropy import _line_search, entropy
-from gelab.errors import CapExceeded, InternalError, NotRational
+from gelab.errors import CapExceeded, InternalError, NotRational, VertexNotFound
 from gelab.exactlp import FractionalColoring, _cover_start, _covering_lp, _simplex, fractional_chromatic_number
 from gelab.graphs import (
     SET_COUNT_CAP,
@@ -30,6 +30,21 @@ from gelab.graphs import (
     max_weighted_independent_set,
     resolve_cap,
 )
+
+
+def normalize_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Reference for `Graph.edges`: the pairs checked, each as (min, max), deduplicated and sorted.
+
+    Raises as `Graph(n, edges)` does, on the first bad pair.
+    """
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexNotFound(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        seen.add((u, v) if u < v else (v, u))
+    return tuple(sorted(seen))
 
 
 def petersen() -> Graph:

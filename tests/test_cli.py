@@ -22,6 +22,7 @@ from gelab.io import (
     parse_graph,
 )
 from gelab.errors import ParseError
+from gelab.oracle import brute_entropy
 from helpers import triangle_union
 
 SCHEMA = json.loads(
@@ -348,6 +349,35 @@ class TestCommands:
         ]
 
 
+DIMACS_P3 = "c P3\np edge 3 2\ne 1 2\ne 2 3\n"
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "fmt, text", [("edge-list", P3), ("dimacs", DIMACS_P3), ("dimacs", DIMACS_P3.replace("p ", "p\t"))],
+        ids=["edge-list", "dimacs", "dimacs-tab"],
+    )
+    def test_format_reads_its_own_format(self, files, capsys, fmt, text):
+        # and so does detection, which reads the first token as the DIMACS parser does
+        assert main(["chif", files("g", P3), "--json"]) == 0
+        expected = capsys.readouterr().out
+        for argv in (["--format", fmt], []):
+            assert main(["chif", files("g", text), "--json", *argv]) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_edge_list_format_rejects_a_dimacs_file(self, files, capsys):
+        assert main(["chif", files("g", DIMACS_P3), "--format", "edge-list"]) == 2
+        assert "line 1: 'c' is not an integer" in capsys.readouterr().err
+
+    def test_seed_is_the_oracle_seed_base(self, files, capsys):
+        # on C7 the starts of seeds 0..4 and 3..7 end a bit apart in the last place
+        c7, uniform = cycle_graph(7), Distribution.uniform(7)
+        assert brute_entropy(c7, uniform, seed_base=3) != brute_entropy(c7, uniform)
+        assert main(["entropy", files("c7", format_graph(c7)), "--oracle", "--seed", "3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["oracle_value"] == brute_entropy(c7, uniform, seed_base=3)
+
+
 class TestTextOutput:
     """The text renderings, whole, on graphs whose optimum is unique."""
 
@@ -416,6 +446,21 @@ class TestExitCodes:
     def test_cap_exceeded_is_4(self, files, capsys):
         edges = "\n".join(f"{i} {i+1}" for i in range(41))
         assert main(["chif", files("big", edges)]) == 4
+
+    @pytest.mark.parametrize(
+        "argv, graph, dist",
+        [
+            # each size asks for 10**16 list slots or more, past any address space
+            (["blowup"], P3, "0 0.14285714285714285\n1 0.5\n2 0.3\n"),
+            (["chif"], "n 100000000000000000\n", None),
+            (["chif"], "0 100000000000000000\n", None),
+            (["chif"], "p edge 100000000000000000 0\n", None),
+        ],
+    )
+    def test_out_of_memory_is_4(self, files, capsys, argv, graph, dist):
+        extra = [files("d", dist)] if dist else []
+        assert main([*argv, files("g", graph), *extra]) == 4
+        assert "error: out of memory" in capsys.readouterr().err
 
     def test_set_budget_exceeded_is_4(self, files, capsys, monkeypatch):
         import gelab.graphs as graphs_mod

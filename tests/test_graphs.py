@@ -43,6 +43,7 @@ from helpers import (
     assert_same_answer,
     complete_bipartite,
     enumerate_maximum_weighted_independent_sets,
+    normalize_edges,
     rand_graph,
     triangle_union,
     weight_vectors,
@@ -118,6 +119,86 @@ class TestGraphType:
         assert IndependentSet(g, [0, 2]).characteristic_vector() == (1, 0, 1)
         with pytest.raises(ValueError):
             IndependentSet(g, [0, 1])
+
+
+@st.composite
+def edge_lists(draw, max_n=12):
+    """(n, pairs): random pairs on n vertices, with duplicates and reversed pairs among them."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(pair, max_size=3 * n))
+    if pairs:
+        again = draw(st.lists(st.sampled_from(pairs), max_size=n))
+        pairs += [(v, u) if draw(st.booleans()) else (u, v) for u, v in again]
+    return n, draw(st.permutations(pairs))
+
+
+class TestGraphIsItsMasks:
+    """`Graph` keeps only n and its adjacency masks; every other view is read off them."""
+
+    def test_fields_are_n_and_the_masks(self):
+        g = cycle_graph(5)
+        assert [f.name for f in fields(Graph)] == ["n", "_adj"]
+        with pytest.raises(FrozenInstanceError):
+            g.n = 4
+
+    @given(edge_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_edges_match_the_reference(self, case):
+        n, pairs = case
+        g, ref = Graph(n, pairs), normalize_edges(n, pairs)
+        assert g.edges == ref
+        assert all(g.has_edge(u, v) == ((min(u, v), max(u, v)) in ref) for u in range(n) for v in range(n) if u != v)
+
+    @given(edge_lists(), edge_lists(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equality_and_hash_are_those_of_the_edge_sets(self, a, b, rng):
+        (n, pairs), (m, others) = a, b
+        g = Graph(n, pairs)
+        shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        rng.shuffle(shuffled)
+        twin = Graph(n, shuffled + shuffled[: len(shuffled) // 2])
+        assert twin == g and hash(twin) == hash(g)
+        h = Graph(m, others)
+        same = n == m and set(normalize_edges(n, pairs)) == set(normalize_edges(m, others))
+        assert (g == h) == same
+        if same:
+            assert hash(g) == hash(h)
+
+    @given(edge_lists(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_induced_is_the_relabelled_edge_filter(self, case, data):
+        n, pairs = case
+        g = Graph(n, pairs)
+        keep = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
+        order = sorted(set(keep))
+        relabel = {old: new for new, old in enumerate(order)}
+        kept = [(relabel[u], relabel[v]) for u, v in normalize_edges(n, pairs) if {u, v} <= relabel.keys()]
+        sub = g.induced(keep)
+        if len(order) == n:
+            assert sub is g
+        assert sub.n == len(order) and sub.edges == normalize_edges(len(order), kept)
+        assert g.induced(data.draw(st.permutations(list(range(n)) + keep))) is g
+        outside = data.draw(st.sampled_from([-1, n, n + 7]))
+        with pytest.raises(VertexNotFound):
+            g.induced(keep + [outside])
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "views-cached"])
+    def test_pickles_and_copies_alone_and_inside_a_set(self, warm):
+        # masks two limbs wide: the 70 side of K(3, 70) is vertices 3..72
+        cases = [(cycle_graph(7), 0b10101), (empty_graph(0), 0), (complete_bipartite(3, 70), (1 << 73) - 8)]
+        for g, mask in cases:
+            if warm:
+                g.edges, hash(g)
+            for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+                assert twin == g and hash(twin) == hash(g)
+                assert twin.n == g.n and twin._adj == g._adj and twin.edges == g.edges
+            s = IndependentSet._from_mask(g, mask)
+            for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+                assert twin == s and hash(twin) == hash(s)
+                assert twin.graph == g and twin.graph.edges == g.edges
 
 
 class TestDistribution:
